@@ -33,6 +33,7 @@ from .experiments import (
     ExperimentConfig,
     OfflineSweepResult,
     OnlineStreamResult,
+    StreamTracker,
     TraceRow,
     request_stream,
     run_offline_sweep,

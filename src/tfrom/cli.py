@@ -15,25 +15,17 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .errors import InputFormatError, ValidationError
 from .experiments import (
     ALGORITHMS,
     ExperimentConfig,
+    StreamTracker,
+    TraceRow,
     run_offline_sweep,
     run_online_stream,
 )
-from .metrics import (
-    customer_fairness,
-    exposure,
-    ndcg,
-    quality,
-    quality_weighted_provider_fairness,
-    total_quality,
-    uniform_provider_fairness,
-)
+from .metrics import exposure, quality
 from .model import original_rankings
 from .synth import SCORE_DISTRIBUTIONS, generate_synthetic
 from .targets import FairnessMode
@@ -129,50 +121,53 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load(args):
-    matrix, catalog, labels = fileio.load_instance(args.preferences, args.providers)
-    return matrix, catalog, labels
+def _write_run(args, config, matrix, catalog, labels, trace, cells) -> int:
+    """Write the run's summary and trace, and each cell's recommendations."""
+    _write_summary(args, matrix, catalog, [row.to_dict() for row in trace], config)
+    out = Path(args.out)
+    for name, served in cells:
+        cell = out / name
+        cell.mkdir(parents=True, exist_ok=True)
+        fileio.write_recommendations(
+            cell / "recommendations.csv", served, matrix, catalog, labels
+        )
+    fileio.write_trace(out / "trace.csv", trace)
+    print(f"wrote {out / 'trace.csv'} ({len(trace)} rows)")
+    return 0
+
+
+def _write_summary(args, matrix, catalog, results, config=None) -> None:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    fileio.write_summary(
+        out / "summary.json",
+        {
+            "config": _echo_config(args, config),
+            "instance": {"customers": matrix.m, "items": matrix.n, "providers": catalog.l},
+            "results": results,
+        },
+    )
 
 
 def _cmd_offline(args) -> int:
-    matrix, catalog, labels = _load(args)
+    matrix, catalog, labels = fileio.load_instance(args.preferences, args.providers)
     config = ExperimentConfig(
-        mode="offline",
         fairness=FairnessMode(args.fairness),
         algorithms=_comma_names(args.algorithms),
         ks=_comma_ints(args.k),
         seed=args.seed,
     )
     result = run_offline_sweep(config, matrix, catalog)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for (algo, k), lists in result.lists.items():
-        cell = out / f"{algo}_k{k}"
-        cell.mkdir(parents=True, exist_ok=True)
-        fileio.write_recommendations(
-            cell / "recommendations.csv",
-            [(None, rec) for rec in lists],
-            matrix,
-            catalog,
-            labels,
-        )
-    fileio.write_trace(out / "trace.csv", result.trace)
-    fileio.write_summary(
-        out / "summary.json",
-        {
-            "config": _echo_config(args, config),
-            "instance": {"customers": matrix.m, "items": matrix.n, "providers": catalog.l},
-            "results": [row.to_dict() for row in result.trace],
-        },
-    )
-    print(f"wrote {out / 'trace.csv'} ({len(result.trace)} rows)")
-    return 0
+    cells = [
+        (f"{algo}_k{k}", [(None, rec) for rec in lists])
+        for (algo, k), lists in result.lists.items()
+    ]
+    return _write_run(args, config, matrix, catalog, labels, result.trace, cells)
 
 
 def _cmd_online(args) -> int:
-    matrix, catalog, labels = _load(args)
+    matrix, catalog, labels = fileio.load_instance(args.preferences, args.providers)
     config = ExperimentConfig(
-        mode="online",
         fairness=FairnessMode(args.fairness),
         algorithms=_comma_names(args.algorithms),
         ks=_comma_ints(args.k),
@@ -181,74 +176,36 @@ def _cmd_online(args) -> int:
         trace_every=args.trace_every,
     )
     result = run_online_stream(config, matrix, catalog)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for algo, served in result.served.items():
-        cell = out / algo
-        cell.mkdir(parents=True, exist_ok=True)
-        fileio.write_recommendations(
-            cell / "recommendations.csv", served, matrix, catalog, labels
-        )
-    fileio.write_trace(out / "trace.csv", result.trace)
-    fileio.write_summary(
-        out / "summary.json",
-        {
-            "config": _echo_config(args, config),
-            "instance": {"customers": matrix.m, "items": matrix.n, "providers": catalog.l},
-            "results": [row.to_dict() for row in result.trace],
-        },
+    return _write_run(
+        args, config, matrix, catalog, labels, result.trace, result.served.items()
     )
-    print(f"wrote {out / 'trace.csv'} ({len(result.trace)} rows)")
-    return 0
 
 
 def _cmd_metrics(args) -> int:
-    matrix, catalog, labels = _load(args)
+    matrix, catalog, labels = fileio.load_instance(args.preferences, args.providers)
     served = fileio.read_recommendations(args.recommendations, labels)
     originals = original_rankings(matrix)
-    report = exposure([rec for _, rec in served], catalog)
-    online = any(req is not None for req, _ in served)
-    if online:
-        avg_quality = np.zeros(matrix.m)
-        rec_time = np.zeros(matrix.m, dtype=np.int64)
-        for _, rec in served:
-            u = rec.owner
-            value = ndcg(u, rec, matrix, originals[u])
-            avg_quality[u] = (avg_quality[u] * rec_time[u] + value) / (rec_time[u] + 1)
-            rec_time[u] += 1
-        served_mask = rec_time > 0
-        results = {
-            "mode": "online",
-            "requests": len(served),
-            "total_quality": float(np.dot(avg_quality, rec_time)),
-            "ndcg_variance": float(np.var(avg_quality[served_mask])),
-            "ndcg_variance_all": float(np.var(avg_quality)),
-        }
+    lists = [rec for _, rec in served]
+    if any(req is not None for req, _ in served):
+        tracker = StreamTracker(matrix, catalog, originals)
+        for rec in lists:
+            tracker.record(rec)
+        row = tracker.row(len(lists), "")
+        head = {"mode": "online", "requests": len(lists)}
     else:
-        qreport = quality([rec for _, rec in served], matrix, originals)
-        ndcg_var = customer_fairness(qreport)
-        results = {
-            "mode": "offline",
-            "k": served[0][1].k,
-            "total_quality": total_quality(qreport),
-            "ndcg_variance": ndcg_var,
-            "ndcg_variance_all": ndcg_var,
-        }
-    results["exposure_variance"] = uniform_provider_fairness(report)
-    results["qw_ratio_variance"] = quality_weighted_provider_fairness(
-        report, matrix, catalog
-    )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fileio.write_summary(
-        out / "summary.json",
-        {
-            "config": _echo_config(args),
-            "instance": {"customers": matrix.m, "items": matrix.n, "providers": catalog.l},
-            "results": results,
-        },
-    )
-    print(f"wrote {out / 'summary.json'}")
+        row = TraceRow.from_reports(
+            lists[0].k,
+            "",
+            exposure(lists, catalog),
+            quality(lists, matrix, originals),
+            matrix,
+            catalog,
+        )
+        head = {"mode": "offline", "k": row.step}
+    results = {**row.to_dict(), **head}
+    del results["step"], results["algorithm"]
+    _write_summary(args, matrix, catalog, results)
+    print(f"wrote {Path(args.out) / 'summary.json'}")
     return 0
 
 

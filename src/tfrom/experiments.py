@@ -4,13 +4,15 @@ The batch protocol runs every (k, algorithm) cell on the same instance
 and records one metric row per cell. The stream protocol samples a single
 seeded request sequence (uniform over customers, with replacement) and
 replays it through every algorithm independently, recording a metric row
-every ``trace_every`` requests. Identical seeds reproduce byte-identical
-traces.
+every ``trace_every`` requests. ``StreamTracker`` is the one place where
+stream quality and exposure are accounted: the replay feeds it, and so
+does ``tfrom metrics`` when it re-reads a served stream. Identical seeds
+reproduce byte-identical traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,14 +32,12 @@ from .targets import FairnessMode
 
 ALGORITHMS = ("tfrom", "topk", "random", "minexp")
 
-# tags keep per-algorithm random streams decoupled from each other and
-# from the request stream
-_SEED_TAG = {"stream": 0, "tfrom": 1, "topk": 2, "random": 3, "minexp": 4}
+# tags keep the random baseline's draws decoupled from the request stream
+_SEED_TAG = {"stream": 0, "random": 3}
 
 
 @dataclass
 class ExperimentConfig:
-    mode: str
     fairness: FairnessMode
     algorithms: tuple[str, ...]
     ks: tuple[int, ...]
@@ -46,8 +46,6 @@ class ExperimentConfig:
     trace_every: int | None = None
 
     def validate(self, n: int) -> None:
-        if self.mode not in ("offline", "online"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
         if not self.algorithms:
             raise ValidationError("the algorithm set must not be empty")
         for name in self.algorithms:
@@ -64,8 +62,6 @@ class ExperimentConfig:
                 raise ValidationError(f"k={k} outside valid range 1..{n}")
         if len(set(self.ks)) != len(self.ks):
             raise ValidationError("duplicate k values")
-        if self.mode == "online" and len(self.ks) != 1:
-            raise ValidationError("online runs take exactly one k value")
         if self.stream_multiplier < 1:
             raise ValidationError("stream multiplier must be >= 1")
         if self.trace_every is not None and self.trace_every < 1:
@@ -82,16 +78,77 @@ class TraceRow:
     exposure_variance: float
     qw_ratio_variance: float
 
+    @classmethod
+    def from_reports(
+        cls,
+        step: int,
+        algorithm: str,
+        report: metrics.ExposureReport,
+        qreport: metrics.QualityReport,
+        matrix: PreferenceMatrix,
+        catalog: Catalog,
+    ) -> "TraceRow":
+        """The row of a batch: one list per customer."""
+        ndcg_var = metrics.customer_fairness(qreport)
+        return cls(
+            step=step,
+            algorithm=algorithm,
+            total_quality=metrics.total_quality(qreport),
+            ndcg_variance=ndcg_var,
+            ndcg_variance_all=ndcg_var,
+            exposure_variance=metrics.uniform_provider_fairness(report),
+            qw_ratio_variance=metrics.quality_weighted_provider_fairness(
+                report, matrix, catalog
+            ),
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "algorithm": self.algorithm,
-            "total_quality": self.total_quality,
-            "ndcg_variance": self.ndcg_variance,
-            "ndcg_variance_all": self.ndcg_variance_all,
-            "exposure_variance": self.exposure_variance,
-            "qw_ratio_variance": self.qw_ratio_variance,
-        }
+        return asdict(self)
+
+
+class StreamTracker:
+    """Cumulative accounting of one served stream, fed from its lists only.
+
+    Exposure adds up slot by slot in request order; each customer's
+    quality is the running mean of the NDCG of their requests.
+    """
+
+    def __init__(
+        self, matrix: PreferenceMatrix, catalog: Catalog, originals: Sequence[RankedList]
+    ):
+        self.matrix, self.catalog, self.originals = matrix, catalog, originals
+        self.per_item = np.zeros(matrix.n)
+        self.per_provider = np.zeros(catalog.l)
+        self.avg_quality = np.zeros(matrix.m)
+        self.rec_time = np.zeros(matrix.m, dtype=np.int64)
+
+    def record(self, rec: RecommendationList) -> None:
+        for pos, item in enumerate(rec.items):
+            w = metrics.position_weight(pos + 1)
+            self.per_item[item] += w
+            self.per_provider[self.catalog.provider_of[item]] += w
+        u = rec.owner
+        request_ndcg = metrics.ndcg(u, rec, self.matrix, self.originals[u])
+        t = int(self.rec_time[u])
+        self.avg_quality[u] = (self.avg_quality[u] * t + request_ndcg) / (t + 1)
+        self.rec_time[u] = t + 1
+
+    def row(self, step: int, algorithm: str) -> TraceRow:
+        served = self.rec_time > 0
+        report = metrics.ExposureReport(
+            per_item=self.per_item, per_provider=self.per_provider
+        )
+        return TraceRow(
+            step=step,
+            algorithm=algorithm,
+            total_quality=float(np.dot(self.avg_quality, self.rec_time)),
+            ndcg_variance=float(np.var(self.avg_quality[served])),
+            ndcg_variance_all=float(np.var(self.avg_quality)),
+            exposure_variance=metrics.uniform_provider_fairness(report),
+            qw_ratio_variance=metrics.quality_weighted_provider_fairness(
+                report, self.matrix, self.catalog
+            ),
+        )
 
 
 @dataclass
@@ -139,63 +196,18 @@ def run_offline_sweep(
     for k in config.ks:
         for algo in config.algorithms:
             lists = _offline_cell(algo, k, config, matrix, catalog, originals)
-            report = metrics.exposure(lists, catalog)
-            qreport = metrics.quality(lists, matrix, originals)
-            ndcg_var = metrics.customer_fairness(qreport)
             result.trace.append(
-                TraceRow(
-                    step=k,
-                    algorithm=algo,
-                    total_quality=metrics.total_quality(qreport),
-                    ndcg_variance=ndcg_var,
-                    ndcg_variance_all=ndcg_var,
-                    exposure_variance=metrics.uniform_provider_fairness(report),
-                    qw_ratio_variance=metrics.quality_weighted_provider_fairness(
-                        report, matrix, catalog
-                    ),
+                TraceRow.from_reports(
+                    k,
+                    algo,
+                    metrics.exposure(lists, catalog),
+                    metrics.quality(lists, matrix, originals),
+                    matrix,
+                    catalog,
                 )
             )
             result.lists[(algo, k)] = lists
     return result
-
-
-class _StreamTracker:
-    """Cumulative per-algorithm accounting, fed from served lists only."""
-
-    def __init__(self, m: int, n: int, n_providers: int):
-        self.per_item = np.zeros(n)
-        self.per_provider = np.zeros(n_providers)
-        self.avg_quality = np.zeros(m)
-        self.rec_time = np.zeros(m, dtype=np.int64)
-
-    def record(self, rec: RecommendationList, catalog: Catalog, request_ndcg: float) -> None:
-        for pos, item in enumerate(rec.items):
-            w = metrics.position_weight(pos + 1)
-            self.per_item[item] += w
-            self.per_provider[catalog.provider_of[item]] += w
-        u = rec.owner
-        t = int(self.rec_time[u])
-        self.avg_quality[u] = (self.avg_quality[u] * t + request_ndcg) / (t + 1)
-        self.rec_time[u] = t + 1
-
-    def row(
-        self, step: int, algo: str, matrix: PreferenceMatrix, catalog: Catalog
-    ) -> TraceRow:
-        served = self.rec_time > 0
-        report = metrics.ExposureReport(
-            per_item=self.per_item, per_provider=self.per_provider
-        )
-        return TraceRow(
-            step=step,
-            algorithm=algo,
-            total_quality=float(np.dot(self.avg_quality, self.rec_time)),
-            ndcg_variance=float(np.var(self.avg_quality[served])),
-            ndcg_variance_all=float(np.var(self.avg_quality)),
-            exposure_variance=metrics.uniform_provider_fairness(report),
-            qw_ratio_variance=metrics.quality_weighted_provider_fairness(
-                report, matrix, catalog
-            ),
-        )
 
 
 def request_stream(seed: int, m: int, length: int) -> np.ndarray:
@@ -208,6 +220,8 @@ def run_online_stream(
 ) -> OnlineStreamResult:
     """Replay one request stream through each algorithm independently."""
     config.validate(matrix.n)
+    if len(config.ks) != 1:
+        raise ValidationError("online runs take exactly one k value")
     m = matrix.m
     k = config.ks[0]
     originals = original_rankings(matrix)
@@ -217,7 +231,7 @@ def run_online_stream(
 
     result = OnlineStreamResult(trace=[], stream=stream)
     for algo in config.algorithms:
-        tracker = _StreamTracker(m, matrix.n, catalog.l)
+        tracker = StreamTracker(matrix, catalog, originals)
         served: list[tuple[int, RecommendationList]] = []
         state = OnlineState.fresh(m, catalog.l)
         ledger = np.zeros(catalog.l)
@@ -234,9 +248,9 @@ def run_online_stream(
                 rec = baselines.all_random(originals[u], k, rng)
             else:
                 rec = baselines.minimum_exposure(originals[u], matrix, catalog, ledger, k)
-            tracker.record(rec, catalog, metrics.ndcg(u, rec, matrix, originals[u]))
+            tracker.record(rec)
             served.append((idx, rec))
             if (idx + 1) % every == 0:
-                result.trace.append(tracker.row(idx + 1, algo, matrix, catalog))
+                result.trace.append(tracker.row(idx + 1, algo))
         result.served[algo] = served
     return result

@@ -219,8 +219,20 @@ def write_recommendations(
                 writer.writerow(([req] + row) if online else row)
 
 
+def _int_field(name: str, text: str, path, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{name} {text!r} is not an integer", path=path, line=line)
+
+
 def read_recommendations(path, labels: InstanceLabels):
-    """Read lists back as (request_index_or_None, RecommendationList) pairs."""
+    """Read lists back as (request_index_or_None, RecommendationList) pairs.
+
+    Each list must hold ranks 1..k exactly once; a file without data rows,
+    a non-integer rank or request, or a duplicate or missing rank is a
+    ``ParseError``.
+    """
     customer_idx = {label: u for u, label in enumerate(labels.customers)}
     item_idx = {label: i for i, label in enumerate(labels.items)}
     header, reader, handle = _open_rows(path)
@@ -230,8 +242,8 @@ def read_recommendations(path, labels: InstanceLabels):
         if online:
             cols = ["request"] + cols
         positions = _columns(header, cols, path)
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        order: list[tuple] = []
+        # per list: rank -> (item, line)
+        groups: dict[tuple, dict[int, tuple[int, int]]] = {}
         for row in reader:
             if not row:
                 continue
@@ -242,23 +254,34 @@ def read_recommendations(path, labels: InstanceLabels):
                 raise ParseError("truncated row", path=path, line=line)
             if online:
                 req, customer, rank, item = values
-                key = (int(req), customer)
+                key = (_int_field("request", req, path, line), customer)
             else:
                 customer, rank, item = values
                 key = (None, customer)
+            rank = _int_field("rank", rank, path, line)
             if customer not in customer_idx:
                 raise ParseError(f"unknown customer {customer!r}", path=path, line=line)
             if item not in item_idx:
                 raise ParseError(f"unknown item {item!r}", path=path, line=line)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append((int(rank), item_idx[item]))
+            slots = groups.setdefault(key, {})
+            if rank in slots:
+                raise ParseError(f"rank {rank} occurs twice in one list", path=path, line=line)
+            slots[rank] = (item_idx[item], line)
+    if not groups:
+        raise ParseError("no data rows", path=path, line=1)
     out = []
-    for key in order:
-        slots = sorted(groups[key])
+    for key, slots in groups.items():
+        k = len(slots)
+        for rank, (_, line) in slots.items():
+            if not 1 <= rank <= k:
+                raise ParseError(
+                    f"rank {rank} in a list of {k} slots; ranks must run 1..{k}",
+                    path=path,
+                    line=line,
+                )
         rec = RecommendationList(
-            owner=customer_idx[key[1]], items=tuple(item for _, item in slots)
+            owner=customer_idx[key[1]],
+            items=tuple(slots[rank][0] for rank in range(1, k + 1)),
         )
         out.append((key[0], rec))
     return out

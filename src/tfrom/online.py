@@ -1,10 +1,12 @@
 """Stateful per-request re-ranking with a growing exposure budget.
 
-Requests arrive one at a time; provider exposure and per-customer quality
-accumulate across the whole stream while the candidate pool resets on
-every request. The exposure budget is recomputed before each request from
-the number of requests *including* the incoming one, so the budget grows
-in lock-step with the exposure about to be spent.
+Requests arrive one at a time. What decides each request is the
+cumulative provider exposure and the number of requests served so far;
+the candidate pool resets on every request. The exposure budget is
+recomputed before each request from the number of requests *including*
+the incoming one, so the budget grows in lock-step with the exposure
+about to be spent. Per-customer quality never influences a decision, so
+it is accounted outside the state, by ``experiments.StreamTracker``.
 
 Pass 1 scans the customer's preference order and takes the first item
 whose provider fits the slot weight under its budget (same slack rule as
@@ -20,13 +22,13 @@ one logical stream must be serialized by the caller.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientItems, InvalidDimension, UnknownCustomer, ValidationError
-from .metrics import dcg, position_weight
+from .metrics import position_weight
 from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList
 from .offline import BUDGET_SLACK
 from .targets import FairnessMode, fair_targets, online_total_exposure
@@ -34,40 +36,40 @@ from .targets import FairnessMode, fair_targets, online_total_exposure
 
 @dataclass(frozen=True)
 class OnlineState:
-    """Cumulative stream state: provider exposure, per-customer running
-    average quality, per-customer service counts, total requests served."""
+    """Decision state of a stream: cumulative exposure per provider and
+    the number of requests served."""
 
     exposure: np.ndarray
-    avg_quality: np.ndarray
-    rec_time: np.ndarray
     c_num: int
 
     @classmethod
     def fresh(cls, m: int, n_providers: int) -> "OnlineState":
-        return cls(
-            exposure=np.zeros(n_providers),
-            avg_quality=np.zeros(m),
-            rec_time=np.zeros(m, dtype=np.int64),
-            c_num=0,
-        )
+        """Empty state. ``m`` is unused, since no per-customer value is
+        kept; the signature stays the instance's shape."""
+        return cls(exposure=np.zeros(n_providers), c_num=0)
 
     def to_dict(self) -> dict:
         """JSON-serializable snapshot."""
-        return {
-            "exposure": self.exposure.tolist(),
-            "avg_quality": self.avg_quality.tolist(),
-            "rec_time": self.rec_time.tolist(),
-            "c_num": int(self.c_num),
-        }
+        return {"exposure": self.exposure.tolist(), "c_num": int(self.c_num)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OnlineState":
-        return cls(
-            exposure=np.array(payload["exposure"], dtype=np.float64),
-            avg_quality=np.array(payload["avg_quality"], dtype=np.float64),
-            rec_time=np.array(payload["rec_time"], dtype=np.int64),
-            c_num=int(payload["c_num"]),
-        )
+        """Restore a snapshot, rejecting anything ``to_dict`` cannot produce."""
+        for key in ("exposure", "c_num"):
+            if key not in payload:
+                raise ValidationError(f"state snapshot lacks {key!r}")
+        try:
+            exposure = np.array(payload["exposure"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"state exposure is not a numeric vector: {exc}")
+        if exposure.ndim != 1:
+            raise ValidationError(f"state exposure must be 1-d, got shape {exposure.shape}")
+        if not np.isfinite(exposure).all() or (exposure < 0).any():
+            raise ValidationError("state exposure must be finite and non-negative")
+        c_num = payload["c_num"]
+        if isinstance(c_num, bool) or not isinstance(c_num, numbers.Integral) or c_num < 0:
+            raise ValidationError(f"state request count must be an integer >= 0, got {c_num!r}")
+        return cls(exposure=exposure, c_num=int(c_num))
 
 
 def serve_request(
@@ -89,6 +91,10 @@ def serve_request(
         raise InsufficientItems(f"cannot build a length-{k} list from {n} items")
     if original.owner != u:
         raise ValidationError(f"original ranking owned by {original.owner}, not {u}")
+    if len(state.exposure) != catalog.l:
+        raise ValidationError(
+            f"state tracks {len(state.exposure)} providers, the catalog has {catalog.l}"
+        )
 
     budgets = fair_targets(
         mode, online_total_exposure(state.c_num + 1, k), catalog, matrix
@@ -98,19 +104,11 @@ def serve_request(
     pool_providers = catalog.provider_of[pool]
     used = np.zeros(n, dtype=bool)
     exposure = state.exposure.copy()
-
-    ideal = dcg(u, pool[:k], matrix)
     out = [-1] * k
-    q_temp = 0.0
 
     def place(rank: int, pos: int) -> None:
-        nonlocal q_temp
-        item = int(pool[pos])
-        p = int(pool_providers[pos])
-        w = position_weight(rank)
-        out[rank - 1] = item
-        exposure[p] += w
-        q_temp += float(matrix.scores[u, item]) / (math.log2(rank + 1) * ideal)
+        out[rank - 1] = int(pool[pos])
+        exposure[pool_providers[pos]] += position_weight(rank)
         used[pos] = True
 
     for rank in range(1, k + 1):
@@ -124,16 +122,5 @@ def serve_request(
         if out[rank - 1] == -1:
             place(rank, int((~used).argmax()))
 
-    avg_quality = state.avg_quality.copy()
-    rec_time = state.rec_time.copy()
-    t = int(rec_time[u])
-    avg_quality[u] = (avg_quality[u] * t + q_temp) / (t + 1)
-    rec_time[u] = t + 1
-
-    new_state = OnlineState(
-        exposure=exposure,
-        avg_quality=avg_quality,
-        rec_time=rec_time,
-        c_num=state.c_num + 1,
-    )
+    new_state = OnlineState(exposure=exposure, c_num=state.c_num + 1)
     return RecommendationList(owner=u, items=tuple(out)), new_state

@@ -5,6 +5,14 @@ import pytest
 import tfrom
 from tfrom.cli import main
 
+METRIC_COLUMNS = (
+    "total_quality",
+    "ndcg_variance",
+    "ndcg_variance_all",
+    "exposure_variance",
+    "qw_ratio_variance",
+)
+
 
 @pytest.fixture(scope="module")
 def instance_files(tmp_path_factory):
@@ -14,6 +22,23 @@ def instance_files(tmp_path_factory):
     )
     assert code == 0
     return out / "preferences.csv", out / "providers.csv"
+
+
+def run_metrics(instance_files, recommendations, out):
+    preferences, providers = instance_files
+    return main(
+        [
+            "metrics",
+            "--preferences",
+            str(preferences),
+            "--providers",
+            str(providers),
+            "--recommendations",
+            str(recommendations),
+            "--out",
+            str(out),
+        ]
+    )
 
 
 def run_offline(instance_files, out, extra=()):
@@ -165,7 +190,6 @@ class TestMetrics:
         assert summary["results"]["mode"] == "offline"
 
     def test_round_trip_matches_trace(self, instance_files, tmp_path):
-        preferences, providers = instance_files
         run_dir = tmp_path / "run"
         assert run_offline(instance_files, run_dir) == 0
         run_summary = json.loads((run_dir / "summary.json").read_text())
@@ -175,25 +199,13 @@ class TestMetrics:
             if r["algorithm"] == "tfrom" and r["step"] == 5
         )
         out = tmp_path / "metrics"
-        main(
-            [
-                "metrics",
-                "--preferences",
-                str(preferences),
-                "--providers",
-                str(providers),
-                "--recommendations",
-                str(run_dir / "tfrom_k5" / "recommendations.csv"),
-                "--out",
-                str(out),
-            ]
-        )
+        recommendations = run_dir / "tfrom_k5" / "recommendations.csv"
+        assert run_metrics(instance_files, recommendations, out) == 0
         redone = json.loads((out / "summary.json").read_text())["results"]
-        for key in ("total_quality", "ndcg_variance", "exposure_variance", "qw_ratio_variance"):
-            assert redone[key] == pytest.approx(row[key], abs=1e-9)
+        for key in METRIC_COLUMNS:
+            assert redone[key] == row[key]
 
-
-    def test_online_round_trip(self, instance_files, tmp_path):
+    def online_round_trip(self, instance_files, tmp_path, fairness):
         preferences, providers = instance_files
         run_dir = tmp_path / "run"
         code = main(
@@ -203,6 +215,8 @@ class TestMetrics:
                 str(preferences),
                 "--providers",
                 str(providers),
+                "--fairness",
+                fairness,
                 "--algorithms",
                 "tfrom",
                 "--k",
@@ -218,29 +232,60 @@ class TestMetrics:
         assert code == 0
         final_row = json.loads((run_dir / "summary.json").read_text())["results"][-1]
         out = tmp_path / "metrics"
-        main(
-            [
-                "metrics",
-                "--preferences",
-                str(preferences),
-                "--providers",
-                str(providers),
-                "--recommendations",
-                str(run_dir / "tfrom" / "recommendations.csv"),
-                "--out",
-                str(out),
-            ]
-        )
+        recommendations = run_dir / "tfrom" / "recommendations.csv"
+        assert run_metrics(instance_files, recommendations, out) == 0
         redone = json.loads((out / "summary.json").read_text())["results"]
         assert redone["mode"] == "online"
-        for key in (
-            "total_quality",
-            "ndcg_variance",
-            "ndcg_variance_all",
-            "exposure_variance",
-            "qw_ratio_variance",
-        ):
-            assert redone[key] == pytest.approx(final_row[key], abs=1e-9)
+        assert redone["requests"] == final_row["step"]
+        for key in METRIC_COLUMNS:
+            assert redone[key] == final_row[key]
+
+    def test_online_round_trip(self, instance_files, tmp_path):
+        self.online_round_trip(instance_files, tmp_path, "uniform")
+
+    def test_online_round_trip_quality_weighted(self, instance_files, tmp_path):
+        self.online_round_trip(instance_files, tmp_path, "quality-weighted")
+
+
+class TestMetricsInputErrors:
+    """`tfrom metrics` rejects a recommendations file that does not say
+    exactly which lists were served, with exit code 2 and the line."""
+
+    ONLINE_HEAD = "request,customer,rank,item,provider,score\n"
+    OFFLINE_HEAD = "customer,rank,item,provider,score\n"
+
+    def check(self, instance_files, tmp_path, capsys, text, message):
+        recommendations = tmp_path / "recommendations.csv"
+        recommendations.write_text(text)
+        assert run_metrics(instance_files, recommendations, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_rank(self, instance_files, tmp_path, capsys):
+        text = self.OFFLINE_HEAD + "0,1,0,0,0.5\n0,x,1,0,0.5\n"
+        self.check(instance_files, tmp_path, capsys, text, ":3: rank 'x' is not an integer")
+
+    def test_non_integer_request(self, instance_files, tmp_path, capsys):
+        text = self.ONLINE_HEAD + "0.5,0,1,0,0,0.5\n"
+        self.check(
+            instance_files, tmp_path, capsys, text, ":2: request '0.5' is not an integer"
+        )
+
+    def test_gapped_ranks(self, instance_files, tmp_path, capsys):
+        text = self.ONLINE_HEAD + "0,0,1,0,0,0.5\n0,0,7,1,0,0.5\n"
+        self.check(
+            instance_files, tmp_path, capsys, text, ":3: rank 7 in a list of 2 slots"
+        )
+
+    def test_duplicate_ranks(self, instance_files, tmp_path, capsys):
+        text = self.OFFLINE_HEAD + "0,1,0,0,0.5\n0,1,1,0,0.5\n"
+        self.check(
+            instance_files, tmp_path, capsys, text, ":3: rank 1 occurs twice in one list"
+        )
+
+    def test_header_only(self, instance_files, tmp_path, capsys):
+        self.check(instance_files, tmp_path, capsys, self.ONLINE_HEAD, "no data rows")
 
 
 class TestErrorHandling:

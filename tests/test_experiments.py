@@ -17,7 +17,6 @@ def small_instance():
 
 def offline_config(**overrides):
     base = dict(
-        mode="offline",
         fairness=FairnessMode.UNIFORM,
         algorithms=("tfrom", "topk"),
         ks=(3, 5),
@@ -45,13 +44,13 @@ class TestConfigValidation:
 
     def test_online_needs_single_k(self, small_instance):
         matrix, catalog = small_instance
-        config = offline_config(mode="online", ks=(3, 5))
+        config = offline_config(ks=(3, 5))
         with pytest.raises(errors.ValidationError):
             run_online_stream(config, matrix, catalog)
 
     def test_bad_multiplier(self, small_instance):
         matrix, catalog = small_instance
-        config = offline_config(mode="online", ks=(3,), stream_multiplier=0)
+        config = offline_config(ks=(3,), stream_multiplier=0)
         with pytest.raises(errors.ValidationError):
             run_online_stream(config, matrix, catalog)
 
@@ -114,7 +113,7 @@ class TestOnlineStream:
     def test_row_count_is_multiplier_per_algorithm(self, small_instance):
         matrix, catalog = small_instance
         config = offline_config(
-            mode="online", ks=(3,), algorithms=("tfrom", "topk"), stream_multiplier=4
+            ks=(3,), algorithms=("tfrom", "topk"), stream_multiplier=4
         )
         result = run_online_stream(config, matrix, catalog)
         per_algo = {}
@@ -124,7 +123,7 @@ class TestOnlineStream:
 
     def test_topk_quality_grows_one_per_request(self, small_instance):
         matrix, catalog = small_instance
-        config = offline_config(mode="online", ks=(3,), algorithms=("topk",), stream_multiplier=5)
+        config = offline_config(ks=(3,), algorithms=("topk",), stream_multiplier=5)
         result = run_online_stream(config, matrix, catalog)
         for row in result.trace:
             assert row.total_quality == float(row.step)
@@ -132,7 +131,7 @@ class TestOnlineStream:
     def test_identical_stream_across_algorithms(self, small_instance):
         matrix, catalog = small_instance
         config = offline_config(
-            mode="online", ks=(2,), algorithms=("topk", "minexp"), stream_multiplier=3
+            ks=(2,), algorithms=("topk", "minexp"), stream_multiplier=3
         )
         result = run_online_stream(config, matrix, catalog)
         owners_topk = [rec.owner for _, rec in result.served["topk"]]
@@ -146,7 +145,7 @@ class TestOnlineStream:
         )
         matrix, catalog = tfrom.build_instance(scores, assignments)
         config = offline_config(
-            mode="online", ks=(2,), algorithms=("tfrom", "topk"), stream_multiplier=1
+            ks=(2,), algorithms=("tfrom", "topk"), stream_multiplier=1
         )
         result = run_online_stream(config, matrix, catalog)
         assert (
@@ -156,7 +155,7 @@ class TestOnlineStream:
     def test_deterministic(self, small_instance):
         matrix, catalog = small_instance
         config = offline_config(
-            mode="online", ks=(3,), algorithms=("tfrom", "random"), stream_multiplier=2
+            ks=(3,), algorithms=("tfrom", "random"), stream_multiplier=2
         )
         first = run_online_stream(config, matrix, catalog)
         second = run_online_stream(config, matrix, catalog)
@@ -168,7 +167,6 @@ class TestOnlineStream:
     def test_trace_every_overrides_granularity(self, small_instance):
         matrix, catalog = small_instance
         config = offline_config(
-            mode="online",
             ks=(2,),
             algorithms=("topk",),
             stream_multiplier=2,
