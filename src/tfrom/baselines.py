@@ -12,7 +12,8 @@ import numpy as np
 
 from .errors import InsufficientItems
 from .metrics import position_weight
-from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList
+from .model import Catalog, RankedList, RecommendationList
+from .offline import first_open
 
 
 def _check_k(k: int, n: int) -> None:
@@ -40,7 +41,6 @@ def all_random(original: RankedList, k: int, seed) -> RecommendationList:
 
 def minimum_exposure(
     original: RankedList,
-    matrix: PreferenceMatrix,
     catalog: Catalog,
     ledger: np.ndarray,
     k: int,
@@ -49,27 +49,24 @@ def minimum_exposure(
 
     Per rank: choose the provider with minimal ledger exposure that still
     has an unrecommended item for this customer (ties: lowest provider id),
-    then that provider's best-scoring remaining item (ties: lowest item
-    id). The ledger is updated in place with the slot weights, so passing
-    the same array across customers or requests accumulates exposure
-    globally.
+    then take that provider's first remaining item in the customer's
+    original preference order, i.e. its best-scoring remaining item, lowest
+    id on ties. The ledger is updated in place with the slot weights, so
+    passing the same array across customers or requests accumulates
+    exposure globally.
     """
-    n = original.items.size
-    _check_k(k, n)
-    u = original.owner
-    used = np.zeros(n, dtype=bool)
+    pool = original.items
+    _check_k(k, pool.size)
+    pool_providers = catalog.provider_of[pool]
+    open_slots = np.ones(pool.size, dtype=bool)
     out = []
     for rank in range(1, k + 1):
-        available = ~used
-        load = np.full(catalog.l, np.inf)
-        has_items = np.unique(catalog.provider_of[available])
-        load[has_items] = ledger[has_items]
-        p = int(load.argmin())
-        members = np.flatnonzero((catalog.provider_of == p) & available)
-        scores = matrix.scores[u, members]
-        members = members[scores == scores.max()]
-        item = int(members.min())
-        out.append(item)
-        used[item] = True
+        # k <= n leaves an open item, so the least-loaded provider always hits
+        candidates = pool_providers[open_slots]
+        load = ledger[candidates]
+        p = int(candidates[load == load.min()].min())
+        pos = first_open(pool_providers, open_slots, np.arange(catalog.l) == p)
+        out.append(int(pool[pos]))
+        open_slots[pos] = False
         ledger[p] += position_weight(rank)
-    return RecommendationList(owner=u, items=tuple(out))
+    return RecommendationList(owner=original.owner, items=tuple(out))

@@ -181,8 +181,7 @@ def _offline_cell(
         return tuple(baselines.all_random(originals[u], k, rng) for u in range(matrix.m))
     ledger = np.zeros(catalog.l)
     return tuple(
-        baselines.minimum_exposure(originals[u], matrix, catalog, ledger, k)
-        for u in range(matrix.m)
+        baselines.minimum_exposure(originals[u], catalog, ledger, k) for u in range(matrix.m)
     )
 
 
@@ -247,7 +246,7 @@ def run_online_stream(
             elif algo == "random":
                 rec = baselines.all_random(originals[u], k, rng)
             else:
-                rec = baselines.minimum_exposure(originals[u], matrix, catalog, ledger, k)
+                rec = baselines.minimum_exposure(originals[u], catalog, ledger, k)
             tracker.record(rec)
             served.append((idx, rec))
             if (idx + 1) % every == 0:

@@ -52,6 +52,17 @@ def _open_rows(path) -> tuple[list[str], "csv.reader", object]:
     return [h.strip().lower() for h in header], reader, handle
 
 
+def _data_rows(reader, width: int, path):
+    """Yield each non-blank row; a row of fewer than ``width`` fields is an error."""
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) < width:
+            message = f"expected at least {width} fields, got {len(row)}"
+            raise ParseError(message, path=path, line=reader.line_num)
+        yield row
+
+
 def _columns(header: list[str], required: Sequence[str], path) -> list[int]:
     positions = []
     for name in required:
@@ -78,16 +89,7 @@ def load_instance(preferences_path, providers_path):
     with handle:
         c_col, i_col, s_col = _columns(header, ("customer", "item", "score"), preferences_path)
         width = max(c_col, i_col, s_col) + 1
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            line = reader.line_num
-            if len(row) < width:
-                raise ParseError(
-                    f"expected at least {width} fields, got {len(row)}",
-                    path=preferences_path,
-                    line=line,
-                )
+        for row in _data_rows(reader, width, preferences_path):
             customer = row[c_col].strip()
             item = row[i_col].strip()
             try:
@@ -96,7 +98,7 @@ def load_instance(preferences_path, providers_path):
                 raise ParseError(
                     f"score {row[s_col]!r} is not a number",
                     path=preferences_path,
-                    line=line,
+                    line=reader.line_num,
                 )
             u = customer_ids.setdefault(customer, len(customer_ids))
             i = item_ids.setdefault(item, len(item_ids))
@@ -116,20 +118,12 @@ def load_instance(preferences_path, providers_path):
     with handle:
         i_col, p_col = _columns(header, ("item", "provider"), providers_path)
         width = max(i_col, p_col) + 1
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            line = reader.line_num
-            if len(row) < width:
-                raise ParseError(
-                    f"expected at least {width} fields, got {len(row)}",
-                    path=providers_path,
-                    line=line,
-                )
+        for row in _data_rows(reader, width, providers_path):
             item = row[i_col].strip()
             if item not in item_ids:
                 raise UnknownItemInProviderFile(
-                    f"{providers_path}:{line}: item {item!r} does not occur in the preference data"
+                    f"{providers_path}:{reader.line_num}: item {item!r} "
+                    "does not occur in the preference data"
                 )
             i = item_ids[item]
             if i in provider_by_item:
@@ -229,9 +223,10 @@ def _int_field(name: str, text: str, path, line: int) -> int:
 def read_recommendations(path, labels: InstanceLabels):
     """Read lists back as (request_index_or_None, RecommendationList) pairs.
 
-    Each list must hold ranks 1..k exactly once; a file without data rows,
-    a non-integer rank or request, or a duplicate or missing rank is a
-    ``ParseError``.
+    Each list must hold ranks 1..k exactly once, with one k for the whole
+    file, and in an online file each request index names one list and the
+    indices increase down the file. Anything else, or a file without data
+    rows, is a ``ParseError``.
     """
     customer_idx = {label: u for u, label in enumerate(labels.customers)}
     item_idx = {label: i for i, label in enumerate(labels.items)}
@@ -244,17 +239,17 @@ def read_recommendations(path, labels: InstanceLabels):
         positions = _columns(header, cols, path)
         # per list: rank -> (item, line)
         groups: dict[tuple, dict[int, tuple[int, int]]] = {}
-        for row in reader:
-            if not row:
-                continue
+        last = None  # (request, customer) of the previous online row
+        for row in _data_rows(reader, max(positions) + 1, path):
             line = reader.line_num
-            try:
-                values = [row[c].strip() for c in positions]
-            except IndexError:
-                raise ParseError("truncated row", path=path, line=line)
+            values = [row[c].strip() for c in positions]
             if online:
                 req, customer, rank, item = values
                 key = (_int_field("request", req, path, line), customer)
+                if last is not None and key != last and key[0] <= last[0]:
+                    message = f"request {key[0]} for customer {customer!r} after request {last[0]}"
+                    raise ParseError(f"{message} for customer {last[1]!r}", path=path, line=line)
+                last = key
             else:
                 customer, rank, item = values
                 key = (None, customer)
@@ -270,6 +265,7 @@ def read_recommendations(path, labels: InstanceLabels):
     if not groups:
         raise ParseError("no data rows", path=path, line=1)
     out = []
+    first_k = len(next(iter(groups.values())))
     for key, slots in groups.items():
         k = len(slots)
         for rank, (_, line) in slots.items():
@@ -279,6 +275,8 @@ def read_recommendations(path, labels: InstanceLabels):
                     path=path,
                     line=line,
                 )
+            if k != first_k:  # ``line`` is the list's first row here
+                raise ParseError(f"list of {k} slots after one of {first_k}", path=path, line=line)
         rec = RecommendationList(
             owner=customer_idx[key[1]],
             items=tuple(slots[rank][0] for rank in range(1, k + 1)),

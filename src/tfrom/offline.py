@@ -14,9 +14,10 @@ the first one whose provider still has budget for this slot's weight. If
 no provider fits, the slot is left open.
 
 Phase 2 revisits open slots from high ranks to low, customers in
-ascending id, and fills each with the remaining item whose provider
-currently has the least exposure (ties: higher score, then lower item
-id). No budget check applies, so every list ends up with k items.
+ascending id, and fills each with the first remaining item, in preference
+order, whose provider has the least exposure among the providers still
+holding one (so ties go to the higher score, then the lower item id). No
+budget check applies, so every list ends up with k items.
 
 Budget admission uses a small slack to absorb floating-point
 accumulation; the slack is part of the algorithm contract, so reference
@@ -37,6 +38,15 @@ from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList
 from .targets import FairnessMode, FairTargets, fair_targets, total_exposure
 
 BUDGET_SLACK = 1e-12
+
+
+def first_open(pool_providers: np.ndarray, open_slots: np.ndarray, allowed: np.ndarray) -> int:
+    """The slot scan of every re-ranker: the first open pool position whose
+    provider the mask ``allowed`` admits, else -1. Pools are in preference
+    order, so this is the only tie-break rule; only the masks differ."""
+    hits = allowed[pool_providers] & open_slots
+    pos = int(hits.argmax())
+    return pos if hits[pos] else -1
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ def tfrom_offline(
 
     pools = np.stack([ranked.items for ranked in originals])
     pool_providers = catalog.provider_of[pools]
-    taken = np.zeros((m, n), dtype=bool)
+    open_slots = np.ones((m, n), dtype=bool)
 
     ideal = np.array([dcg(u, originals[u].items[:k], matrix) for u in range(m)])
     exposure = np.zeros(catalog.l)
@@ -126,20 +136,19 @@ def tfrom_offline(
         slots[u, rank - 1] = item
         exposure[p] += w
         q[u] += float(matrix.scores[u, item]) / (math.log2(rank + 1) * ideal[u])
-        taken[u, pos] = True
+        open_slots[u, pos] = False
 
     for rank in range(1, k + 1):
         w = position_weight(rank)
         if rank == 1:
             visit = np.random.default_rng(seed).permutation(m)
         else:
-            visit = sorted(range(m), key=lambda u: (-q[u], u))
+            visit = np.argsort(-q, kind="stable")
         for u in visit:
             u = int(u)
             fits = exposure + w <= budgets + BUDGET_SLACK
-            candidates = fits[pool_providers[u]] & ~taken[u]
-            pos = int(candidates.argmax())
-            if candidates[pos]:
+            pos = first_open(pool_providers[u], open_slots[u], fits)
+            if pos >= 0:
                 place(1, rank, u, pos, w)
             else:
                 skipped.add((u, rank))
@@ -149,12 +158,9 @@ def tfrom_offline(
         for u in range(m):
             if slots[u, rank - 1] != -1:
                 continue
-            open_pos = np.flatnonzero(~taken[u])
-            load = exposure[pool_providers[u, open_pos]]
-            open_pos = open_pos[load == load.min()]
-            score = matrix.scores[u, pools[u, open_pos]]
-            open_pos = open_pos[score == score.max()]
-            pos = int(open_pos[pools[u, open_pos].argmin()])
+            # k <= n leaves an open item, so the least load always hits
+            least = exposure[pool_providers[u, open_slots[u]]].min()
+            pos = first_open(pool_providers[u], open_slots[u], exposure == least)
             place(2, rank, u, pos, w)
 
     lists = tuple(

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InsufficientItems, InvalidDimension, UnknownCustomer, ValidationError
 from .metrics import position_weight
 from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList
-from .offline import BUDGET_SLACK
+from .offline import BUDGET_SLACK, first_open
 from .targets import FairnessMode, fair_targets, online_total_exposure
 
 
@@ -102,25 +102,25 @@ def serve_request(
 
     pool = original.items
     pool_providers = catalog.provider_of[pool]
-    used = np.zeros(n, dtype=bool)
+    open_slots = np.ones(n, dtype=bool)
     exposure = state.exposure.copy()
     out = [-1] * k
 
     def place(rank: int, pos: int) -> None:
         out[rank - 1] = int(pool[pos])
         exposure[pool_providers[pos]] += position_weight(rank)
-        used[pos] = True
+        open_slots[pos] = False
 
     for rank in range(1, k + 1):
         fits = exposure + position_weight(rank) <= budgets + BUDGET_SLACK
-        candidates = fits[pool_providers] & ~used
-        pos = int(candidates.argmax())
-        if candidates[pos]:
+        pos = first_open(pool_providers, open_slots, fits)
+        if pos >= 0:
             place(rank, pos)
 
+    anyone = np.ones(catalog.l, dtype=bool)  # k <= n, so every vacancy hits
     for rank in range(1, k + 1):
         if out[rank - 1] == -1:
-            place(rank, int((~used).argmax()))
+            place(rank, first_open(pool_providers, open_slots, anyone))
 
     new_state = OnlineState(exposure=exposure, c_num=state.c_num + 1)
     return RecommendationList(owner=u, items=tuple(out)), new_state

@@ -24,12 +24,21 @@ def golden_instance(golden_raw):
     return matrix, catalog, tfrom.original_rankings(matrix)
 
 
-def random_mini_instance(rng, max_m=3, max_n=6, max_l=3):
-    """Small random instance; every provider owns at least one item."""
+def random_mini_instance(rng, max_m=3, max_n=6, max_l=3, ties=False):
+    """Small random instance; every provider owns at least one item.
+
+    With ``ties`` the scores are integers in {0, 1, 2} with at least one
+    positive entry per row, so equal scores (and zeros) are common and the
+    tie-break rules get exercised.
+    """
     m = int(rng.integers(1, max_m + 1))
     n = int(rng.integers(1, max_n + 1))
     l = int(rng.integers(1, min(n, max_l) + 1))
     assignments = np.concatenate([np.arange(l), rng.integers(0, l, size=n - l)])
     rng.shuffle(assignments)
-    scores = 1.0 - rng.random((m, n))
+    if ties:
+        scores = rng.integers(0, 3, size=(m, n)).astype(np.float64)
+        scores[np.arange(m), rng.integers(0, n, size=m)] = rng.integers(1, 3, size=m)
+    else:
+        scores = 1.0 - rng.random((m, n))
     return scores, assignments

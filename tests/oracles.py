@@ -1,4 +1,5 @@
-"""Straight-line reference interpreters for the two re-ranking procedures.
+"""Straight-line reference interpreters for the two re-ranking procedures
+and the minimum-exposure baseline.
 
 Written before the production implementations and kept deliberately dumb:
 plain Python lists and dicts, no vectorization, no shared code with the
@@ -11,7 +12,10 @@ Both interpreters use the same numeric conventions the package documents:
   * quality increments v / (log2(rank+1) * ideal_gain);
   * customer order for ranks >= 2 is descending accumulated quality with
     ascending-id tie-break; vacancy refill prefers the provider with the
-    lowest exposure, then the highest score, then the lowest item id.
+    lowest exposure, then the highest score, then the lowest item id;
+  * the minimum-exposure baseline picks the provider with the lowest
+    ledger exposure among those with an item left (lowest provider id on
+    ties), then that provider's highest-scoring item, then the lowest id.
 """
 
 import math
@@ -204,4 +208,34 @@ def online_oracle_request(state, u, scores, providers, k, mode):
     state["q"][u] = (state["q"][u] * t + q_temp) / (t + 1)
     state["rec_time"][u] = t + 1
     state["c_num"] += 1
+    return out
+
+
+def minimum_exposure_oracle(ledger, u, scores, providers, k):
+    """Fill one list from the least-exposed provider, mutating ``ledger``.
+
+    Works in item space: scores[u] is read directly, never a precomputed
+    ranking. Returns the emitted list.
+    """
+    weights = _weights(k)
+    row = scores[u]
+    used = set()
+    out = []
+    for rank in range(1, k + 1):
+        provider = None
+        for item in range(len(row)):
+            if item in used:
+                continue
+            p = providers[item]
+            if provider is None or (ledger[p], p) < (ledger[provider], provider):
+                provider = p
+        best = None
+        for item in range(len(row)):
+            if item in used or providers[item] != provider:
+                continue
+            if best is None or (-row[item], item) < (-row[best], best):
+                best = item
+        out.append(best)
+        used.add(best)
+        ledger[provider] += weights[rank - 1]
     return out

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import oracles
 import tfrom
+from conftest import random_mini_instance
 from tfrom import errors
 
 
@@ -76,13 +78,13 @@ class TestMinimumExposure:
     def test_least_exposed_provider_wins(self):
         matrix, catalog, originals = build([[9.0, 1.0]], [0, 1])
         ledger = np.array([5.0, 0.0])
-        rec = tfrom.minimum_exposure(originals[0], matrix, catalog, ledger, 1)
+        rec = tfrom.minimum_exposure(originals[0], catalog, ledger, 1)
         assert catalog.provider_of[rec.items[0]] == 1
 
     def test_single_provider_degenerates_to_top_k(self):
         matrix, catalog, originals = build([[1.0, 3.0, 2.0]], [0, 0, 0])
         ledger = np.zeros(1)
-        rec = tfrom.minimum_exposure(originals[0], matrix, catalog, ledger, 2)
+        rec = tfrom.minimum_exposure(originals[0], catalog, ledger, 2)
         assert rec.items == tfrom.top_k(originals[0], 2).items
 
     def test_fresh_ledger_spreads_across_providers(self):
@@ -90,13 +92,13 @@ class TestMinimumExposure:
             [[6.0, 5.0, 4.0, 3.0, 2.0, 1.0]], [0, 0, 1, 1, 2, 2]
         )
         ledger = np.zeros(3)
-        rec = tfrom.minimum_exposure(originals[0], matrix, catalog, ledger, 3)
+        rec = tfrom.minimum_exposure(originals[0], catalog, ledger, 3)
         assert sorted(int(catalog.provider_of[i]) for i in rec.items) == [0, 1, 2]
 
     def test_ledger_accumulates_slot_weights(self):
         matrix, catalog, originals = build([[2.0, 1.0]], [0, 1])
         ledger = np.zeros(2)
-        tfrom.minimum_exposure(originals[0], matrix, catalog, ledger, 2)
+        tfrom.minimum_exposure(originals[0], catalog, ledger, 2)
         assert ledger.sum() == approx(tfrom.total_exposure(1, 2), abs=1e-12)
 
     def test_spread_bounded_by_one_slot_weight(self):
@@ -112,10 +114,39 @@ class TestMinimumExposure:
             originals = tfrom.original_rankings(matrix)
             ledger = np.zeros(l)
             for u in range(3):
-                tfrom.minimum_exposure(originals[u], matrix, catalog, ledger, per)
+                tfrom.minimum_exposure(originals[u], catalog, ledger, per)
             assert ledger.max() - ledger.min() <= 1.0 + 1e-12
 
     def test_insufficient_items(self):
         matrix, catalog, originals = build([[1.0]], [0])
         with pytest.raises(errors.InsufficientItems):
-            tfrom.minimum_exposure(originals[0], matrix, catalog, np.zeros(1), 2)
+            tfrom.minimum_exposure(originals[0], catalog, np.zeros(1), 2)
+
+
+class TestMinimumExposureOracle:
+    """Bit-equal to the item-space reference, one ledger shared by all
+    customers, from zero and from tied nonzero start ledgers."""
+
+    def test_matches_oracle(self):
+        for case in range(120):
+            rng = np.random.default_rng(7000 + case)
+            scores, assignments = random_mini_instance(
+                rng, max_m=4, max_n=8, max_l=4, ties=case % 2 == 1
+            )
+            matrix, catalog, originals = build(scores, assignments)
+            providers = [int(p) for p in catalog.provider_of]
+            k = int(rng.integers(1, matrix.n + 1))
+            if case % 4 < 2:
+                start = np.zeros(catalog.l)
+            else:  # nonzero, and tied across providers
+                start = rng.integers(1, 3, size=catalog.l).astype(np.float64)
+            ledger = start.copy()
+            mirror = start.tolist()
+            for u in rng.integers(0, matrix.m, size=3 * matrix.m):
+                u = int(u)
+                rec = tfrom.minimum_exposure(originals[u], catalog, ledger, k)
+                expected = oracles.minimum_exposure_oracle(
+                    mirror, u, scores.tolist(), providers, k
+                )
+                assert list(rec.items) == expected
+            assert ledger.tolist() == mirror

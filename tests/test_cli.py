@@ -287,6 +287,39 @@ class TestMetricsInputErrors:
     def test_header_only(self, instance_files, tmp_path, capsys):
         self.check(instance_files, tmp_path, capsys, self.ONLINE_HEAD, "no data rows")
 
+    def test_request_names_two_lists(self, instance_files, tmp_path, capsys):
+        text = self.ONLINE_HEAD + "0,0,1,0,0,0.5\n0,1,1,1,0,0.5\n"
+        self.check(
+            instance_files, tmp_path, capsys, text, ":3: request 0 for customer '1' after request 0"
+        )
+
+    def test_requests_out_of_order(self, instance_files, tmp_path, capsys):
+        text = self.ONLINE_HEAD + "5,0,1,0,0,0.5\n0,1,1,1,0,0.5\n0,1,2,2,0,0.5\n"
+        self.check(
+            instance_files, tmp_path, capsys, text, ":3: request 0 for customer '1' after request 5"
+        )
+
+    def test_request_revisited(self, instance_files, tmp_path, capsys):
+        # same customer, but request 0 comes back after request 1
+        text = self.ONLINE_HEAD + "0,0,1,0,0,0.5\n1,1,1,1,0,0.5\n0,0,2,2,0,0.5\n"
+        self.check(
+            instance_files, tmp_path, capsys, text, ":4: request 0 for customer '0' after request 1"
+        )
+
+    def test_batch_lists_of_different_lengths(self, instance_files, tmp_path, capsys):
+        # one list per customer, k=1 except customer 5's list of two
+        rows = [f"{u},1,{u},0,0.5\n" for u in range(6)] + ["5,2,9,0,0.5\n"]
+        text = self.OFFLINE_HEAD + "".join(rows)
+        self.check(
+            instance_files, tmp_path, capsys, text, ":7: list of 2 slots after one of 1"
+        )
+
+    def test_increasing_requests_with_gaps_accepted(self, instance_files, tmp_path):
+        text = self.ONLINE_HEAD + "2,0,1,0,0,0.5\n7,0,1,1,0,0.5\n9,3,1,2,0,0.5\n"
+        recommendations = tmp_path / "recommendations.csv"
+        recommendations.write_text(text)
+        assert run_metrics(instance_files, recommendations, tmp_path / "out") == 0
+
 
 class TestErrorHandling:
     def test_missing_required_flag_exits_one(self, instance_files, capsys):

@@ -149,10 +149,10 @@ class TestInvariants:
 
 class TestOracleEquivalence:
     def test_mini_fuzz_sample(self):
-        # a slice of the full 100-case acceptance fuzz
-        for case in range(20):
+        # a slice of the acceptance fuzz: 20 continuous and 20 tie-heavy cases
+        for case in [*range(20), *range(100, 120)]:
             rng = np.random.default_rng(1000 + case)
-            scores, assignments = random_mini_instance(rng)
+            scores, assignments = random_mini_instance(rng, ties=case >= 100)
             matrix, catalog = tfrom.build_instance(scores, assignments)
             originals = tfrom.original_rankings(matrix)
             k = int(rng.integers(1, min(matrix.n, 3) + 1))
