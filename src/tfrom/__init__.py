@@ -57,7 +57,6 @@ from .metrics import (
     exposure,
     ndcg,
     position_weight,
-    position_weights,
     provider_relevance,
     quality,
     quality_weighted_provider_fairness,

@@ -68,7 +68,9 @@ class ParseError(InputFormatError):
     def __init__(self, message: str, path=None, line: int | None = None):
         self.path = path
         self.line = line
-        where = f"{path}:{line}: " if path is not None and line is not None else ""
+        where = ""
+        if path is not None:
+            where = f"{path}: " if line is None else f"{path}:{line}: "
         super().__init__(f"{where}{message}")
 
 

@@ -62,6 +62,8 @@ class ExperimentConfig:
                 raise ValidationError(f"k={k} outside valid range 1..{n}")
         if len(set(self.ks)) != len(self.ks):
             raise ValidationError("duplicate k values")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.stream_multiplier < 1:
             raise ValidationError("stream multiplier must be >= 1")
         if self.trace_every is not None and self.trace_every < 1:

@@ -4,8 +4,9 @@ Instances arrive as two headered CSV files: preference triplets
 (customer, item, score) and an item-to-provider map (item, provider).
 External ids are arbitrary strings, mapped to contiguous indices in order
 of first appearance; the mapping is kept so output files carry the
-original labels. Numeric output uses 17 significant digits, enough for an
-exact float64 round-trip and therefore bit-stable golden files.
+original labels. Every output table is written by ``_write_table``; numeric
+output uses 17 significant digits, enough for an exact float64 round-trip
+and therefore bit-stable golden files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     ParseError,
     UnknownItemInProviderFile,
 )
+from .experiments import TraceRow
 from .model import Catalog, PreferenceMatrix, RecommendationList, build_instance
 
 
@@ -49,18 +51,24 @@ def _open_rows(path) -> tuple[list[str], "csv.reader", object]:
     except StopIteration:
         handle.close()
         raise ParseError("empty file", path=path, line=1)
+    except UnicodeDecodeError as exc:
+        handle.close()
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
     return [h.strip().lower() for h in header], reader, handle
 
 
 def _data_rows(reader, width: int, path):
     """Yield each non-blank row; a row of fewer than ``width`` fields is an error."""
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) < width:
-            message = f"expected at least {width} fields, got {len(row)}"
-            raise ParseError(message, path=path, line=reader.line_num)
-        yield row
+    try:
+        for row in reader:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) < width:
+                message = f"expected at least {width} fields, got {len(row)}"
+                raise ParseError(message, path=path, line=reader.line_num)
+            yield row
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
 
 
 def _columns(header: list[str], required: Sequence[str], path) -> list[int]:
@@ -161,24 +169,31 @@ def default_labels(m: int, n: int, l: int) -> InstanceLabels:
     )
 
 
+def _write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write one CSV table: the header row, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _triplets(scores: np.ndarray):
+    rated = scores != 0.0
+    rated[:1] |= ~rated.any(axis=0)
+    for u, row in enumerate(scores):
+        for i in np.flatnonzero(rated[u]):
+            yield u, i, _fmt(row[i])
+
+
 def write_instance_files(scores: np.ndarray, assignments: np.ndarray, out_dir) -> tuple[Path, Path]:
-    """Write preference triplets and the provider map; zero scores are omitted."""
+    """Write preference triplets and the provider map; zero scores are omitted,
+    except that an item no customer rated gets one zero row, of customer 0."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     preferences = out / "preferences.csv"
     providers = out / "providers.csv"
-    with open(preferences, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["customer", "item", "score"])
-        for u in range(scores.shape[0]):
-            row = scores[u]
-            for i in np.flatnonzero(row != 0.0):
-                writer.writerow([u, i, _fmt(row[i])])
-    with open(providers, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["item", "provider"])
-        for i, p in enumerate(assignments):
-            writer.writerow([i, int(p)])
+    _write_table(preferences, ("customer", "item", "score"), _triplets(scores))
+    _write_table(providers, ("item", "provider"), ((i, int(p)) for i, p in enumerate(assignments)))
     return preferences, providers
 
 
@@ -196,21 +211,20 @@ def write_recommendations(
     """
     served = list(served)
     online = any(req is not None for req, _ in served)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        head = ["customer", "rank", "item", "provider", "score"]
-        writer.writerow(["request"] + head if online else head)
-        for req, rec in served:
-            u = rec.owner
-            for pos, item in enumerate(rec.items):
-                row = [
-                    labels.customers[u],
-                    pos + 1,
-                    labels.items[item],
-                    labels.providers[int(catalog.provider_of[item])],
-                    _fmt(matrix.scores[u, item]),
-                ]
-                writer.writerow(([req] + row) if online else row)
+    header = ["request"] * online + ["customer", "rank", "item", "provider", "score"]
+    rows = (
+        [req] * online
+        + [
+            labels.customers[rec.owner],
+            pos + 1,
+            labels.items[item],
+            labels.providers[int(catalog.provider_of[item])],
+            _fmt(matrix.scores[rec.owner, item]),
+        ]
+        for req, rec in served
+        for pos, item in enumerate(rec.items)
+    )
+    _write_table(path, header, rows)
 
 
 def _int_field(name: str, text: str, path, line: int) -> int:
@@ -285,33 +299,18 @@ def read_recommendations(path, labels: InstanceLabels):
     return out
 
 
-def write_trace(path, rows) -> None:
-    """Metric trace as CSV, one row per (step, algorithm) pair."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "step",
-                "algorithm",
-                "total_quality",
-                "ndcg_variance",
-                "ndcg_variance_all",
-                "exposure_variance",
-                "qw_ratio_variance",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.step,
-                    row.algorithm,
-                    _fmt(row.total_quality),
-                    _fmt(row.ndcg_variance),
-                    _fmt(row.ndcg_variance_all),
-                    _fmt(row.exposure_variance),
-                    _fmt(row.qw_ratio_variance),
-                ]
-            )
+def write_trace(path, rows: Iterable[TraceRow]) -> None:
+    """Metric trace as CSV, one row per (step, algorithm) pair.
+
+    The columns are the fields of ``TraceRow``, in order; floats are written
+    with ``_fmt``.
+    """
+    columns = [(f.name, f.type in (float, "float")) for f in fields(TraceRow)]
+    cells = (
+        [_fmt(getattr(row, name)) if real else getattr(row, name) for name, real in columns]
+        for row in rows
+    )
+    _write_table(path, [name for name, _ in columns], cells)
 
 
 def write_summary(path, payload: dict) -> None:

@@ -37,11 +37,6 @@ def position_weight(rank: int) -> float:
     return 1.0 / math.log2(rank + 1)
 
 
-def position_weights(k: int) -> np.ndarray:
-    """Weights for ranks 1..k as an array."""
-    return np.array([position_weight(r) for r in range(1, k + 1)])
-
-
 @dataclass(frozen=True)
 class ExposureReport:
     """Accumulated exposure per item and per provider."""
@@ -157,7 +152,7 @@ def size_normalized_provider_fairness(report: ExposureReport, catalog: Catalog) 
 def provider_relevance(matrix: PreferenceMatrix, catalog: Catalog) -> np.ndarray:
     """Total relevance mass of each provider's items over all customers."""
     item_totals = matrix.scores.sum(axis=0)
-    return np.array([item_totals[list(items)].sum() for items in catalog.items_of])
+    return np.array([item_totals[catalog.provider_of == p].sum() for p in range(catalog.l)])
 
 
 def _minmax_unit(values: np.ndarray) -> np.ndarray:

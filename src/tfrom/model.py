@@ -49,14 +49,16 @@ class PreferenceMatrix:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Item-to-provider assignment with the inverse per-provider item sets.
+    """Item-to-provider assignment and the number of items of each provider.
 
     Provider ids are contiguous ``0..l-1``; ``provider_labels`` preserves
     the external labels they were compacted from, for output files.
+    ``provider_of`` is the only item map: the items of provider ``p`` are
+    ``np.flatnonzero(provider_of == p)``, in ascending id order.
     """
 
     provider_of: np.ndarray
-    items_of: tuple[tuple[int, ...], ...]
+    sizes: np.ndarray
     provider_labels: tuple = ()
 
     @property
@@ -65,12 +67,7 @@ class Catalog:
 
     @property
     def l(self) -> int:
-        return len(self.items_of)
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Number of items offered by each provider."""
-        return np.array([len(items) for items in self.items_of], dtype=np.int64)
+        return int(self.sizes.size)
 
 
 @dataclass(frozen=True)
@@ -140,25 +137,15 @@ def build_instance(
     if zero_rows.size:
         raise EmptyRow(f"customer {zero_rows[0]} has no positive relevance score")
 
-    label_to_id: dict = {}
-    labels: list = []
-    provider_of = np.empty(n, dtype=np.int64)
-    for item, label in enumerate(assignments):
-        pid = label_to_id.get(label)
-        if pid is None:
-            pid = len(labels)
-            label_to_id[label] = pid
-            labels.append(label)
-        provider_of[item] = pid
-    items_of = tuple(
-        tuple(int(i) for i in np.flatnonzero(provider_of == p)) for p in range(len(labels))
+    ids: dict = {}
+    provider_of = np.array(
+        [ids.setdefault(label, len(ids)) for label in assignments], dtype=np.int64
     )
-
     matrix = PreferenceMatrix(scores=_readonly(grid))
     catalog = Catalog(
         provider_of=_readonly(provider_of),
-        items_of=items_of,
-        provider_labels=tuple(labels),
+        sizes=_readonly(np.bincount(provider_of, minlength=len(ids))),
+        provider_labels=tuple(ids),
     )
     return matrix, catalog
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidShape
+from .errors import InvalidShape, ValidationError
 
 SCORE_DISTRIBUTIONS = ("uniform", "exponential", "lognormal")
 
@@ -39,7 +39,7 @@ def generate_synthetic(
     l: int,
     score_distribution: str = "uniform",
     provider_size_skew: float = 1.0,
-    seed=0,
+    seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw a random (scores, provider_assignments) pair.
 
@@ -52,8 +52,10 @@ def generate_synthetic(
         raise InvalidShape(f"all dimensions must be >= 1, got m={m} n={n} l={l}")
     if l > n:
         raise InvalidShape(f"{l} providers cannot share {n} items at one item minimum")
-    if provider_size_skew < 0:
+    if not provider_size_skew >= 0:  # also rejects NaN
         raise InvalidShape(f"provider size skew must be >= 0, got {provider_size_skew}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if score_distribution not in SCORE_DISTRIBUTIONS:
         raise InvalidShape(
             f"unknown score distribution {score_distribution!r}; "

@@ -64,16 +64,16 @@ def fair_targets(
     catalog: Catalog,
     matrix: PreferenceMatrix,
 ) -> FairTargets:
-    """Split an exposure budget across providers under the given mode."""
+    """Split an exposure budget across providers under the given mode:
+    ``total * weight / weight.sum()``, where a provider's weight is its item
+    count (uniform; the counts sum to n) or its relevance mass."""
     if total < 0:
         raise InvalidDimension(f"exposure budget must be >= 0, got {total}")
     if mode is FairnessMode.UNIFORM:
-        sizes = catalog.sizes.astype(np.float64)
-        per = total * sizes / float(catalog.n)
+        weight = catalog.sizes
     else:
-        mass = provider_relevance(matrix, catalog)
-        mass_sum = float(mass.sum())
-        if mass_sum <= 0.0:
-            raise ZeroTotalRelevance("all relevance scores are zero")
-        per = total * mass / mass_sum
-    return FairTargets(total=float(total), per_provider=per)
+        weight = provider_relevance(matrix, catalog)
+    weight_sum = float(weight.sum())
+    if weight_sum <= 0.0:
+        raise ZeroTotalRelevance("all relevance scores are zero")
+    return FairTargets(total=float(total), per_provider=total * weight / weight_sum)

@@ -386,5 +386,40 @@ class TestErrorHandling:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["gen", "offline", "online"])
+    def test_negative_seed_exits_one(self, instance_files, tmp_path, capsys, command):
+        preferences, providers = instance_files
+        if command == "gen":
+            args = ["gen", "--m", "2", "--n", "3", "--l", "1"]
+        else:
+            args = [command, "--preferences", str(preferences), "--providers", str(providers)]
+            args += ["--k", "3"]
+        assert main(args + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("position", ["header", "row"])
+    @pytest.mark.parametrize("which", ["preferences", "providers", "recommendations"])
+    def test_non_utf8_file_exits_two(self, instance_files, tmp_path, capsys, which, position):
+        files = {
+            "preferences": tmp_path / "preferences.csv",
+            "providers": tmp_path / "providers.csv",
+            "recommendations": tmp_path / "recommendations.csv",
+        }
+        for source in instance_files:
+            (tmp_path / source.name).write_bytes(source.read_bytes())
+        files["recommendations"].write_text(TestMetricsInputErrors.OFFLINE_HEAD + "0,1,0,0,0.5\n")
+        bad = files[which]
+        if position == "header":
+            bad.write_bytes(b"\xff" + bad.read_bytes())
+        else:
+            # past the first decoded chunk, so the error comes from a data row
+            bad.write_bytes(bad.read_bytes() + b"\n" * 20000 + b"\xff\n")
+        code = run_metrics(
+            (files["preferences"], files["providers"]), files["recommendations"], tmp_path / "out"
+        )
+        assert code == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

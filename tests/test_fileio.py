@@ -1,5 +1,11 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import tfrom
@@ -88,11 +94,74 @@ class TestLoadInstance:
         original_partition = {
             p: set(np.flatnonzero(assignments == p)) for p in set(assignments.tolist())
         }
-        loaded_partition = {frozenset(items) for items in catalog.items_of}
+        loaded_partition = {
+            frozenset(np.flatnonzero(catalog.provider_of == p)) for p in range(catalog.l)
+        }
         assert {frozenset(v) for v in original_partition.values()} == loaded_partition
 
 
+positive_scores = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def raw_instances(draw):
+    """Small (scores, assignments) pairs: every row has a positive score,
+    but a column may be all zero (an item no customer rated)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(st.just(0.0), positive_scores)
+    scores = np.array(
+        draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    )
+    for u in range(m):
+        if not (scores[u] > 0).any():
+            scores[u, draw(st.integers(0, n - 1))] = draw(positive_scores)
+    assignments = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    return scores, assignments
+
+
+class TestInstanceRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(raw_instances())
+    # item 1 is rated by no customer
+    @example((np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 1.0]]), np.array([0, 1, 1])))
+    def test_write_then_load_is_identity(self, raw):
+        scores, assignments = raw
+        with tempfile.TemporaryDirectory() as tmp:
+            preferences, providers = tfrom.write_instance_files(scores, assignments, tmp)
+            matrix, catalog, labels = tfrom.load_instance(preferences, providers)
+        customers = [int(label) for label in labels.customers]
+        items = [int(label) for label in labels.items]
+        assert sorted(customers) == list(range(scores.shape[0]))
+        assert sorted(items) == list(range(scores.shape[1]))
+        assert np.array_equal(matrix.scores, scores[np.ix_(customers, items)])
+        loaded = [labels.providers[p] for p in catalog.provider_of]
+        assert loaded == [str(assignments[i]) for i in items]
+
+
+
+@st.composite
+def served_batches(draw):
+    """Random batch or online (request, list) pairs over a small catalog."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        owners = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+        steps = draw(st.lists(st.integers(1, 3), min_size=len(owners), max_size=len(owners)))
+        requests = [int(r) for r in np.cumsum(steps) - 1]
+    else:
+        owners = draw(st.permutations(range(m)))[: draw(st.integers(1, m))]
+        requests = [None] * len(owners)
+    served = [
+        (req, tfrom.RecommendationList(owner=u, items=tuple(draw(st.permutations(range(n)))[:k])))
+        for req, u in zip(requests, owners)
+    ]
+    return m, n, served
+
+
 class TestRecommendationsRoundTrip:
+
     def test_offline_lists(self, tmp_path):
         scores, assignments = tfrom.generate_synthetic(4, 9, 3, seed=13)
         matrix, catalog = tfrom.build_instance(scores, assignments)
@@ -118,6 +187,20 @@ class TestRecommendationsRoundTrip:
         path = tmp_path / "recommendations.csv"
         fileio.write_recommendations(path, served, matrix, catalog, labels)
         loaded = fileio.read_recommendations(path, labels)
+        assert [(req, rec.owner, rec.items) for req, rec in loaded] == [
+            (req, rec.owner, rec.items) for req, rec in served
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(served_batches())
+    def test_write_then_read_is_identity(self, case):
+        m, n, served = case
+        matrix, catalog = tfrom.build_instance(np.ones((m, n)), [i % 2 for i in range(n)])
+        labels = tfrom.default_labels(m, n, catalog.l)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "recommendations.csv"
+            fileio.write_recommendations(path, served, matrix, catalog, labels)
+            loaded = fileio.read_recommendations(path, labels)
         assert [(req, rec.owner, rec.items) for req, rec in loaded] == [
             (req, rec.owner, rec.items) for req, rec in served
         ]
@@ -157,3 +240,9 @@ class TestTraceWriting:
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",")[:3] == ["step", "algorithm", "total_quality"]
         assert lines[1].startswith("5,topk,4,0,0,1.25,0.5")
+
+    def test_empty_trace_writes_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        fileio.write_trace(path, [])
+        names = [f.name for f in dataclasses.fields(tfrom.TraceRow)]
+        assert path.read_bytes() == (",".join(names) + "\r\n").encode()

@@ -12,7 +12,8 @@ class TestBuildInstance:
         matrix, catalog = tfrom.build_instance([[1, 2], [3, 4]], [0, 1])
         assert matrix.m == 2 and matrix.n == 2
         assert catalog.l == 2
-        assert catalog.items_of == ((0,), (1,))
+        assert catalog.provider_of.tolist() == [0, 1]
+        assert catalog.sizes.tolist() == [1, 1]
 
     def test_nan_rejected(self):
         with pytest.raises(errors.NonFiniteScore):
@@ -53,10 +54,11 @@ class TestBuildInstance:
         assignments[:4] = np.arange(4)
         _, catalog = tfrom.build_instance(scores, assignments)
         assert int(catalog.sizes.sum()) == catalog.n
-        for p, items in enumerate(catalog.items_of):
+        for p in range(catalog.l):
+            items = np.flatnonzero(catalog.provider_of == p)
             assert len(items) >= 1
-            for item in items:
-                assert catalog.provider_of[item] == p
+            assert len(items) == catalog.sizes[p]
+            assert (assignments[items] == assignments[items[0]]).all()
 
 
 class TestOriginalRanking:

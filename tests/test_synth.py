@@ -61,5 +61,6 @@ class TestGenerateSynthetic:
             tfrom.generate_synthetic(2, 4, 2, score_distribution="cauchy", seed=0)
 
     def test_negative_skew_rejected(self):
-        with pytest.raises(errors.InvalidShape):
-            tfrom.generate_synthetic(2, 4, 2, provider_size_skew=-1.0, seed=0)
+        for skew in (-1.0, float("nan")):
+            with pytest.raises(errors.InvalidShape):
+                tfrom.generate_synthetic(2, 4, 2, provider_size_skew=skew, seed=0)
