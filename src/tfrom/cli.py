@@ -183,7 +183,7 @@ def _cmd_online(args) -> int:
 
 def _cmd_metrics(args) -> int:
     matrix, catalog, labels = fileio.load_instance(args.preferences, args.providers)
-    served = fileio.read_recommendations(args.recommendations, labels)
+    served = fileio.read_recommendations(args.recommendations, matrix, catalog, labels)
     originals = original_rankings(matrix)
     lists = [rec for _, rec in served]
     if any(req is not None for req, _ in served):

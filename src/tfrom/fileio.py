@@ -4,15 +4,19 @@ Instances arrive as two headered CSV files: preference triplets
 (customer, item, score) and an item-to-provider map (item, provider).
 External ids are arbitrary strings, mapped to contiguous indices in order
 of first appearance; the mapping is kept so output files carry the
-original labels. Every output table is written by ``_write_table``; numeric
-output uses 17 significant digits, enough for an exact float64 round-trip
-and therefore bit-stable golden files.
+original labels. Every input table is read by ``_table``, which holds the
+rules all three input files share (header, blank and short rows, encoding),
+and every output table is written by ``_write_table``. Numeric output uses
+17 significant digits, enough for an exact float64 round-trip: golden files
+are bit-stable, and the scores of a recommendations file read back equal to
+the instance's.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -43,42 +47,56 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _open_rows(path) -> tuple[list[str], "csv.reader", object]:
-    handle = open(path, newline="", encoding="utf-8")
-    reader = csv.reader(handle)
+def _table(path, columns: Sequence[str], optional: Sequence[str] = ()):
+    """Yield ``(line, fields)`` for each data row of the CSV table at ``path``.
+
+    ``fields`` holds the cells of ``columns``, then of ``optional``, as
+    written; an optional column the header lacks reads as None. Header names
+    match case-insensitively after stripping, a missing required column is an
+    error at line 1, blank rows are skipped and a row too short for the
+    columns present is an error at its own line, as is a cell too large for
+    the csv module. The file is UTF-8, with or without a byte-order mark.
+    """
     try:
-        header = next(reader)
-    except StopIteration:
-        handle.close()
-        raise ParseError("empty file", path=path, line=1)
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file", path=path, line=1)
+            names = [name.strip().lower() for name in header]
+            for name in columns:
+                if name not in names:
+                    raise ParseError(f"missing required column {name!r}", path=path, line=1)
+            wanted = (*columns, *optional)
+            positions = [names.index(name) if name in names else -1 for name in wanted]
+            width = max(positions) + 1
+            # position -1 is the None appended to every row: an absent optional column
+            pick = operator.itemgetter(*positions)
+            for row in reader:
+                # every table has two columns or more, so a blank row is short too
+                if len(row) < width:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    message = f"expected at least {width} fields, got {len(row)}"
+                    raise ParseError(message, path=path, line=reader.line_num)
+                row.append(None)
+                yield reader.line_num, pick(row)
     except UnicodeDecodeError as exc:
-        handle.close()
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
-    return [h.strip().lower() for h in header], reader, handle
+    except csv.Error as exc:  # such as a cell over the field size limit
+        raise ParseError(str(exc), path=path, line=reader.line_num) from None
 
 
-def _data_rows(reader, width: int, path):
-    """Yield each non-blank row; a row of fewer than ``width`` fields is an error."""
-    try:
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < width:
-                message = f"expected at least {width} fields, got {len(row)}"
-                raise ParseError(message, path=path, line=reader.line_num)
-            yield row
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
-
-
-def _columns(header: list[str], required: Sequence[str], path) -> list[int]:
-    positions = []
-    for name in required:
+def _number(kind, name: str, text: str, path, line: int):
+    """``kind(text)``, ``kind`` being ``int`` or ``float``; a field that is not
+    ASCII or holds an underscore (both of which Python accepts) is an error."""
+    if text.isascii() and "_" not in text:
         try:
-            positions.append(header.index(name))
+            return kind(text)
         except ValueError:
-            raise ParseError(f"missing required column {name!r}", path=path, line=1)
-    return positions
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ParseError(f"{name} {text!r} is not {noun}", path=path, line=line)
 
 
 def load_instance(preferences_path, providers_path):
@@ -93,53 +111,38 @@ def load_instance(preferences_path, providers_path):
     item_ids: dict[str, int] = {}
     triplets: dict[tuple[int, int], float] = {}
 
-    header, reader, handle = _open_rows(preferences_path)
-    with handle:
-        c_col, i_col, s_col = _columns(header, ("customer", "item", "score"), preferences_path)
-        width = max(c_col, i_col, s_col) + 1
-        for row in _data_rows(reader, width, preferences_path):
-            customer = row[c_col].strip()
-            item = row[i_col].strip()
-            try:
-                score = float(row[s_col])
-            except ValueError:
-                raise ParseError(
-                    f"score {row[s_col]!r} is not a number",
-                    path=preferences_path,
-                    line=reader.line_num,
-                )
-            u = customer_ids.setdefault(customer, len(customer_ids))
-            i = item_ids.setdefault(item, len(item_ids))
-            if (u, i) in triplets:
-                warnings.warn(
-                    f"duplicate rating for customer {customer!r}, item {item!r}; "
-                    "keeping the last value",
-                    DuplicateTripletWarning,
-                )
-            triplets[(u, i)] = score
+    for line, (customer, item, score) in _table(preferences_path, ("customer", "item", "score")):
+        customer, item = customer.strip(), item.strip()
+        score = _number(float, "score", score, preferences_path, line)
+        u = customer_ids.setdefault(customer, len(customer_ids))
+        i = item_ids.setdefault(item, len(item_ids))
+        key = (u, i)
+        if key in triplets:
+            warnings.warn(
+                f"duplicate rating for customer {customer!r}, item {item!r}; "
+                "keeping the last value",
+                DuplicateTripletWarning,
+            )
+        triplets[key] = score
 
     if not triplets:
         raise ParseError("no data rows", path=preferences_path, line=1)
 
     provider_by_item: dict[int, str] = {}
-    header, reader, handle = _open_rows(providers_path)
-    with handle:
-        i_col, p_col = _columns(header, ("item", "provider"), providers_path)
-        width = max(i_col, p_col) + 1
-        for row in _data_rows(reader, width, providers_path):
-            item = row[i_col].strip()
-            if item not in item_ids:
-                raise UnknownItemInProviderFile(
-                    f"{providers_path}:{reader.line_num}: item {item!r} "
-                    "does not occur in the preference data"
-                )
-            i = item_ids[item]
-            if i in provider_by_item:
-                warnings.warn(
-                    f"duplicate provider row for item {item!r}; keeping the last value",
-                    DuplicateTripletWarning,
-                )
-            provider_by_item[i] = row[p_col].strip()
+    for line, (item, provider) in _table(providers_path, ("item", "provider")):
+        item = item.strip()
+        if item not in item_ids:
+            raise UnknownItemInProviderFile(
+                f"{providers_path}:{line}: item {item!r} "
+                "does not occur in the preference data"
+            )
+        i = item_ids[item]
+        if i in provider_by_item:
+            warnings.warn(
+                f"duplicate provider row for item {item!r}; keeping the last value",
+                DuplicateTripletWarning,
+            )
+        provider_by_item[i] = provider.strip()
 
     m, n = len(customer_ids), len(item_ids)
     missing = [i for i in range(n) if i not in provider_by_item]
@@ -227,55 +230,51 @@ def write_recommendations(
     _write_table(path, header, rows)
 
 
-def _int_field(name: str, text: str, path, line: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"{name} {text!r} is not an integer", path=path, line=line)
-
-
-def read_recommendations(path, labels: InstanceLabels):
+def read_recommendations(path, matrix: PreferenceMatrix, catalog: Catalog, labels: InstanceLabels):
     """Read lists back as (request_index_or_None, RecommendationList) pairs.
 
     Each list must hold ranks 1..k exactly once, with one k for the whole
     file, and in an online file each request index names one list and the
-    indices increase down the file. Anything else, or a file without data
-    rows, is a ``ParseError``.
+    indices increase down the file. A ``provider`` or ``score`` column, when
+    present, must give the instance's value for every row. Anything else, or
+    a file without data rows, is a ``ParseError``.
     """
     customer_idx = {label: u for u, label in enumerate(labels.customers)}
     item_idx = {label: i for i, label in enumerate(labels.items)}
-    header, reader, handle = _open_rows(path)
-    with handle:
-        online = "request" in header
-        cols = ["customer", "rank", "item"]
-        if online:
-            cols = ["request"] + cols
-        positions = _columns(header, cols, path)
-        # per list: rank -> (item, line)
-        groups: dict[tuple, dict[int, tuple[int, int]]] = {}
-        last = None  # (request, customer) of the previous online row
-        for row in _data_rows(reader, max(positions) + 1, path):
-            line = reader.line_num
-            values = [row[c].strip() for c in positions]
-            if online:
-                req, customer, rank, item = values
-                key = (_int_field("request", req, path, line), customer)
-                if last is not None and key != last and key[0] <= last[0]:
-                    message = f"request {key[0]} for customer {customer!r} after request {last[0]}"
-                    raise ParseError(f"{message} for customer {last[1]!r}", path=path, line=line)
-                last = key
-            else:
-                customer, rank, item = values
-                key = (None, customer)
-            rank = _int_field("rank", rank, path, line)
-            if customer not in customer_idx:
-                raise ParseError(f"unknown customer {customer!r}", path=path, line=line)
-            if item not in item_idx:
-                raise ParseError(f"unknown item {item!r}", path=path, line=line)
-            slots = groups.setdefault(key, {})
-            if rank in slots:
-                raise ParseError(f"rank {rank} occurs twice in one list", path=path, line=line)
-            slots[rank] = (item_idx[item], line)
+    # per list: rank -> (item, line)
+    groups: dict[tuple, dict[int, tuple[int, int]]] = {}
+    last = None  # (request, customer) of the previous online row
+    for line, fields in _table(
+        path, ("customer", "rank", "item"), optional=("request", "provider", "score")
+    ):
+        customer, rank, item, request, provider, score = (
+            cell if cell is None else cell.strip() for cell in fields
+        )
+        if request is None:
+            key = (None, customer)
+        else:
+            key = (_number(int, "request", request, path, line), customer)
+            if last is not None and key != last and key[0] <= last[0]:
+                message = f"request {key[0]} for customer {customer!r} after request {last[0]}"
+                raise ParseError(f"{message} for customer {last[1]!r}", path=path, line=line)
+            last = key
+        rank = _number(int, "rank", rank, path, line)
+        if customer not in customer_idx:
+            raise ParseError(f"unknown customer {customer!r}", path=path, line=line)
+        if item not in item_idx:
+            raise ParseError(f"unknown item {item!r}", path=path, line=line)
+        u, i = customer_idx[customer], item_idx[item]
+        label, value = labels.providers[catalog.provider_of[i]], matrix.scores[u, i]
+        if provider is not None and provider != label:
+            message = f"provider {provider!r} of item {item!r} is not the instance's {label!r}"
+            raise ParseError(message, path=path, line=line)
+        if score is not None and _number(float, "score", score, path, line) != value:
+            message = f"score {score!r} of customer {customer!r}, item {item!r}"
+            raise ParseError(f"{message} is not the instance's {_fmt(value)}", path=path, line=line)
+        slots = groups.setdefault(key, {})
+        if rank in slots:
+            raise ParseError(f"rank {rank} occurs twice in one list", path=path, line=line)
+        slots[rank] = (i, line)
     if not groups:
         raise ParseError("no data rows", path=path, line=1)
     out = []

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -251,35 +252,71 @@ class TestMetricsInputErrors:
     """`tfrom metrics` rejects a recommendations file that does not say
     exactly which lists were served, with exit code 2 and the line."""
 
-    ONLINE_HEAD = "request,customer,rank,item,provider,score\n"
-    OFFLINE_HEAD = "customer,rank,item,provider,score\n"
+    # provider and score are optional columns; most cases leave them out
+    ONLINE_HEAD = "request,customer,rank,item\n"
+    OFFLINE_HEAD = "customer,rank,item\n"
 
     def check(self, instance_files, tmp_path, capsys, text, message):
         recommendations = tmp_path / "recommendations.csv"
-        recommendations.write_text(text)
+        recommendations.write_text(text, encoding="utf-8")
         assert run_metrics(instance_files, recommendations, tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert message in err
         assert not (tmp_path / "out").exists()
 
     def test_non_integer_rank(self, instance_files, tmp_path, capsys):
-        text = self.OFFLINE_HEAD + "0,1,0,0,0.5\n0,x,1,0,0.5\n"
+        text = self.OFFLINE_HEAD + "0,1,0\n0,x,1\n"
         self.check(instance_files, tmp_path, capsys, text, ":3: rank 'x' is not an integer")
 
     def test_non_integer_request(self, instance_files, tmp_path, capsys):
-        text = self.ONLINE_HEAD + "0.5,0,1,0,0,0.5\n"
+        text = self.ONLINE_HEAD + "0.5,0,1,0\n"
         self.check(
             instance_files, tmp_path, capsys, text, ":2: request '0.5' is not an integer"
         )
 
+    @pytest.mark.parametrize("field", ["request", "rank"])
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"])
+    def test_lenient_integer_rejected(self, instance_files, tmp_path, capsys, field, value):
+        # Python's int() reads "1_0" as 10 and "\u0661" (Arabic-Indic one) as 1
+        cells = {"request": "0", "customer": "0", "rank": "1", "item": "0", field: value}
+        text = self.ONLINE_HEAD + ",".join(cells.values()) + "\n"
+        self.check(
+            instance_files, tmp_path, capsys, text, f":2: {field} {value!r} is not an integer"
+        )
+
+    def written_file_with(self, instance_files, tmp_path, column, change):
+        """A topk recommendations file as written, with ``change`` applied to
+        ``column`` on line 3."""
+        assert run_offline(instance_files, tmp_path / "run") == 0
+        lines = (tmp_path / "run" / "topk_k3" / "recommendations.csv").read_text().splitlines()
+        position = lines[0].split(",").index(column)
+        cells = lines[2].split(",")
+        cells[position] = change(cells[position])
+        lines[2] = ",".join(cells)
+        return "\n".join(lines) + "\n", cells[position]
+
+    def test_wrong_provider(self, instance_files, tmp_path, capsys):
+        text, _ = self.written_file_with(
+            instance_files, tmp_path, "provider", lambda cell: "nosuch"
+        )
+        self.check(instance_files, tmp_path, capsys, text, ":3: provider 'nosuch' of item")
+
+    def test_wrong_score(self, instance_files, tmp_path, capsys):
+        # one ulp off: the writer's 17 significant digits read back exactly
+        def next_float(cell):
+            return format(math.nextafter(float(cell), math.inf), ".17g")
+
+        text, score = self.written_file_with(instance_files, tmp_path, "score", next_float)
+        self.check(instance_files, tmp_path, capsys, text, f":3: score {score!r} of customer")
+
     def test_gapped_ranks(self, instance_files, tmp_path, capsys):
-        text = self.ONLINE_HEAD + "0,0,1,0,0,0.5\n0,0,7,1,0,0.5\n"
+        text = self.ONLINE_HEAD + "0,0,1,0\n0,0,7,1\n"
         self.check(
             instance_files, tmp_path, capsys, text, ":3: rank 7 in a list of 2 slots"
         )
 
     def test_duplicate_ranks(self, instance_files, tmp_path, capsys):
-        text = self.OFFLINE_HEAD + "0,1,0,0,0.5\n0,1,1,0,0.5\n"
+        text = self.OFFLINE_HEAD + "0,1,0\n0,1,1\n"
         self.check(
             instance_files, tmp_path, capsys, text, ":3: rank 1 occurs twice in one list"
         )
@@ -288,34 +325,34 @@ class TestMetricsInputErrors:
         self.check(instance_files, tmp_path, capsys, self.ONLINE_HEAD, "no data rows")
 
     def test_request_names_two_lists(self, instance_files, tmp_path, capsys):
-        text = self.ONLINE_HEAD + "0,0,1,0,0,0.5\n0,1,1,1,0,0.5\n"
+        text = self.ONLINE_HEAD + "0,0,1,0\n0,1,1,1\n"
         self.check(
             instance_files, tmp_path, capsys, text, ":3: request 0 for customer '1' after request 0"
         )
 
     def test_requests_out_of_order(self, instance_files, tmp_path, capsys):
-        text = self.ONLINE_HEAD + "5,0,1,0,0,0.5\n0,1,1,1,0,0.5\n0,1,2,2,0,0.5\n"
+        text = self.ONLINE_HEAD + "5,0,1,0\n0,1,1,1\n0,1,2,2\n"
         self.check(
             instance_files, tmp_path, capsys, text, ":3: request 0 for customer '1' after request 5"
         )
 
     def test_request_revisited(self, instance_files, tmp_path, capsys):
         # same customer, but request 0 comes back after request 1
-        text = self.ONLINE_HEAD + "0,0,1,0,0,0.5\n1,1,1,1,0,0.5\n0,0,2,2,0,0.5\n"
+        text = self.ONLINE_HEAD + "0,0,1,0\n1,1,1,1\n0,0,2,2\n"
         self.check(
             instance_files, tmp_path, capsys, text, ":4: request 0 for customer '0' after request 1"
         )
 
     def test_batch_lists_of_different_lengths(self, instance_files, tmp_path, capsys):
         # one list per customer, k=1 except customer 5's list of two
-        rows = [f"{u},1,{u},0,0.5\n" for u in range(6)] + ["5,2,9,0,0.5\n"]
+        rows = [f"{u},1,{u}\n" for u in range(6)] + ["5,2,9\n"]
         text = self.OFFLINE_HEAD + "".join(rows)
         self.check(
             instance_files, tmp_path, capsys, text, ":7: list of 2 slots after one of 1"
         )
 
     def test_increasing_requests_with_gaps_accepted(self, instance_files, tmp_path):
-        text = self.ONLINE_HEAD + "2,0,1,0,0,0.5\n7,0,1,1,0,0.5\n9,3,1,2,0,0.5\n"
+        text = self.ONLINE_HEAD + "2,0,1,0\n7,0,1,1\n9,3,1,2\n"
         recommendations = tmp_path / "recommendations.csv"
         recommendations.write_text(text)
         assert run_metrics(instance_files, recommendations, tmp_path / "out") == 0
@@ -408,7 +445,7 @@ class TestErrorHandling:
         }
         for source in instance_files:
             (tmp_path / source.name).write_bytes(source.read_bytes())
-        files["recommendations"].write_text(TestMetricsInputErrors.OFFLINE_HEAD + "0,1,0,0,0.5\n")
+        files["recommendations"].write_text(TestMetricsInputErrors.OFFLINE_HEAD + "0,1,0\n")
         bad = files[which]
         if position == "header":
             bad.write_bytes(b"\xff" + bad.read_bytes())

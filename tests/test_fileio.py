@@ -85,6 +85,15 @@ class TestLoadInstance:
         with pytest.raises(errors.ParseError):
             tfrom.load_instance(preferences, providers)
 
+    @pytest.mark.parametrize("score", ["1_5", "\u0661\u0665", "\uff11\uff15"])
+    def test_lenient_score_rejected(self, tmp_path, score):
+        # Python's float() reads each of these as 15.0
+        preferences = write(tmp_path / "p.csv", f"customer,item,score\nu1,i1,{score}\n")
+        providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
+        with pytest.raises(errors.ParseError, match=f"score {score!r} is not a number") as info:
+            tfrom.load_instance(preferences, providers)
+        assert info.value.line == 2
+
     def test_generated_files_round_trip_exactly(self, tmp_path):
         scores, assignments = tfrom.generate_synthetic(6, 15, 4, seed=11)
         preferences, providers = tfrom.write_instance_files(scores, assignments, tmp_path)
@@ -98,6 +107,82 @@ class TestLoadInstance:
             frozenset(np.flatnonzero(catalog.provider_of == p)) for p in range(catalog.l)
         }
         assert {frozenset(v) for v in original_partition.values()} == loaded_partition
+
+
+TABLES = {
+    "preferences": [
+        ["customer", "item", "score"],
+        ["u1", "i1", "0.5"],
+        ["u1", "i2", "1.5"],
+        ["u2", "i1", "2"],
+    ],
+    "providers": [["item", "provider"], ["i1", "a"], ["i2", "b"]],
+    "recommendations": [
+        ["customer", "rank", "item", "provider", "score"],
+        ["u1", "1", "i2", "b", "1.5"],
+        ["u1", "2", "i1", "a", "0.5"],
+        ["u2", "1", "i1", "a", "2"],
+        ["u2", "2", "i2", "b", "0"],
+    ],
+}
+
+
+def csv_text(rows, end="\n"):
+    return "".join(",".join(row) + end for row in rows)
+
+
+class TestSharedTableRules:
+    """Every input file is read by the same rules."""
+
+    def load(self, tmp_path, kind, text):
+        """Load all three files, with ``text`` as the file of ``kind``."""
+        files = {name: tmp_path / f"{name}.csv" for name in TABLES}
+        for name, rows in TABLES.items():
+            write(files[name], text if name == kind else csv_text(rows))
+        matrix, catalog, labels = fileio.load_instance(files["preferences"], files["providers"])
+        served = fileio.read_recommendations(files["recommendations"], matrix, catalog, labels)
+        return (
+            matrix.scores.tolist(),
+            [labels.providers[p] for p in catalog.provider_of],
+            labels.customers,
+            labels.items,
+            [(req, rec.owner, rec.items) for req, rec in served],
+        )
+
+    def rejects(self, tmp_path, kind, text, message, line):
+        with pytest.raises(errors.ParseError, match=message) as info:
+            self.load(tmp_path, kind, text)
+        assert info.value.path == tmp_path / f"{kind}.csv"
+        assert info.value.line == line
+
+    @pytest.mark.parametrize("kind", list(TABLES))
+    def test_shared_rules(self, tmp_path, kind):
+        rows = TABLES[kind]
+        expected = self.load(tmp_path, kind, csv_text(rows))
+        # names in any case with surrounding blanks, columns reversed, an extra column
+        messy = [["  Note "] + [f" {name.upper()}\t" for name in reversed(rows[0])]]
+        messy += [["x"] + row[::-1] for row in rows[1:]]
+        padded = [rows[0]] + [[f" {cell} " for cell in row] for row in rows[1:]]
+        blanks = [rows[0], rows[1], [""], ["   "], *rows[2:], ["\t"]]
+        accepted = {
+            "messy header": csv_text(messy),
+            "padded cells": csv_text(padded),
+            "CRLF": csv_text(rows, "\r\n"),
+            "blank rows": csv_text(blanks),
+            "byte-order mark": "\ufeff" + csv_text(rows),
+        }
+        for name, text in accepted.items():
+            assert self.load(tmp_path, kind, text) == expected, name
+
+        self.rejects(tmp_path, kind, "", "empty file", 1)
+        self.rejects(tmp_path, kind, "\n" + csv_text(rows), "missing required column", 1)
+        missing = rows[0][0]
+        truncated = csv_text(row[1:] for row in rows)
+        self.rejects(tmp_path, kind, truncated, f"missing required column '{missing}'", 1)
+        short = csv_text(rows + [rows[1][:-1]])
+        self.rejects(tmp_path, kind, short, "expected at least", len(rows) + 1)
+        huge = csv_text(rows + [["x" * 200_000] + rows[1][1:]])
+        self.rejects(tmp_path, kind, huge, "field larger than field limit", len(rows) + 1)
 
 
 positive_scores = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -170,7 +255,7 @@ class TestRecommendationsRoundTrip:
         lists = [tfrom.top_k(originals[u], 4) for u in range(4)]
         path = tmp_path / "recommendations.csv"
         fileio.write_recommendations(path, [(None, rec) for rec in lists], matrix, catalog, labels)
-        loaded = fileio.read_recommendations(path, labels)
+        loaded = fileio.read_recommendations(path, matrix, catalog, labels)
         assert [rec.items for _, rec in loaded] == [rec.items for rec in lists]
         assert all(req is None for req, _ in loaded)
 
@@ -186,7 +271,7 @@ class TestRecommendationsRoundTrip:
         ]
         path = tmp_path / "recommendations.csv"
         fileio.write_recommendations(path, served, matrix, catalog, labels)
-        loaded = fileio.read_recommendations(path, labels)
+        loaded = fileio.read_recommendations(path, matrix, catalog, labels)
         assert [(req, rec.owner, rec.items) for req, rec in loaded] == [
             (req, rec.owner, rec.items) for req, rec in served
         ]
@@ -200,7 +285,7 @@ class TestRecommendationsRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "recommendations.csv"
             fileio.write_recommendations(path, served, matrix, catalog, labels)
-            loaded = fileio.read_recommendations(path, labels)
+            loaded = fileio.read_recommendations(path, matrix, catalog, labels)
         assert [(req, rec.owner, rec.items) for req, rec in loaded] == [
             (req, rec.owner, rec.items) for req, rec in served
         ]
@@ -213,7 +298,9 @@ class TestRecommendationsRoundTrip:
         run = tfrom.tfrom_offline(matrix, catalog, originals, 4, FairnessMode.UNIFORM, seed=1)
         path = tmp_path / "recommendations.csv"
         fileio.write_recommendations(path, [(None, rec) for rec in run.lists], matrix, catalog, labels)
-        loaded = [rec for _, rec in fileio.read_recommendations(path, labels)]
+        loaded = [
+            rec for _, rec in fileio.read_recommendations(path, matrix, catalog, labels)
+        ]
         before = tfrom.exposure(run.lists, catalog).per_provider
         after = tfrom.exposure(loaded, catalog).per_provider
         assert after == approx(before, abs=1e-9)
