@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import fileio
@@ -123,7 +124,7 @@ def _cmd_gen(args) -> int:
 
 def _write_run(args, config, matrix, catalog, labels, trace, cells) -> int:
     """Write the run's summary and trace, and each cell's recommendations."""
-    _write_summary(args, matrix, catalog, [row.to_dict() for row in trace], config)
+    _write_summary(args, matrix, catalog, [asdict(row) for row in trace], config)
     out = Path(args.out)
     for name, served in cells:
         cell = out / name
@@ -202,7 +203,7 @@ def _cmd_metrics(args) -> int:
             catalog,
         )
         head = {"mode": "offline", "k": row.step}
-    results = {**row.to_dict(), **head}
+    results = {**asdict(row), **head}
     del results["step"], results["algorithm"]
     _write_summary(args, matrix, catalog, results)
     print(f"wrote {Path(args.out) / 'summary.json'}")

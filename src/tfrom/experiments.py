@@ -12,7 +12,7 @@ reproduce byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -104,9 +104,6 @@ class TraceRow:
             ),
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class StreamTracker:
     """Cumulative accounting of one served stream, fed from its lists only.
@@ -119,7 +116,6 @@ class StreamTracker:
         self, matrix: PreferenceMatrix, catalog: Catalog, originals: Sequence[RankedList]
     ):
         self.matrix, self.catalog, self.originals = matrix, catalog, originals
-        self.per_item = np.zeros(matrix.n)
         self.per_provider = np.zeros(catalog.l)
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
@@ -127,7 +123,6 @@ class StreamTracker:
     def record(self, rec: RecommendationList) -> None:
         for pos, item in enumerate(rec.items):
             w = metrics.position_weight(pos + 1)
-            self.per_item[item] += w
             self.per_provider[self.catalog.provider_of[item]] += w
         u = rec.owner
         request_ndcg = metrics.ndcg(u, rec, self.matrix, self.originals[u])
@@ -137,9 +132,7 @@ class StreamTracker:
 
     def row(self, step: int, algorithm: str) -> TraceRow:
         served = self.rec_time > 0
-        report = metrics.ExposureReport(
-            per_item=self.per_item, per_provider=self.per_provider
-        )
+        report = metrics.ExposureReport(per_provider=self.per_provider)
         return TraceRow(
             step=step,
             algorithm=algorithm,
@@ -163,7 +156,6 @@ class OfflineSweepResult:
 class OnlineStreamResult:
     trace: list[TraceRow]
     served: dict[str, list[tuple[int, RecommendationList]]] = field(default_factory=dict)
-    stream: np.ndarray | None = None
 
 
 def _offline_cell(
@@ -230,7 +222,7 @@ def run_online_stream(
     every = config.trace_every if config.trace_every is not None else m
     stream = request_stream(config.seed, m, length)
 
-    result = OnlineStreamResult(trace=[], stream=stream)
+    result = OnlineStreamResult(trace=[])
     for algo in config.algorithms:
         tracker = StreamTracker(matrix, catalog, originals)
         served: list[tuple[int, RecommendationList]] = []

@@ -4,12 +4,13 @@ Instances arrive as two headered CSV files: preference triplets
 (customer, item, score) and an item-to-provider map (item, provider).
 External ids are arbitrary strings, mapped to contiguous indices in order
 of first appearance; the mapping is kept so output files carry the
-original labels. Every input table is read by ``_table``, which holds the
-rules all three input files share (header, blank and short rows, encoding),
-and every output table is written by ``_write_table``. Numeric output uses
-17 significant digits, enough for an exact float64 round-trip: golden files
-are bit-stable, and the scores of a recommendations file read back equal to
-the instance's.
+original labels: customer and item labels in ``InstanceLabels``, provider
+labels in ``Catalog.provider_labels``. Every input table is read by
+``_table``, which holds the rules all three input files share (header,
+blank and short rows, encoding), and every output table is written by
+``_write_table``. Numeric output uses 17 significant digits, enough for an
+exact float64 round-trip: golden files are bit-stable, and the scores of a
+recommendations file read back equal to the instance's.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .model import Catalog, PreferenceMatrix, RecommendationList, build_instance
 
 @dataclass(frozen=True)
 class InstanceLabels:
-    """External labels for each internal index, per universe."""
+    """External customer and item labels for each internal index. Provider
+    labels live in ``Catalog.provider_labels``."""
 
     customers: tuple[str, ...]
     items: tuple[str, ...]
-    providers: tuple[str, ...]
 
 
 def _fmt(x: float) -> str:
@@ -155,21 +156,8 @@ def load_instance(preferences_path, providers_path):
         scores[u, i] = score
     assignments = [provider_by_item[i] for i in range(n)]
     matrix, catalog = build_instance(scores, assignments)
-    labels = InstanceLabels(
-        customers=tuple(customer_ids),
-        items=tuple(item_ids),
-        providers=tuple(str(lab) for lab in catalog.provider_labels),
-    )
+    labels = InstanceLabels(customers=tuple(customer_ids), items=tuple(item_ids))
     return matrix, catalog, labels
-
-
-def default_labels(m: int, n: int, l: int) -> InstanceLabels:
-    """Plain stringified indices, used for synthetic instances."""
-    return InstanceLabels(
-        customers=tuple(str(u) for u in range(m)),
-        items=tuple(str(i) for i in range(n)),
-        providers=tuple(str(p) for p in range(l)),
-    )
 
 
 def _write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
@@ -221,7 +209,7 @@ def write_recommendations(
             labels.customers[rec.owner],
             pos + 1,
             labels.items[item],
-            labels.providers[int(catalog.provider_of[item])],
+            catalog.provider_labels[catalog.provider_of[item]],
             _fmt(matrix.scores[rec.owner, item]),
         ]
         for req, rec in served
@@ -264,7 +252,7 @@ def read_recommendations(path, matrix: PreferenceMatrix, catalog: Catalog, label
         if item not in item_idx:
             raise ParseError(f"unknown item {item!r}", path=path, line=line)
         u, i = customer_idx[customer], item_idx[item]
-        label, value = labels.providers[catalog.provider_of[i]], matrix.scores[u, i]
+        label, value = str(catalog.provider_labels[catalog.provider_of[i]]), matrix.scores[u, i]
         if provider is not None and provider != label:
             message = f"provider {provider!r} of item {item!r} is not the instance's {label!r}"
             raise ParseError(message, path=path, line=line)

@@ -39,18 +39,15 @@ def position_weight(rank: int) -> float:
 
 @dataclass(frozen=True)
 class ExposureReport:
-    """Accumulated exposure per item and per provider."""
+    """Accumulated exposure per provider."""
 
-    per_item: np.ndarray
     per_provider: np.ndarray
 
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-customer list quality: raw gain, ideal gain, and their ratio."""
+    """Per-customer list quality: the ratio of raw to ideal gain."""
 
-    per_customer_dcg: np.ndarray
-    per_customer_idcg: np.ndarray
     per_customer_ndcg: np.ndarray
 
 
@@ -66,7 +63,7 @@ def exposure(lists: Iterable[RecommendationList], catalog: Catalog) -> ExposureR
             per_item[item] += position_weight(pos + 1)
     per_provider = np.zeros(catalog.l)
     np.add.at(per_provider, catalog.provider_of, per_item)
-    return ExposureReport(per_item=per_item, per_provider=per_provider)
+    return ExposureReport(per_provider=per_provider)
 
 
 def dcg(u: int, items: Sequence[int], matrix: PreferenceMatrix) -> float:
@@ -116,11 +113,7 @@ def quality(
         raise ValidationError(f"no list for customer {missing}")
     if (idcgs <= 0).any():
         raise ZeroIdealQuality("a customer has zero ideal gain")
-    return QualityReport(
-        per_customer_dcg=dcgs,
-        per_customer_idcg=idcgs,
-        per_customer_ndcg=dcgs / idcgs,
-    )
+    return QualityReport(per_customer_ndcg=dcgs / idcgs)
 
 
 def total_quality(report: QualityReport) -> float:
@@ -136,17 +129,6 @@ def customer_fairness(report: QualityReport) -> float:
 def uniform_provider_fairness(report: ExposureReport) -> float:
     """Population variance of raw provider exposure."""
     return float(np.var(report.per_provider))
-
-
-def size_normalized_provider_fairness(report: ExposureReport, catalog: Catalog) -> float:
-    """Variance of per-provider exposure divided by the provider's item count.
-
-    Supplementary view of uniform fairness: a provider offering more items
-    is entitled to proportionally more exposure, so the normalized values
-    should coincide in a perfectly fair allocation. Not part of the primary
-    metric suite, which uses the raw exposure variance.
-    """
-    return float(np.var(report.per_provider / catalog.sizes))
 
 
 def provider_relevance(matrix: PreferenceMatrix, catalog: Catalog) -> np.ndarray:

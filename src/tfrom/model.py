@@ -59,7 +59,7 @@ class Catalog:
 
     provider_of: np.ndarray
     sizes: np.ndarray
-    provider_labels: tuple = ()
+    provider_labels: tuple
 
     @property
     def n(self) -> int:
@@ -97,13 +97,6 @@ class RecommendationList:
     @property
     def k(self) -> int:
         return len(self.items)
-
-
-def validate_recommendation_list(rec: RecommendationList, n: int) -> None:
-    """Check that every entry is a valid item id for an n-item instance."""
-    for item in rec.items:
-        if not 0 <= item < n:
-            raise InvalidShape(f"item id {item} outside universe of size {n}")
 
 
 def build_instance(

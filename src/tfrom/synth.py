@@ -22,6 +22,8 @@ def _provider_sizes(rng: np.random.Generator, n: int, l: int, skew: float) -> np
         weights = np.ones(l)
     else:
         weights = rng.pareto(skew, size=l) + 1.0
+        if not np.isfinite(weights).all():
+            raise InvalidShape(f"provider size skew {skew} is too small: its weights overflow")
     # one guaranteed item each, remainder apportioned by weight
     # (largest fractional part first, ties to the lower provider id)
     share = weights / weights.sum() * (n - l)
@@ -45,7 +47,8 @@ def generate_synthetic(
 
     ``provider_size_skew`` is the Pareto shape for provider sizes; smaller
     values give heavier tails (a few very large providers), 0.0 selects
-    sizes as equal as possible. ``score_distribution`` is one of
+    sizes as equal as possible, and a skew so small that a drawn weight
+    overflows is rejected. ``score_distribution`` is one of
     ``uniform`` (on (0, 1]), ``exponential`` or ``lognormal``.
     """
     if m < 1 or n < 1 or l < 1:

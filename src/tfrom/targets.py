@@ -27,9 +27,8 @@ class FairnessMode(Enum):
 
 @dataclass(frozen=True)
 class FairTargets:
-    """Total exposure budget and its per-provider fair split."""
+    """An exposure budget's per-provider fair split."""
 
-    total: float
     per_provider: np.ndarray
 
 
@@ -76,4 +75,4 @@ def fair_targets(
     weight_sum = float(weight.sum())
     if weight_sum <= 0.0:
         raise ZeroTotalRelevance("all relevance scores are zero")
-    return FairTargets(total=float(total), per_provider=total * weight / weight_sum)
+    return FairTargets(per_provider=total * weight / weight_sum)

@@ -8,6 +8,7 @@ import oracles
 import tfrom
 from conftest import random_mini_instance
 from tfrom import errors
+from tfrom.baselines import all_random
 
 
 def build(rows, providers):
@@ -50,19 +51,19 @@ class TestTopK:
 class TestAllRandom:
     def test_full_draw_is_permutation(self):
         _, _, originals = build([[1.0, 2.0, 3.0]], [0, 0, 0])
-        rec = tfrom.all_random(originals[0], 3, seed=5)
+        rec = all_random(originals[0], 3, seed=5)
         assert sorted(rec.items) == [0, 1, 2]
 
     def test_fixed_seed_reproduces(self):
         _, _, originals = build([[1.0, 2.0, 3.0, 4.0]], [0, 0, 1, 1])
-        assert tfrom.all_random(originals[0], 2, seed=9).items == tfrom.all_random(
+        assert all_random(originals[0], 2, seed=9).items == all_random(
             originals[0], 2, seed=9
         ).items
 
     def test_insufficient_items(self):
         _, _, originals = build([[1.0]], [0])
         with pytest.raises(errors.InsufficientItems):
-            tfrom.all_random(originals[0], 2, seed=0)
+            all_random(originals[0], 2, seed=0)
 
     def test_draws_are_uniform(self):
         # n=4, k=1: each item should appear with frequency 1/4 +- 0.02
@@ -70,7 +71,7 @@ class TestAllRandom:
         counts = np.zeros(4)
         draws = 10_000
         for seed in range(draws):
-            counts[tfrom.all_random(originals[0], 1, seed=seed).items[0]] += 1
+            counts[all_random(originals[0], 1, seed=seed).items[0]] += 1
         assert counts / draws == approx([0.25] * 4, abs=0.02)
 
 

@@ -67,7 +67,7 @@ def run_offline(instance_files, out, extra=()):
 class TestGen:
     def test_files_exist_and_load(self, instance_files):
         preferences, providers = instance_files
-        matrix, catalog, _ = tfrom.load_instance(preferences, providers)
+        matrix, catalog, _ = tfrom.fileio.load_instance(preferences, providers)
         assert matrix.m == 6 and matrix.n == 15 and catalog.l == 3
 
 
@@ -433,6 +433,12 @@ class TestErrorHandling:
             args += ["--k", "3"]
         assert main(args + ["--seed", "-1", "--out", str(tmp_path / "out")]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_skew_exits_one(self, tmp_path, capsys):
+        args = ["gen", "--m", "3", "--n", "12", "--l", "4", "--seed", "0"]
+        assert main(args + ["--provider-size-skew", "1e-3", "--out", str(tmp_path / "out")]) == 1
+        assert "provider size skew 0.001 is too small" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("position", ["header", "row"])

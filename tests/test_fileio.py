@@ -18,6 +18,13 @@ def write(path, text):
     return path
 
 
+def index_labels(m, n):
+    """Customer and item labels that are their own indices."""
+    return fileio.InstanceLabels(
+        customers=tuple(str(u) for u in range(m)), items=tuple(str(i) for i in range(n))
+    )
+
+
 class TestLoadInstance:
     def test_minimal_round_trip(self, tmp_path):
         preferences = write(
@@ -25,11 +32,11 @@ class TestLoadInstance:
             "customer,item,score\nu1,i1,0.5\nu1,i2,1.5\nu2,i1,2.0\nu2,i2,0.25\n",
         )
         providers = write(tmp_path / "q.csv", "item,provider\ni1,acme\ni2,zeta\n")
-        matrix, catalog, labels = tfrom.load_instance(preferences, providers)
+        matrix, catalog, labels = fileio.load_instance(preferences, providers)
         assert matrix.m == 2 and matrix.n == 2
         assert labels.customers == ("u1", "u2")
         assert labels.items == ("i1", "i2")
-        assert labels.providers == ("acme", "zeta")
+        assert catalog.provider_labels == ("acme", "zeta")
         assert matrix.scores.tolist() == [[0.5, 1.5], [2.0, 0.25]]
 
     def test_sparse_triplets_densified_with_zeros(self, tmp_path):
@@ -37,7 +44,7 @@ class TestLoadInstance:
             tmp_path / "p.csv", "customer,item,score\nu1,i1,1.0\nu2,i2,2.0\n"
         )
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\ni2,a\n")
-        matrix, _, _ = tfrom.load_instance(preferences, providers)
+        matrix, _, _ = fileio.load_instance(preferences, providers)
         assert matrix.scores.tolist() == [[1.0, 0.0], [0.0, 2.0]]
 
     def test_missing_provider(self, tmp_path):
@@ -46,13 +53,13 @@ class TestLoadInstance:
         )
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
         with pytest.raises(errors.MissingProviderForItem):
-            tfrom.load_instance(preferences, providers)
+            fileio.load_instance(preferences, providers)
 
     def test_unknown_item_in_provider_file(self, tmp_path):
         preferences = write(tmp_path / "p.csv", "customer,item,score\nu1,i1,1.0\n")
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\nghost,a\n")
         with pytest.raises(errors.UnknownItemInProviderFile):
-            tfrom.load_instance(preferences, providers)
+            fileio.load_instance(preferences, providers)
 
     def test_duplicate_triplet_keeps_last_and_warns(self, tmp_path):
         preferences = write(
@@ -61,7 +68,7 @@ class TestLoadInstance:
         )
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\ni2,a\n")
         with pytest.warns(errors.DuplicateTripletWarning):
-            matrix, _, _ = tfrom.load_instance(preferences, providers)
+            matrix, _, _ = fileio.load_instance(preferences, providers)
         assert matrix.scores[0, 0] == 2.0
 
     def test_parse_error_reports_line(self, tmp_path):
@@ -70,20 +77,20 @@ class TestLoadInstance:
         )
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\ni2,a\n")
         with pytest.raises(errors.ParseError) as info:
-            tfrom.load_instance(preferences, providers)
+            fileio.load_instance(preferences, providers)
         assert info.value.line == 3
 
     def test_missing_column(self, tmp_path):
         preferences = write(tmp_path / "p.csv", "customer,item\nu1,i1\n")
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
         with pytest.raises(errors.ParseError):
-            tfrom.load_instance(preferences, providers)
+            fileio.load_instance(preferences, providers)
 
     def test_empty_file(self, tmp_path):
         preferences = write(tmp_path / "p.csv", "")
         providers = write(tmp_path / "q.csv", "item,provider\n")
         with pytest.raises(errors.ParseError):
-            tfrom.load_instance(preferences, providers)
+            fileio.load_instance(preferences, providers)
 
     @pytest.mark.parametrize("score", ["1_5", "\u0661\u0665", "\uff11\uff15"])
     def test_lenient_score_rejected(self, tmp_path, score):
@@ -91,13 +98,13 @@ class TestLoadInstance:
         preferences = write(tmp_path / "p.csv", f"customer,item,score\nu1,i1,{score}\n")
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
         with pytest.raises(errors.ParseError, match=f"score {score!r} is not a number") as info:
-            tfrom.load_instance(preferences, providers)
+            fileio.load_instance(preferences, providers)
         assert info.value.line == 2
 
     def test_generated_files_round_trip_exactly(self, tmp_path):
         scores, assignments = tfrom.generate_synthetic(6, 15, 4, seed=11)
         preferences, providers = tfrom.write_instance_files(scores, assignments, tmp_path)
-        matrix, catalog, _ = tfrom.load_instance(preferences, providers)
+        matrix, catalog, _ = fileio.load_instance(preferences, providers)
         assert np.array_equal(matrix.scores, scores)
         # provider ids are compacted in item order but partition identically
         original_partition = {
@@ -143,7 +150,7 @@ class TestSharedTableRules:
         served = fileio.read_recommendations(files["recommendations"], matrix, catalog, labels)
         return (
             matrix.scores.tolist(),
-            [labels.providers[p] for p in catalog.provider_of],
+            [catalog.provider_labels[p] for p in catalog.provider_of],
             labels.customers,
             labels.items,
             [(req, rec.owner, rec.items) for req, rec in served],
@@ -214,13 +221,13 @@ class TestInstanceRoundTripProperty:
         scores, assignments = raw
         with tempfile.TemporaryDirectory() as tmp:
             preferences, providers = tfrom.write_instance_files(scores, assignments, tmp)
-            matrix, catalog, labels = tfrom.load_instance(preferences, providers)
+            matrix, catalog, labels = fileio.load_instance(preferences, providers)
         customers = [int(label) for label in labels.customers]
         items = [int(label) for label in labels.items]
         assert sorted(customers) == list(range(scores.shape[0]))
         assert sorted(items) == list(range(scores.shape[1]))
         assert np.array_equal(matrix.scores, scores[np.ix_(customers, items)])
-        loaded = [labels.providers[p] for p in catalog.provider_of]
+        loaded = [catalog.provider_labels[p] for p in catalog.provider_of]
         assert loaded == [str(assignments[i]) for i in items]
 
 
@@ -251,7 +258,7 @@ class TestRecommendationsRoundTrip:
         scores, assignments = tfrom.generate_synthetic(4, 9, 3, seed=13)
         matrix, catalog = tfrom.build_instance(scores, assignments)
         originals = tfrom.original_rankings(matrix)
-        labels = tfrom.default_labels(matrix.m, matrix.n, catalog.l)
+        labels = index_labels(matrix.m, matrix.n)
         lists = [tfrom.top_k(originals[u], 4) for u in range(4)]
         path = tmp_path / "recommendations.csv"
         fileio.write_recommendations(path, [(None, rec) for rec in lists], matrix, catalog, labels)
@@ -263,7 +270,7 @@ class TestRecommendationsRoundTrip:
         scores, assignments = tfrom.generate_synthetic(3, 6, 2, seed=14)
         matrix, catalog = tfrom.build_instance(scores, assignments)
         originals = tfrom.original_rankings(matrix)
-        labels = tfrom.default_labels(matrix.m, matrix.n, catalog.l)
+        labels = index_labels(matrix.m, matrix.n)
         served = [
             (0, tfrom.top_k(originals[1], 2)),
             (1, tfrom.top_k(originals[1], 2)),
@@ -281,7 +288,7 @@ class TestRecommendationsRoundTrip:
     def test_write_then_read_is_identity(self, case):
         m, n, served = case
         matrix, catalog = tfrom.build_instance(np.ones((m, n)), [i % 2 for i in range(n)])
-        labels = tfrom.default_labels(m, n, catalog.l)
+        labels = index_labels(m, n)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "recommendations.csv"
             fileio.write_recommendations(path, served, matrix, catalog, labels)
@@ -294,7 +301,7 @@ class TestRecommendationsRoundTrip:
         scores, assignments = tfrom.generate_synthetic(5, 12, 3, seed=15)
         matrix, catalog = tfrom.build_instance(scores, assignments)
         originals = tfrom.original_rankings(matrix)
-        labels = tfrom.default_labels(matrix.m, matrix.n, catalog.l)
+        labels = index_labels(matrix.m, matrix.n)
         run = tfrom.tfrom_offline(matrix, catalog, originals, 4, FairnessMode.UNIFORM, seed=1)
         path = tmp_path / "recommendations.csv"
         fileio.write_recommendations(path, [(None, rec) for rec in run.lists], matrix, catalog, labels)

@@ -9,7 +9,13 @@ from pytest import approx
 
 import tfrom
 from tfrom import errors
-from tfrom.metrics import ExposureReport, QualityReport
+from tfrom.metrics import (
+    ExposureReport,
+    QualityReport,
+    customer_fairness,
+    quality_weighted_provider_fairness,
+)
+from tfrom.model import RankedList
 
 REL = 1e-12
 
@@ -48,25 +54,13 @@ class TestExposure:
     def test_empty_collection(self):
         _, catalog = make_instance([[1.0, 1.0]], [0, 1])
         report = tfrom.exposure([], catalog)
-        assert report.per_item.tolist() == [0.0, 0.0]
         assert report.per_provider.tolist() == [0.0, 0.0]
 
     def test_additive_over_repeated_lists(self):
         _, catalog = make_instance([[1.0]], [0])
         rec = tfrom.RecommendationList(owner=0, items=(0,))
         report = tfrom.exposure([rec, rec], catalog)
-        assert report.per_item[0] == approx(2.0, rel=REL)
-
-    def test_item_and_provider_totals_agree(self):
-        rng = np.random.default_rng(5)
-        matrix, catalog = make_instance(
-            1.0 - rng.random((4, 8)), rng.integers(0, 3, size=8)
-        )
-        lists = [
-            tfrom.top_k(tfrom.original_ranking(matrix, u), 5) for u in range(4)
-        ]
-        report = tfrom.exposure(lists, catalog)
-        assert report.per_provider.sum() == approx(report.per_item.sum(), abs=1e-9)
+        assert report.per_provider[0] == approx(2.0, rel=REL)
 
     def test_conservation(self):
         # m lists of length k always carry the same total exposure
@@ -138,7 +132,7 @@ class TestNdcg:
     def test_zero_ideal_rejected(self):
         matrix, _ = make_instance([[1.0, 0.0]], [0, 0])
         # an original ranking that puts the zero-score item first
-        bogus = tfrom.RankedList(owner=0, items=np.array([1, 0]))
+        bogus = RankedList(owner=0, items=np.array([1, 0]))
         rec = tfrom.RecommendationList(owner=0, items=(1,))
         with pytest.raises(errors.ZeroIdealQuality):
             tfrom.ndcg(0, rec, matrix, bogus)
@@ -161,47 +155,31 @@ class TestNdcg:
 
 class TestVariances:
     def test_uniform_fairness_equal_exposure(self):
-        report = ExposureReport(per_item=np.zeros(3), per_provider=np.array([2.0, 2.0, 2.0]))
+        report = ExposureReport(per_provider=np.array([2.0, 2.0, 2.0]))
         assert tfrom.uniform_provider_fairness(report) == 0.0
 
     def test_uniform_fairness_two_providers(self):
-        report = ExposureReport(per_item=np.zeros(2), per_provider=np.array([0.0, 2.0]))
+        report = ExposureReport(per_provider=np.array([0.0, 2.0]))
         assert tfrom.uniform_provider_fairness(report) == approx(1.0, rel=REL)
 
     def test_uniform_fairness_single_provider(self):
-        report = ExposureReport(per_item=np.zeros(1), per_provider=np.array([7.0]))
+        report = ExposureReport(per_provider=np.array([7.0]))
         assert tfrom.uniform_provider_fairness(report) == 0.0
 
     def test_customer_fairness_identical(self):
-        q = QualityReport(
-            per_customer_dcg=np.ones(3),
-            per_customer_idcg=np.ones(3),
-            per_customer_ndcg=np.ones(3),
-        )
-        assert tfrom.customer_fairness(q) == 0.0
+        q = QualityReport(per_customer_ndcg=np.ones(3))
+        assert customer_fairness(q) == 0.0
 
     def test_customer_fairness_two_values(self):
-        q = QualityReport(
-            per_customer_dcg=np.array([1.0, 0.5]),
-            per_customer_idcg=np.ones(2),
-            per_customer_ndcg=np.array([1.0, 0.5]),
-        )
-        assert tfrom.customer_fairness(q) == approx(0.0625, rel=REL)
+        q = QualityReport(per_customer_ndcg=np.array([1.0, 0.5]))
+        assert customer_fairness(q) == approx(0.0625, rel=REL)
 
     def test_customer_fairness_degenerate(self):
-        q = QualityReport(
-            per_customer_dcg=np.array([0.3]),
-            per_customer_idcg=np.ones(1),
-            per_customer_ndcg=np.array([0.3]),
-        )
-        assert tfrom.customer_fairness(q) == 0.0
+        q = QualityReport(per_customer_ndcg=np.array([0.3]))
+        assert customer_fairness(q) == 0.0
 
     def test_total_quality(self):
-        q = QualityReport(
-            per_customer_dcg=np.array([0.8, 0.6]),
-            per_customer_idcg=np.ones(2),
-            per_customer_ndcg=np.array([0.8, 0.6]),
-        )
+        q = QualityReport(per_customer_ndcg=np.array([0.8, 0.6]))
         assert tfrom.total_quality(q) == approx(1.4, rel=REL)
 
     @given(
@@ -210,10 +188,8 @@ class TestVariances:
     )
     @settings(max_examples=100)
     def test_variance_translation_invariant(self, values, shift):
-        base = ExposureReport(per_item=np.zeros(1), per_provider=np.array(values))
-        shifted = ExposureReport(
-            per_item=np.zeros(1), per_provider=np.array(values) + shift
-        )
+        base = ExposureReport(per_provider=np.array(values))
+        shifted = ExposureReport(per_provider=np.array(values) + shift)
         assert tfrom.uniform_provider_fairness(shifted) == approx(
             tfrom.uniform_provider_fairness(base), rel=1e-7, abs=1e-7
         )
@@ -224,10 +200,8 @@ class TestVariances:
     )
     @settings(max_examples=100)
     def test_variance_scales_quadratically(self, values, scale):
-        base = ExposureReport(per_item=np.zeros(1), per_provider=np.array(values))
-        scaled = ExposureReport(
-            per_item=np.zeros(1), per_provider=np.array(values) * scale
-        )
+        base = ExposureReport(per_provider=np.array(values))
+        scaled = ExposureReport(per_provider=np.array(values) * scale)
         assert tfrom.uniform_provider_fairness(scaled) == approx(
             tfrom.uniform_provider_fairness(base) * scale**2, rel=1e-9, abs=1e-12
         )
@@ -237,36 +211,30 @@ class TestQualityWeightedFairness:
     def test_proportional_exposure_is_fair(self):
         # relevance mass per provider is [1, 2, 3]; exposure matches it
         matrix, catalog = make_instance([[1.0, 2.0, 3.0]], [0, 1, 2])
-        report = ExposureReport(
-            per_item=np.array([1.0, 2.0, 3.0]), per_provider=np.array([1.0, 2.0, 3.0])
-        )
-        assert tfrom.quality_weighted_provider_fairness(report, matrix, catalog) == 0.0
+        report = ExposureReport(per_provider=np.array([1.0, 2.0, 3.0]))
+        assert quality_weighted_provider_fairness(report, matrix, catalog) == 0.0
 
     def test_single_provider_degenerate(self):
         matrix, catalog = make_instance([[1.0, 2.0]], [0, 0])
         report = tfrom.exposure(
             [tfrom.RecommendationList(owner=0, items=(1, 0))], catalog
         )
-        assert tfrom.quality_weighted_provider_fairness(report, matrix, catalog) == 0.0
+        assert quality_weighted_provider_fairness(report, matrix, catalog) == 0.0
 
     def test_equal_relevance_normalizes_to_ones(self):
         # both providers have the same mass, so ratios reduce to the
         # normalized exposures [0, 1] and the variance is 0.25
         matrix, catalog = make_instance([[1.0, 1.0]], [0, 1])
-        report = ExposureReport(
-            per_item=np.array([0.0, 4.0]), per_provider=np.array([0.0, 4.0])
-        )
-        assert tfrom.quality_weighted_provider_fairness(
+        report = ExposureReport(per_provider=np.array([0.0, 4.0]))
+        assert quality_weighted_provider_fairness(
             report, matrix, catalog
         ) == approx(0.25, rel=REL)
 
     def test_min_relevance_provider_excluded(self):
         matrix, catalog = make_instance([[1.0, 2.0, 3.0]], [0, 1, 2])
-        report = ExposureReport(
-            per_item=np.array([5.0, 2.0, 3.0]), per_provider=np.array([5.0, 2.0, 3.0])
-        )
+        report = ExposureReport(per_provider=np.array([5.0, 2.0, 3.0]))
         # provider 0 normalizes to relevance 0 and must not blow up the ratio
-        value = tfrom.quality_weighted_provider_fairness(report, matrix, catalog)
+        value = quality_weighted_provider_fairness(report, matrix, catalog)
         assert math.isfinite(value) and value >= 0.0
 
 
@@ -279,11 +247,3 @@ class TestQualityReport:
             tfrom.quality(lists, matrix, originals)
         with pytest.raises(errors.ValidationError):
             tfrom.quality(lists * 2, matrix, originals)
-
-    def test_size_normalized_supplementary_metric(self):
-        matrix, catalog = make_instance([[1.0, 1.0, 1.0]], [0, 0, 1])
-        report = ExposureReport(
-            per_item=np.zeros(3), per_provider=np.array([2.0, 1.0])
-        )
-        # exposure per catalog item is equal, so the supplementary view is fair
-        assert tfrom.size_normalized_provider_fairness(report, catalog) == 0.0

@@ -108,9 +108,3 @@ class TestRecommendationList:
     def test_empty_rejected(self):
         with pytest.raises(errors.InvalidShape):
             tfrom.RecommendationList(owner=0, items=())
-
-    def test_range_validation(self):
-        rec = tfrom.RecommendationList(owner=0, items=(0, 5))
-        with pytest.raises(errors.InvalidShape):
-            tfrom.validate_recommendation_list(rec, n=3)
-        tfrom.validate_recommendation_list(rec, n=6)

@@ -101,7 +101,7 @@ class TestInvariants:
             matrix, _, _, k, run = run_random_case(seed)
             for rec in run.lists:
                 assert rec.k == k
-                tfrom.validate_recommendation_list(rec, matrix.n)
+                assert all(0 <= item < matrix.n for item in rec.items)
 
     def test_ledger_matches_metrics_recompute(self):
         for seed in range(25):

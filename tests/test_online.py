@@ -53,7 +53,7 @@ class TestSingleRequests:
                 state, 0, matrix, catalog, originals[0], 3, FairnessMode.UNIFORM
             )
             assert len(set(rec.items)) == 3
-            tfrom.validate_recommendation_list(rec, matrix.n)
+            assert all(0 <= item < matrix.n for item in rec.items)
 
     def test_unknown_customer(self):
         matrix, catalog, originals = build([[1.0]], [0])

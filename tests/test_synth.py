@@ -60,7 +60,8 @@ class TestGenerateSynthetic:
         with pytest.raises(errors.InvalidShape):
             tfrom.generate_synthetic(2, 4, 2, score_distribution="cauchy", seed=0)
 
+    @pytest.mark.filterwarnings("error")
     def test_negative_skew_rejected(self):
-        for skew in (-1.0, float("nan")):
+        for skew in (-1.0, float("nan"), 1e-3, 1e-300):
             with pytest.raises(errors.InvalidShape):
                 tfrom.generate_synthetic(2, 4, 2, provider_size_skew=skew, seed=0)
