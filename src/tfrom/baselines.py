@@ -3,17 +3,18 @@
 All three work per customer and emit valid recommendation lists; they are
 usable in both the batch and the streaming protocols. ``minimum_exposure``
 carries a mutable exposure ledger across calls, under the same
-one-request-at-a-time contract as the streaming re-ranker.
+one-request-at-a-time contract as the streaming re-ranker. It splits the
+customer's ranking into one queue per provider, once per call, so a slot
+costs a minimum over the l queue heads rather than a scan of all n items.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientItems
+from .errors import InsufficientItems, ValidationError
 from .metrics import position_weight
 from .model import Catalog, RankedList, RecommendationList
-from .offline import first_open
 
 
 def _check_k(k: int, n: int) -> None:
@@ -53,20 +54,31 @@ def minimum_exposure(
     original preference order, i.e. its best-scoring remaining item, lowest
     id on ties. The ledger is updated in place with the slot weights, so
     passing the same array across customers or requests accumulates
-    exposure globally.
+    exposure globally. ``ledger`` must be a writable 1-d float64 array of
+    length ``catalog.l`` with finite values (ValidationError otherwise).
     """
     pool = original.items
     _check_k(k, pool.size)
+    if not (
+        isinstance(ledger, np.ndarray)
+        and ledger.dtype == np.float64
+        and ledger.shape == (catalog.l,)
+        and ledger.flags.writeable
+        and np.isfinite(ledger).all()
+    ):
+        raise ValidationError(
+            f"the ledger must be a writable 1-d float64 array of {catalog.l} finite values"
+        )
     pool_providers = catalog.provider_of[pool]
-    open_slots = np.ones(pool.size, dtype=bool)
+    # provider p's items, in preference order, are queue[head[p]:end[p]]
+    queue = np.argsort(pool_providers, kind="stable")
+    head = np.searchsorted(pool_providers[queue], np.arange(catalog.l))
+    end = np.append(head[1:], pool.size)
     out = []
     for rank in range(1, k + 1):
-        # k <= n leaves an open item, so the least-loaded provider always hits
-        candidates = pool_providers[open_slots]
-        load = ledger[candidates]
-        p = int(candidates[load == load.min()].min())
-        pos = first_open(pool_providers, open_slots, np.arange(catalog.l) == p)
-        out.append(int(pool[pos]))
-        open_slots[pos] = False
+        # k <= n leaves an open item, so the least-loaded open provider exists
+        p = int(np.where(head < end, ledger, np.inf).argmin())
+        out.append(int(pool[queue[head[p]]]))
+        head[p] += 1
         ledger[p] += position_weight(rank)
     return RecommendationList(owner=original.owner, items=tuple(out))

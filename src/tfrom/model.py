@@ -3,11 +3,14 @@
 An *instance* is a dense non-negative relevance matrix (customers x items)
 plus a catalog assigning every item to exactly one provider. All types are
 immutable after construction and safe to share across threads; the
-re-rankers and metrics build on them without further validation.
+re-rankers and metrics build on them without further validation. Arrays
+derived from an instance, such as ``PreferenceMatrix.order``, are computed
+once, on first use, and never change afterwards.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +23,11 @@ from .errors import (
     NonFiniteScore,
     UnknownCustomer,
 )
+
+
+# scores per argsort call in ``PreferenceMatrix.order``: the negated block
+# and its argsort are temporaries of 0.5 MB each, not copies of the matrix
+_ORDER_BLOCK = 1 << 16
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -45,6 +53,19 @@ class PreferenceMatrix:
     @property
     def n(self) -> int:
         return self.scores.shape[1]
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Every customer's original preference order, one read-only m x n
+        array: row u lists the items by descending score, ascending id on
+        ties."""
+        m, n = self.scores.shape
+        order = np.empty((m, n), dtype=np.intp)
+        rows = max(1, _ORDER_BLOCK // n)
+        for lo in range(0, m, rows):
+            block = self.scores[lo : lo + rows]
+            order[lo : lo + rows] = np.argsort(-block, axis=1, kind="stable")
+        return _readonly(order)
 
 
 @dataclass(frozen=True)
@@ -147,14 +168,16 @@ def original_ranking(matrix: PreferenceMatrix, u: int) -> RankedList:
     """Full descending-score permutation for one customer.
 
     Ties are broken by ascending item id, so the result is deterministic
-    for identical inputs.
+    for identical inputs. ``items`` is a read-only row view of
+    ``matrix.order``.
     """
     if not 0 <= u < matrix.m:
         raise UnknownCustomer(f"customer {u} outside universe of size {matrix.m}")
-    order = np.argsort(-matrix.scores[u], kind="stable")
-    return RankedList(owner=u, items=_readonly(order))
+    return RankedList(owner=u, items=matrix.order[u])
 
 
 def original_rankings(matrix: PreferenceMatrix) -> list[RankedList]:
-    """Original ranking for every customer, indexed by customer id."""
-    return [original_ranking(matrix, u) for u in range(matrix.m)]
+    """Original ranking for every customer, indexed by customer id; all of
+    them are row views of the one ``matrix.order`` array."""
+    order = matrix.order
+    return [RankedList(owner=u, items=order[u]) for u in range(matrix.m)]

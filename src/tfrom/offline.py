@@ -41,9 +41,10 @@ BUDGET_SLACK = 1e-12
 
 
 def first_open(pool_providers: np.ndarray, open_slots: np.ndarray, allowed: np.ndarray) -> int:
-    """The slot scan of every re-ranker: the first open pool position whose
-    provider the mask ``allowed`` admits, else -1. Pools are in preference
-    order, so this is the only tie-break rule; only the masks differ."""
+    """The slot scan of both TFROM re-rankers (the offline phases and the
+    online passes): the first open pool position whose provider the mask
+    ``allowed`` admits, else -1. Pools are in preference order, so this is
+    their only tie-break rule; only the masks differ."""
     hits = allowed[pool_providers] & open_slots
     pos = int(hits.argmax())
     return pos if hits[pos] else -1

@@ -124,6 +124,38 @@ class TestMinimumExposure:
             tfrom.minimum_exposure(originals[0], catalog, np.zeros(1), 2)
 
 
+def _read_only(ledger):
+    ledger.setflags(write=False)
+    return ledger
+
+
+class TestMinimumExposureLedger:
+    """The ledger is the caller's array and is checked before any slot."""
+
+    @pytest.mark.parametrize(
+        "ledger",
+        [
+            np.zeros(2, dtype=np.int64),  # would truncate every slot weight
+            np.zeros(5),
+            np.zeros(1),  # np.where would broadcast it over both providers
+            np.zeros((1, 2)),
+            np.array([0.0, np.inf]),
+            np.array([np.inf, np.inf]),  # could pick a provider with no item left
+            np.array([np.nan, 0.0]),
+            [0.0, 0.0],
+            _read_only(np.zeros(2)),
+        ],
+        ids=["int64", "length-5", "length-1", "2-d", "inf", "all-inf", "nan", "list",
+             "read-only"],
+    )
+    def test_rejected(self, ledger):
+        matrix, catalog, originals = build([[3.0, 2.0, 1.0]], [0, 1, 1])
+        before = repr(ledger)
+        with pytest.raises(errors.ValidationError, match="ledger"):
+            tfrom.minimum_exposure(originals[0], catalog, ledger, 3)
+        assert repr(ledger) == before
+
+
 class TestMinimumExposureOracle:
     """Bit-equal to the item-space reference, one ledger shared by all
     customers, from zero and from tied nonzero start ledgers."""
@@ -151,3 +183,55 @@ class TestMinimumExposureOracle:
                 )
                 assert list(rec.items) == expected
             assert ledger.tolist() == mirror
+
+    @staticmethod
+    def replay(rng, scores, assignments, k, start):
+        """3*m calls on random customers, one ledger, checked slot for slot."""
+        matrix, catalog, originals = build(scores, assignments)
+        providers = [int(p) for p in catalog.provider_of]
+        ledger = np.array(start, dtype=np.float64)
+        mirror = ledger.tolist()
+        for u in rng.integers(0, matrix.m, size=3 * matrix.m):
+            u = int(u)
+            rec = tfrom.minimum_exposure(originals[u], catalog, ledger, k)
+            expected = oracles.minimum_exposure_oracle(mirror, u, scores.tolist(), providers, k)
+            assert list(rec.items) == expected
+        assert ledger.tolist() == mirror
+
+    def test_single_provider(self):
+        for case in range(40):
+            rng = np.random.default_rng(7200 + case)
+            scores, _ = random_mini_instance(rng, max_m=4, max_n=8, ties=case % 2 == 1)
+            k = int(rng.integers(1, scores.shape[1] + 1))
+            self.replay(rng, scores, np.zeros(scores.shape[1], dtype=int), k, [0.0])
+
+    def test_full_length_lists(self):
+        for case in range(40):
+            rng = np.random.default_rng(7300 + case)
+            scores, assignments = random_mini_instance(
+                rng, max_m=4, max_n=8, max_l=4, ties=case % 2 == 1
+            )
+            l = int(assignments.max()) + 1
+            self.replay(rng, scores, assignments, scores.shape[1], np.zeros(l))
+
+    def test_one_item_providers(self):
+        for case in range(40):
+            rng = np.random.default_rng(7400 + case)
+            scores, _ = random_mini_instance(rng, max_m=4, max_n=8, ties=case % 2 == 1)
+            n = scores.shape[1]
+            assignments = rng.permutation(n)
+            k = int(rng.integers(1, n + 1))
+            self.replay(rng, scores, assignments, k, np.zeros(n))
+
+    def test_tied_nonzero_start(self):
+        # every provider starts at the same nonzero load, so the first
+        # slot of the first call is a full tie
+        for case in range(40):
+            rng = np.random.default_rng(7500 + case)
+            scores, assignments = random_mini_instance(
+                rng, max_m=4, max_n=8, max_l=4, ties=case % 2 == 1
+            )
+            l = int(assignments.max()) + 1
+            k = int(rng.integers(1, scores.shape[1] + 1))
+            start = np.full(l, float(rng.integers(1, 4)))
+            self.replay(rng, scores, assignments, k, start)

@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import tfrom
-from tfrom import errors
+from tfrom import errors, model
 
 
 class TestBuildInstance:
@@ -98,6 +101,66 @@ class TestOriginalRanking:
         first = tfrom.original_ranking(matrix, 1)
         second = tfrom.original_ranking(matrix, 1)
         assert list(first.items) == list(second.items)
+
+
+@st.composite
+def tie_heavy_grids(draw):
+    """Scores in {0, 1, 2}, whole columns zero, at least one positive score
+    per row; with a block size for ``PreferenceMatrix.order``."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    zero_columns = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    zero_columns[draw(st.integers(0, n - 1))] = False
+    cell = st.sampled_from([0.0, 1.0, 2.0])
+    scores = np.array(
+        draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    )
+    scores[:, zero_columns] = 0.0
+    live = np.flatnonzero(~np.array(zero_columns))
+    for u in range(m):
+        if not (scores[u] > 0).any():
+            scores[u, draw(st.sampled_from(live.tolist()))] = 1.0
+    return scores, draw(st.integers(1, m * n))
+
+
+class TestOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_grids())
+    @example((np.array([[0.0, 2.0, 0.0, 2.0]]), 1))  # m=1, zero columns, ties
+    @example((np.array([[1.0], [2.0], [1.0]]), 1))  # n=1, one row per block
+    @example((np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), 4))  # block ends mid-matrix
+    def test_rows_match_oracle(self, grid):
+        scores, block = grid
+        matrix, _ = tfrom.build_instance(scores, [0] * scores.shape[1])
+        with mock.patch.object(model, "_ORDER_BLOCK", block):
+            order = matrix.order
+        for u in range(matrix.m):
+            assert order[u].tolist() == oracles._original_order(scores[u].tolist())
+
+    def test_crosses_a_block_boundary(self):
+        n = 1000
+        rows = model._ORDER_BLOCK // n
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 3, size=(rows + 1, n)).astype(np.float64)
+        scores[:, 0] = 1.0
+        matrix, _ = tfrom.build_instance(scores, [0] * n)
+        for u in (0, rows - 1, rows):
+            assert matrix.order[u].tolist() == oracles._original_order(scores[u].tolist())
+
+    def test_computed_once(self):
+        matrix, _ = tfrom.build_instance([[1.0, 2.0], [2.0, 1.0]], [0, 1])
+        assert matrix.order is matrix.order
+
+    def test_rankings_are_read_only_views(self):
+        rng = np.random.default_rng(8)
+        matrix, _ = tfrom.build_instance(1.0 - rng.random((4, 5)), [0, 1, 0, 1, 2])
+        assert not matrix.order.flags.writeable
+        rankings = [*tfrom.original_rankings(matrix), tfrom.original_ranking(matrix, 2)]
+        for ranked in rankings:
+            assert not ranked.items.flags.writeable
+            assert np.shares_memory(ranked.items, matrix.order)
+            with pytest.raises(ValueError):
+                ranked.items[0] = 0
 
 
 class TestRecommendationList:
