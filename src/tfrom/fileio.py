@@ -5,9 +5,11 @@ Instances arrive as two headered CSV files: preference triplets
 External ids are arbitrary strings, mapped to contiguous indices in order
 of first appearance; the mapping is kept so output files carry the
 original labels: customer and item labels in ``InstanceLabels``, provider
-labels in ``Catalog.provider_labels``. Every input table is read by
-``_table``, which holds the rules all three input files share (header,
-blank and short rows, encoding), and every output table is written by
+labels in ``Catalog.provider_labels``. ``_table`` holds the rules all three
+input files share (header, blank and short rows, encoding) and reads every
+input table but one kind: a plain preferences file (bare ASCII cells, the
+same number on every line, see ``_plain_preferences``) is read block by
+block, in columns, to the same result. Every output table is written by
 ``_write_table``. Numeric output uses 17 significant digits, enough for an
 exact float64 round-trip: golden files are bit-stable, and the scores of a
 recommendations file read back equal to the instance's.
@@ -20,6 +22,7 @@ import json
 import operator
 import warnings
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -56,7 +59,8 @@ def _table(path, columns: Sequence[str], optional: Sequence[str] = ()):
     match case-insensitively after stripping, a missing required column is an
     error at line 1, blank rows are skipped and a row too short for the
     columns present is an error at its own line, as is a cell too large for
-    the csv module. The file is UTF-8, with or without a byte-order mark.
+    the csv module, and so is a header that names a wanted column twice. The
+    file is UTF-8, with or without a byte-order mark.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -69,6 +73,9 @@ def _table(path, columns: Sequence[str], optional: Sequence[str] = ()):
                 if name not in names:
                     raise ParseError(f"missing required column {name!r}", path=path, line=1)
             wanted = (*columns, *optional)
+            for name in wanted:
+                if names.count(name) > 1:
+                    raise ParseError(f"column {name!r} occurs more than once", path=path, line=1)
             positions = [names.index(name) if name in names else -1 for name in wanted]
             width = max(positions) + 1
             # position -1 is the None appended to every row: an absent optional column
@@ -100,21 +107,25 @@ def _number(kind, name: str, text: str, path, line: int):
     raise ParseError(f"{name} {text!r} is not {noun}", path=path, line=line)
 
 
-def load_instance(preferences_path, providers_path):
-    """Read and validate an instance from its two files.
+# bytes per read of the plain reader: whole-file temporaries raised the peak
+# RSS of a 1M-triplet load by more than 10%
+_BLOCK = 1 << 20
+# what a cell of a plain file may hold: printable ASCII but '"', '_' and ','
+_CELL_BYTES = bytes(sorted(set(range(0x21, 0x7F)) - set(b'",_')))
+_TRIPLET = ("customer", "item", "score")
 
-    Returns ``(PreferenceMatrix, Catalog, InstanceLabels)``. Duplicate
-    (customer, item) rows keep the last score and emit a warning; an item
-    without a provider row, or a provider row for an unknown item, is an
-    error.
-    """
+
+def _preferences(path):
+    """``(customers, items, scores)`` of the preferences file at ``path``,
+    read row by row: ids as labels in order of first appearance, ``scores``
+    the dense customer-by-item grid. A repeated (customer, item) pair keeps
+    its last score and warns."""
     customer_ids: dict[str, int] = {}
     item_ids: dict[str, int] = {}
     triplets: dict[tuple[int, int], float] = {}
-
-    for line, (customer, item, score) in _table(preferences_path, ("customer", "item", "score")):
+    for line, (customer, item, score) in _table(path, _TRIPLET):
         customer, item = customer.strip(), item.strip()
-        score = _number(float, "score", score, preferences_path, line)
+        score = _number(float, "score", score, path, line)
         u = customer_ids.setdefault(customer, len(customer_ids))
         i = item_ids.setdefault(item, len(item_ids))
         key = (u, i)
@@ -125,9 +136,105 @@ def load_instance(preferences_path, providers_path):
                 DuplicateTripletWarning,
             )
         triplets[key] = score
-
     if not triplets:
-        raise ParseError("no data rows", path=preferences_path, line=1)
+        raise ParseError("no data rows", path=path, line=1)
+    scores = np.zeros((len(customer_ids), len(item_ids)))
+    for (u, i), score in triplets.items():
+        scores[u, i] = score
+    return tuple(customer_ids), tuple(item_ids), scores
+
+
+def _plain_preferences(path):
+    """What ``_preferences(path)`` returns, read block by block, or None
+    unless the file is plain.
+
+    Plain means: every line, the header's too, is the header's number of
+    cells of ``_CELL_BYTES`` separated by ``,`` and ended by the header's LF
+    or CRLF (the last may lack it); no line is longer than the csv field size
+    limit; the header names no column twice and all three of ``_TRIPLET``;
+    there is a data row; every score is a ``float``; and no (customer, item)
+    pair repeats. ``_table`` would then strip nothing, skip no row and raise
+    no error, so both readers agree. A file that cannot be read twice, such
+    as a pipe, is not plain.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as handle:
+        if not handle.seekable():  # a pipe: the row reader could not read it again
+            return None
+        header = handle.readline()
+        eol = b"\r\n" if header.endswith(b"\r\n") else b"\n"
+        row = b"," * header.count(b",") + eol
+        if header.translate(None, _CELL_BYTES) != row or len(header) > limit:
+            return None
+        names = header[: -len(eol)].decode().lower().split(",")
+        if len(set(names)) < len(names) or not set(_TRIPLET) <= set(names):
+            return None
+        positions = [names.index(name) for name in _TRIPLET]
+        parts = []
+        for block in iter(partial(handle.read, _BLOCK), b""):
+            # end on a line end: read on to the next one, up to past the limit
+            block += handle.readline(limit + 1)
+            if not block.endswith(b"\n"):  # the last line, or one over the limit
+                block += eol
+            part = _plain_block(block, eol, row, limit, positions)
+            if part is None:
+                return None
+            parts.append(part)
+    if not parts:
+        return None
+    customers, items, scores = (np.concatenate(column) for column in zip(*parts))
+    customers, u = _first_seen(customers)
+    items, i = _first_seen(items)
+    key = np.sort(u * len(items) + i)
+    if (key[1:] == key[:-1]).any():
+        return None
+    grid = np.zeros((len(customers), len(items)))
+    grid[u, i] = scores
+    return customers, items, grid
+
+
+def _plain_block(block: bytes, eol: bytes, row: bytes, limit: int, positions):
+    """The customer, item and score columns of ``block``, whole lines of a
+    plain file whose header is ``row`` without its cells, or None if the
+    block is not plain."""
+    lines = block.count(eol)
+    if block.translate(None, _CELL_BYTES) != row * lines:
+        return None
+    # no line longer than the limit, so no cell is either
+    ends = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+    if np.diff(ends, prepend=-1).max() > limit:
+        return None
+    cells = block.replace(eol, b",").split(b",")
+    width = row.count(b",") + 1
+    customer, item, score = (cells[p:-1:width] for p in positions)
+    try:
+        scores = np.fromiter(map(float, score), np.float64, lines)
+    except ValueError:
+        return None
+    return np.array(customer), np.array(item), scores
+
+
+def _first_seen(ids: np.ndarray):
+    """The distinct byte strings of ``ids`` as labels, in order of first
+    appearance, and each entry's index among them."""
+    labels, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return tuple(label.decode() for label in labels[order].tolist()), rank[inverse]
+
+
+def load_instance(preferences_path, providers_path):
+    """Read and validate an instance from its two files.
+
+    Returns ``(PreferenceMatrix, Catalog, InstanceLabels)``. Duplicate
+    (customer, item) rows keep the last score and emit a warning; an item
+    without a provider row, or a provider row for an unknown item, is an
+    error.
+    """
+    plain = _plain_preferences(preferences_path)
+    customers, items, scores = plain or _preferences(preferences_path)
+    item_ids = {label: i for i, label in enumerate(items)}
 
     provider_by_item: dict[int, str] = {}
     for line, (item, provider) in _table(providers_path, ("item", "provider")):
@@ -145,18 +252,15 @@ def load_instance(preferences_path, providers_path):
             )
         provider_by_item[i] = provider.strip()
 
-    m, n = len(customer_ids), len(item_ids)
-    missing = [i for i in range(n) if i not in provider_by_item]
+    missing = [i for i in range(len(items)) if i not in provider_by_item]
     if missing:
-        label = next(lab for lab, i in item_ids.items() if i == missing[0])
-        raise MissingProviderForItem(f"item {label!r} has no provider assignment")
+        raise MissingProviderForItem(
+            f"{providers_path}: item {items[missing[0]]!r} has no provider assignment"
+        )
 
-    scores = np.zeros((m, n))
-    for (u, i), score in triplets.items():
-        scores[u, i] = score
-    assignments = [provider_by_item[i] for i in range(n)]
+    assignments = [provider_by_item[i] for i in range(len(items))]
     matrix, catalog = build_instance(scores, assignments)
-    labels = InstanceLabels(customers=tuple(customer_ids), items=tuple(item_ids))
+    labels = InstanceLabels(customers=customers, items=items)
     return matrix, catalog, labels
 
 

@@ -1,6 +1,10 @@
+import csv
 import dataclasses
+import os
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import tfrom
-from tfrom import errors, fileio
+from tfrom import cli, errors, fileio
 from tfrom.targets import FairnessMode
 
 
@@ -52,8 +56,9 @@ class TestLoadInstance:
             tmp_path / "p.csv", "customer,item,score\nu1,i1,1.0\nu1,i2,2.0\n"
         )
         providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
-        with pytest.raises(errors.MissingProviderForItem):
+        with pytest.raises(errors.MissingProviderForItem) as info:
             fileio.load_instance(preferences, providers)
+        assert str(info.value) == f"{providers}: item 'i2' has no provider assignment"
 
     def test_unknown_item_in_provider_file(self, tmp_path):
         preferences = write(tmp_path / "p.csv", "customer,item,score\nu1,i1,1.0\n")
@@ -190,6 +195,9 @@ class TestSharedTableRules:
         self.rejects(tmp_path, kind, short, "expected at least", len(rows) + 1)
         huge = csv_text(rows + [["x" * 200_000] + rows[1][1:]])
         self.rejects(tmp_path, kind, huge, "field larger than field limit", len(rows) + 1)
+        last = rows[0][-1]
+        repeated = csv_text([rows[0] + [last.upper()]] + [row + [row[-1]] for row in rows[1:]])
+        self.rejects(tmp_path, kind, repeated, f"column '{last}' occurs more than once", 1)
 
 
 positive_scores = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
@@ -230,6 +238,191 @@ class TestInstanceRoundTripProperty:
         loaded = [catalog.provider_labels[p] for p in catalog.provider_of]
         assert loaded == [str(assignments[i]) for i in items]
 
+
+# A small csv field size limit, so that cells over it stay small.
+FIELD_LIMIT = 40
+CUSTOMERS = ["u0", "u1", "7", "A"]
+ITEMS = ["i0", "i1", "x", "9"]
+# each a float() spelling of plain bytes
+PLAIN_SCORES = ["nan", "inf", "-inf", "1e400", "-0.0", "+.5", "5.", "Infinity", "1E3", "0"]
+ODD_SCORES = ["", "1_5", "\u0661\u0665", " 2", "0x10", "two", "\u00a01", "1\u00a0"]
+# each mutation makes a preferences file not plain
+MUTATIONS = [
+    "bom", "bare cr", "mixed ends", "blank row", "blank-only row", "padded cell",
+    "quoted cell", "underscore", "non-ascii", "odd score", "repeated column", "padded name",
+    "missing column", "wider row", "narrower row", "duplicate pair", "long name",
+    "long cell", "not utf-8",
+]
+
+
+@st.composite
+def preference_files(draw):
+    """``(preferences, providers, plain)``: the bytes of a preferences file
+    and of a providers file for its items, and whether the preferences file
+    is plain (``fileio._plain_preferences`` reads it)."""
+    names = ["customer", "item", "score"]
+    if draw(st.booleans()):
+        names = draw(st.permutations(names))
+    if draw(st.booleans()):
+        names.insert(draw(st.integers(0, 3)), "note")
+    header = [name.upper() if draw(st.booleans()) else name for name in names]
+    score = st.one_of(st.floats(0.0, 1e300).map(repr), st.sampled_from(PLAIN_SCORES))
+    triplets = draw(
+        st.lists(
+            st.tuples(st.sampled_from(CUSTOMERS), st.sampled_from(ITEMS), score),
+            max_size=8,
+            unique_by=lambda triplet: triplet[:2],
+        )
+    )
+    rows = [
+        [dict(zip(("customer", "item", "score", "note"), (*triplet, "n")))[name] for name in names]
+        for triplet in triplets
+    ]
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3))
+    plain = bool(rows) and not mutations
+    for mutation in mutations:
+        j = draw(st.integers(0, len(header) - 1))
+        if mutation == "repeated column":
+            header.append(draw(st.sampled_from([header[j], header[j].upper(), "note"])))
+            rows = [row + [row[j] if j < len(row) else "n"] for row in rows]
+        elif mutation == "padded name":
+            header[j] = f" {header[j]}\t"
+        elif mutation == "missing column":
+            del header[j]
+            rows = [row[:j] + row[j + 1 :] for row in rows]
+        elif mutation == "long name":
+            header.append("h" * (FIELD_LIMIT + draw(st.integers(-1, 2))))
+            rows = [row + ["n"] for row in rows]
+        elif mutation == "blank row":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif mutation == "blank-only row":
+            rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from([" ", "\t", "  "]))])
+        elif mutation == "duplicate pair" and triplets:
+            u, i, _ = triplets[draw(st.integers(0, len(triplets) - 1))]
+            rows.append([dict(customer=u, item=i, score="3.5", note="n")[name] for name in names])
+        elif rows and all(rows):
+            r = draw(st.integers(0, len(rows) - 1))
+            if mutation == "odd score" and "score" in map(str.lower, header):
+                j = [name.lower() for name in header].index("score")
+            if mutation == "wider row":
+                rows[r] = rows[r] + ["w"]
+            elif mutation == "narrower row":
+                rows[r] = rows[r][:-1]
+            elif j < len(rows[r]):
+                text = rows[r][j]
+                rows[r][j] = {
+                    "padded cell": f" {text} ",
+                    "quoted cell": f'"{text}"',
+                    "underscore": text[:1] + "_" + text[1:],
+                    "non-ascii": text + "\u00e9",
+                    "odd score": draw(st.sampled_from(ODD_SCORES)),
+                    "long cell": "7" * (FIELD_LIMIT + draw(st.integers(-1, 2))),
+                }.get(mutation, text)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header) + end] + [",".join(row) + end for row in rows]
+    if "mixed ends" in mutations:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[j] = lines[j].rstrip("\r\n") + ("\n" if end == "\r\n" else "\r\n")
+    if "bare cr" in mutations:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[j] = lines[j].rstrip("\r\n") + "\r"
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    text = "\ufeff" * ("bom" in mutations) + "".join(lines)
+    data = text.encode("utf-8")
+    if "not utf-8" in mutations:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    items = list(dict.fromkeys(i for _, i, _ in triplets))
+    if items and draw(st.booleans()):
+        del items[draw(st.integers(0, len(items) - 1))]
+    providers = "item,provider\n" + "".join(f"{i},p{j % 2}\n" for j, i in enumerate(items))
+    return data, providers.encode(), plain
+
+
+def load_outcome(preferences, providers):
+    """Everything ``load_instance`` gives for the two files: its result, or
+    its error's type, message and line; and the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            matrix, catalog, labels = fileio.load_instance(preferences, providers)
+        except errors.TfromError as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None))
+        else:
+            result = (
+                matrix.scores.shape,
+                matrix.scores.tobytes(),
+                catalog.provider_of.tobytes(),
+                catalog.sizes.tobytes(),
+                catalog.provider_labels,
+                labels,
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestPlainPreferences:
+    """``_plain_preferences`` reads plain files, and only those, exactly as
+    the row reader ``_preferences`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(preference_files(), st.one_of(st.integers(1, 80), st.just(1 << 20)))
+    @example((b"customer,item,score," + b"h" * 41 + b"\nu0,i0,1,n\n", b"item,provider\ni0,a\n", False), 64)
+    @example((b"customer,item,score\n" + b"7" * 41 + b",i0,1\n", b"item,provider\ni0,a\n", False), 64)
+    @example((b"customer,item,score\nu0,i0,1,w\n", b"item,provider\ni0,a\n", False), 1 << 20)
+    @example((b"customer,item,score,note\nu0,i0,1\n", b"item,provider\ni0,a\n", False), 1 << 20)
+    @example((b"customer,item,score\nu0,i0,1\nu0,i0,2\n", b"item,provider\ni0,a\n", False), 1 << 20)
+    @example((b'customer,item,score\n"u0",i0,1\n', b"item,provider\ni0,a\n", False), 1 << 20)
+    @example((b"customer,item,score\r\nu0,i0,1\r\nu1,i0,2", b"item,provider\ni0,a\n", True), 4)
+    def test_agrees_with_the_row_reader(self, files, block):
+        data, providers_data, plain = files
+        limit = csv.field_size_limit(FIELD_LIMIT)
+        try:
+            with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_BLOCK", block):
+                preferences, providers = Path(tmp) / "p.csv", Path(tmp) / "q.csv"
+                preferences.write_bytes(data)
+                providers.write_bytes(providers_data)
+                if plain:
+                    assert fileio._plain_preferences(preferences) is not None
+                both = load_outcome(preferences, providers)
+                with mock.patch.object(fileio, "_plain_preferences", lambda path: None):
+                    rows = load_outcome(preferences, providers)
+        finally:
+            csv.field_size_limit(limit)
+        assert both == rows
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"])
+    def test_pipe_is_read_once(self, tmp_path, prefix):
+        providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
+        read, written = os.pipe()
+        try:
+            os.write(written, prefix + b"customer,item,score\nu1,i1,0.5\n")
+            os.close(written)
+            matrix, _, labels = fileio.load_instance(f"/dev/fd/{read}", providers)
+        finally:
+            os.close(read)
+        assert matrix.scores.tolist() == [[0.5]] and labels.customers == ("u1",)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    def test_generated_files_are_plain(self, tmp_path, monkeypatch, end):
+        # 250x400 scores are about 2.6 MB of text: three blocks
+        args = ["--m", "250", "--n", "400", "--l", "6", "--seed", "3", "--out", str(tmp_path)]
+        assert cli.main(["gen", *args]) == 0
+        preferences = tmp_path / "preferences.csv"
+        preferences.write_bytes(preferences.read_bytes().replace(b"\r\n", end))
+        table = fileio._table
+
+        def providers_only(path, *args, **kwargs):
+            assert path != preferences, "preferences.csv read row by row"
+            return table(path, *args, **kwargs)
+
+        monkeypatch.setattr(fileio, "_table", providers_only)
+        matrix, _, labels = fileio.load_instance(preferences, tmp_path / "providers.csv")
+        scores, _ = tfrom.generate_synthetic(250, 400, 6, seed=3)
+        assert matrix.scores.tobytes() == scores.tobytes()
+        assert labels.customers == tuple(map(str, range(250)))
+        assert labels.items == tuple(map(str, range(400)))
 
 
 @st.composite
