@@ -12,14 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientItems, ValidationError
+from .errors import ValidationError
 from .metrics import position_weight
-from .model import Catalog, RankedList, RecommendationList
-
-
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise InsufficientItems(f"cannot build a length-{k} list from {n} items")
+from .model import Catalog, RankedList, RecommendationList, _check_k
 
 
 def top_k(original: RankedList, k: int) -> RecommendationList:

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import (
     EmptyRow,
+    InsufficientItems,
+    InvalidDimension,
     InvalidShape,
     NegativeScore,
     NonFiniteScore,
@@ -118,6 +120,14 @@ class RecommendationList:
     @property
     def k(self) -> int:
         return len(self.items)
+
+
+def _check_k(k: int, n: int) -> None:
+    """The list-length check of every re-ranker: 1 <= k <= n."""
+    if k < 1:
+        raise InvalidDimension(f"list length must be >= 1, got {k}")
+    if k > n:
+        raise InsufficientItems(f"cannot build a length-{k} list from {n} items")
 
 
 def build_instance(

@@ -22,19 +22,29 @@ budget check applies, so every list ends up with k items.
 Budget admission uses a small slack to absorb floating-point
 accumulation; the slack is part of the algorithm contract, so reference
 interpreters must apply the same comparison.
+
+Every placement is logged in two m x k columns of the result, at
+``[u, r - 1]`` for customer u's rank-r slot: ``step``, its 0-based index
+in execution order, and ``exposure_before``, the placed provider's
+exposure just before it. The rest is derived: the item is
+``lists[u].items[r - 1]``, the provider ``catalog.provider_of[item]``, the
+weight ``position_weight(r)``; the phase is 2 exactly for the slots in
+``skipped``, and a phase-1 placement's budget is
+``targets.per_provider[provider]``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientItems, InvalidDimension, ValidationError
+from .errors import ValidationError
 from .metrics import dcg, position_weight
-from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList
+from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList, _check_k
 from .targets import FairnessMode, FairTargets, fair_targets, total_exposure
 
 BUDGET_SLACK = 1e-12
@@ -51,29 +61,21 @@ def first_open(pool_providers: np.ndarray, open_slots: np.ndarray, allowed: np.n
 
 
 @dataclass(frozen=True)
-class PlacementEvent:
-    """One item placement, recorded in execution order for replay checks."""
-
-    phase: int
-    rank: int
-    customer: int
-    item: int
-    provider: int
-    weight: float
-    exposure_before: float
-    budget: Optional[float]
-
-
-@dataclass(frozen=True)
 class OfflineRun:
-    """Full result of one batch re-ranking."""
+    """Full result of one batch re-ranking.
+
+    ``step`` (int64, a permutation of ``0..m·k-1``) and ``exposure_before``
+    (float64) are the m x k placement log described in the module
+    docstring, which also says how to derive the rest of a placement.
+    """
 
     lists: tuple[RecommendationList, ...]
     ledger: np.ndarray
     quality: np.ndarray
     skipped: frozenset[tuple[int, int]]
     targets: FairTargets
-    events: tuple[PlacementEvent, ...]
+    step: np.ndarray
+    exposure_before: np.ndarray
 
 
 def _check_originals(originals: Sequence[RankedList], m: int) -> None:
@@ -98,10 +100,7 @@ def tfrom_offline(
     else is deterministic, so identical inputs reproduce the run exactly.
     """
     m, n = matrix.m, matrix.n
-    if k < 1:
-        raise InvalidDimension(f"list length must be >= 1, got {k}")
-    if k > n:
-        raise InsufficientItems(f"cannot build length-{k} lists from {n} items")
+    _check_k(k, n)
     _check_originals(originals, m)
 
     budget = fair_targets(mode, total_exposure(m, k), catalog, matrix)
@@ -115,25 +114,16 @@ def tfrom_offline(
     exposure = np.zeros(catalog.l)
     q = np.zeros(m)
     slots = np.full((m, k), -1, dtype=np.int64)
-
-    events: list[PlacementEvent] = []
+    step = np.empty((m, k), dtype=np.int64)
+    exposure_before = np.empty((m, k))
+    clock = itertools.count()
     skipped: set[tuple[int, int]] = set()
 
-    def place(phase: int, rank: int, u: int, pos: int, w: float) -> None:
-        item = int(pools[u, pos])
-        p = int(pool_providers[u, pos])
-        events.append(
-            PlacementEvent(
-                phase=phase,
-                rank=rank,
-                customer=u,
-                item=item,
-                provider=p,
-                weight=w,
-                exposure_before=float(exposure[p]),
-                budget=float(budgets[p]) if phase == 1 else None,
-            )
-        )
+    def place(rank: int, u: int, pos: int, w: float) -> None:
+        item = pools[u, pos]
+        p = pool_providers[u, pos]
+        step[u, rank - 1] = next(clock)
+        exposure_before[u, rank - 1] = exposure[p]
         slots[u, rank - 1] = item
         exposure[p] += w
         q[u] += float(matrix.scores[u, item]) / (math.log2(rank + 1) * ideal[u])
@@ -150,7 +140,7 @@ def tfrom_offline(
             fits = exposure + w <= budgets + BUDGET_SLACK
             pos = first_open(pool_providers[u], open_slots[u], fits)
             if pos >= 0:
-                place(1, rank, u, pos, w)
+                place(rank, u, pos, w)
             else:
                 skipped.add((u, rank))
 
@@ -162,7 +152,7 @@ def tfrom_offline(
             # k <= n leaves an open item, so the least load always hits
             least = exposure[pool_providers[u, open_slots[u]]].min()
             pos = first_open(pool_providers[u], open_slots[u], exposure == least)
-            place(2, rank, u, pos, w)
+            place(rank, u, pos, w)
 
     lists = tuple(
         RecommendationList(owner=u, items=tuple(int(i) for i in slots[u]))
@@ -174,5 +164,6 @@ def tfrom_offline(
         quality=q,
         skipped=frozenset(skipped),
         targets=budget,
-        events=tuple(events),
+        step=step,
+        exposure_before=exposure_before,
     )

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientItems, InvalidDimension, UnknownCustomer, ValidationError
+from .errors import UnknownCustomer, ValidationError
 from .metrics import position_weight
-from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList
+from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList, _check_k
 from .offline import BUDGET_SLACK, first_open
 from .targets import FairnessMode, fair_targets, online_total_exposure
 
@@ -85,10 +85,7 @@ def serve_request(
     m, n = matrix.m, matrix.n
     if not 0 <= u < m:
         raise UnknownCustomer(f"customer {u} outside universe of size {m}")
-    if k < 1:
-        raise InvalidDimension(f"list length must be >= 1, got {k}")
-    if k > n:
-        raise InsufficientItems(f"cannot build a length-{k} list from {n} items")
+    _check_k(k, n)
     if original.owner != u:
         raise ValidationError(f"original ranking owned by {original.owner}, not {u}")
     if len(state.exposure) != catalog.l:

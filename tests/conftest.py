@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,26 @@ def random_mini_instance(rng, max_m=3, max_n=6, max_l=3, ties=False):
     else:
         scores = 1.0 - rng.random((m, n))
     return scores, assignments
+
+
+Placement = collections.namedtuple(
+    "Placement", "phase rank customer item provider weight exposure_before budget"
+)
+
+
+def placement_log(run, catalog):
+    """The placements of an offline run in execution order, rebuilt from its
+    two per-slot columns, ``lists``, ``skipped`` and ``targets``; a phase-2
+    placement has no budget."""
+    log = []
+    for u, rec in enumerate(run.lists):
+        for rank, item in enumerate(rec.items, start=1):
+            p = int(catalog.provider_of[item])
+            phase = 2 if (u, rank) in run.skipped else 1
+            budget = float(run.targets.per_provider[p]) if phase == 1 else None
+            before = float(run.exposure_before[u, rank - 1])
+            placement = Placement(
+                phase, rank, u, item, p, tfrom.position_weight(rank), before, budget
+            )
+            log.append((int(run.step[u, rank - 1]), placement))
+    return [placement for _, placement in sorted(log, key=lambda entry: entry[0])]

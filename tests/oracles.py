@@ -77,8 +77,11 @@ def offline_oracle(scores, providers, k, mode, seed):
     """Interpret the two-phase batch procedure on plain Python data.
 
     scores: list of m rows of n floats; providers: n provider ids (0..l-1).
-    Returns a dict with lists, exposure, quality, skipped slots and the
-    per-provider budgets, suitable for field-by-field comparison.
+    Returns a dict with lists, exposure, quality, skipped slots, the
+    per-provider budgets and, per slot (customer u, rank r at [u][r - 1]),
+    the 0-based execution index ("step") and the placed provider's
+    exposure just before the placement ("exposure_before"), suitable for
+    field-by-field comparison.
     """
     m = len(scores)
     n = len(scores[0])
@@ -93,6 +96,9 @@ def offline_oracle(scores, providers, k, mode, seed):
     exposure = [0.0] * n_providers
     q = [0.0] * m
     lists = [[-1] * k for _ in range(m)]
+    step = [[-1] * k for _ in range(m)]
+    exposure_before = [[0.0] * k for _ in range(m)]
+    placed = 0
     recommended = [set() for _ in range(m)]
     skipped = set()
 
@@ -116,6 +122,9 @@ def offline_oracle(scores, providers, k, mode, seed):
             else:
                 p = providers[chosen]
                 lists[u][rank - 1] = chosen
+                step[u][rank - 1] = placed
+                placed += 1
+                exposure_before[u][rank - 1] = exposure[p]
                 exposure[p] += w
                 q[u] += scores[u][chosen] / (math.log2(rank + 1) * ideal[u])
                 recommended[u].add(chosen)
@@ -136,6 +145,9 @@ def offline_oracle(scores, providers, k, mode, seed):
                     best_key = key
             p = providers[best]
             lists[u][rank - 1] = best
+            step[u][rank - 1] = placed
+            placed += 1
+            exposure_before[u][rank - 1] = exposure[p]
             exposure[p] += w
             q[u] += scores[u][best] / (math.log2(rank + 1) * ideal[u])
             recommended[u].add(best)
@@ -146,6 +158,8 @@ def offline_oracle(scores, providers, k, mode, seed):
         "quality": q,
         "skipped": skipped,
         "budgets": budgets,
+        "step": step,
+        "exposure_before": exposure_before,
     }
 
 

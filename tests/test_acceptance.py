@@ -16,7 +16,7 @@ from pytest import approx
 
 import oracles
 import tfrom
-from conftest import GOLDEN_PARAMS, GOLDEN_SHA256, random_mini_instance
+from conftest import GOLDEN_PARAMS, GOLDEN_SHA256, placement_log, random_mini_instance
 from tfrom.cli import main as cli_main
 from tfrom.experiments import ExperimentConfig, run_online_stream
 from tfrom.online import OnlineState
@@ -154,6 +154,8 @@ def test_criterion_03_oracle_equivalence():
         assert run.ledger.tolist() == ref["exposure"]
         assert run.quality.tolist() == ref["quality"]
         assert set(run.skipped) == ref["skipped"]
+        assert run.step.tolist() == ref["step"]
+        assert run.exposure_before.tolist() == ref["exposure_before"]
 
     for case in range(200):
         rng = np.random.default_rng(5000 + case)
@@ -184,7 +186,7 @@ def test_criterion_04_budget_safety_on_golden_run(golden_instance):
     run = tfrom.tfrom_offline(matrix, catalog, originals, 10, FairnessMode.UNIFORM, seed=42)
     violations = sum(
         1
-        for event in run.events
+        for event in placement_log(run, catalog)
         if event.phase == 1 and event.exposure_before + event.weight > event.budget + 1e-12
     )
     assert violations == 0

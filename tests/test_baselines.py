@@ -9,11 +9,42 @@ import tfrom
 from conftest import random_mini_instance
 from tfrom import errors
 from tfrom.baselines import all_random
+from tfrom.online import OnlineState
+from tfrom.targets import FairnessMode
 
 
 def build(rows, providers):
     matrix, catalog = tfrom.build_instance(rows, providers)
     return matrix, catalog, tfrom.original_rankings(matrix)
+
+
+# every re-ranker of the package, the two TFROM ones included, on one
+# customer of an instance with n=3 items
+RERANKERS = {
+    "top_k": lambda matrix, catalog, originals, k: tfrom.top_k(originals[0], k),
+    "all_random": lambda matrix, catalog, originals, k: all_random(originals[0], k, seed=0),
+    "minimum_exposure": lambda matrix, catalog, originals, k: tfrom.minimum_exposure(
+        originals[0], catalog, np.zeros(catalog.l), k
+    ),
+    "tfrom_offline": lambda matrix, catalog, originals, k: tfrom.tfrom_offline(
+        matrix, catalog, originals, k, FairnessMode.UNIFORM, seed=0
+    ),
+    "serve_request": lambda matrix, catalog, originals, k: tfrom.serve_request(
+        OnlineState.fresh(matrix.m, catalog.l),
+        0, matrix, catalog, originals[0], k, FairnessMode.UNIFORM,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RERANKERS))
+@pytest.mark.parametrize(
+    "k, error",
+    [(0, errors.InvalidDimension), (-1, errors.InvalidDimension), (4, errors.InsufficientItems)],
+)
+def test_list_length_checked_alike(name, k, error):
+    matrix, catalog, originals = build([[1.0, 2.0, 3.0]], [0, 1, 0])
+    with pytest.raises(error):
+        RERANKERS[name](matrix, catalog, originals, k)
 
 
 class TestTopK:

@@ -4,7 +4,7 @@ from pytest import approx
 
 import oracles
 import tfrom
-from conftest import random_mini_instance
+from conftest import placement_log, random_mini_instance
 from tfrom import errors
 from tfrom.targets import FairnessMode
 
@@ -80,8 +80,8 @@ def run_random_case(seed, mode=FairnessMode.UNIFORM, max_m=6, max_n=12, max_k=5)
 class TestInvariants:
     def test_budget_safety_of_phase_one(self):
         for seed in range(25):
-            *_, run = run_random_case(seed)
-            for event in run.events:
+            _, catalog, _, _, run = run_random_case(seed)
+            for event in placement_log(run, catalog):
                 if event.phase == 1:
                     assert event.exposure_before + event.weight <= event.budget + 1e-12
 
@@ -89,11 +89,13 @@ class TestInvariants:
         # within each phase no later rank is filled before an earlier one
         # has been handled for all customers
         for seed in range(10):
-            *_, run = run_random_case(seed)
+            _, catalog, _, _, run = run_random_case(seed)
+            assert sorted(run.step.ravel().tolist()) == list(range(run.step.size))
+            events = placement_log(run, catalog)
             for phase in (1, 2):
-                ranks = [e.rank for e in run.events if e.phase == phase]
+                ranks = [e.rank for e in events if e.phase == phase]
                 assert ranks == sorted(ranks)
-            phases = [e.phase for e in run.events]
+            phases = [e.phase for e in events]
             assert phases == sorted(phases)
 
     def test_lists_complete_and_duplicate_free(self):
@@ -126,8 +128,9 @@ class TestInvariants:
 
     def test_skipped_slots_all_filled_in_phase_two(self):
         for seed in range(25):
-            *_, run = run_random_case(seed)
-            refilled = {(e.customer, e.rank) for e in run.events if e.phase == 2}
+            _, catalog, _, _, run = run_random_case(seed)
+            events = placement_log(run, catalog)
+            refilled = {(e.customer, e.rank) for e in events if e.phase == 2}
             assert refilled == set(run.skipped)
 
     def test_deterministic(self):
@@ -167,6 +170,8 @@ class TestOracleEquivalence:
             assert run.ledger.tolist() == ref["exposure"]
             assert run.quality.tolist() == ref["quality"]
             assert set(run.skipped) == ref["skipped"]
+            assert run.step.tolist() == ref["step"]
+            assert run.exposure_before.tolist() == ref["exposure_before"]
 
 
 class TestTradeOffDirection:

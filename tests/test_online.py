@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -138,6 +140,37 @@ class TestStateInvariants:
             clone, 0, matrix, catalog, originals[0], 2, FairnessMode.UNIFORM
         )
         assert rec_a.items == rec_b.items
+
+    @pytest.mark.parametrize("mode", list(FairnessMode))
+    def test_mid_stream_json_round_trip_continues_identically(self, mode):
+        for seed in range(20):
+            rng = np.random.default_rng(300 + seed)
+            scores, assignments = random_mini_instance(
+                rng, max_m=4, max_n=8, max_l=3, ties=seed % 2 == 1
+            )
+            matrix, catalog = tfrom.build_instance(scores, assignments)
+            originals = tfrom.original_rankings(matrix)
+            k = int(rng.integers(1, min(matrix.n, 3) + 1))
+
+            def serve(state, stream):
+                lists = []
+                for u in stream:
+                    rec, state = tfrom.serve_request(
+                        state, int(u), matrix, catalog, originals[int(u)], k, mode
+                    )
+                    lists.append(rec.items)
+                return lists, state
+
+            stream = rng.integers(0, matrix.m, size=8 * matrix.m)
+            cut = int(rng.integers(1, stream.size))
+            fresh = OnlineState.fresh(matrix.m, catalog.l)
+            unbroken, final = serve(fresh, stream)
+            head, state = serve(fresh, stream[:cut])
+            restored = OnlineState.from_dict(json.loads(json.dumps(state.to_dict())))
+            tail, resumed = serve(restored, stream[cut:])
+            assert head + tail == unbroken
+            assert resumed.exposure.tobytes() == final.exposure.tobytes()
+            assert resumed.c_num == final.c_num
 
     def test_serving_does_not_mutate_input_state(self):
         matrix, catalog, originals = build([[2.0, 1.0]], [0, 1])
