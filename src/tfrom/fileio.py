@@ -10,9 +10,14 @@ input files share (header, blank and short rows, encoding) and reads every
 input table but one kind: a plain preferences file (bare ASCII cells, the
 same number on every line, see ``_plain_preferences``) is read block by
 block, in columns, to the same result. Every output table is written by
-``_write_table``. Numeric output uses 17 significant digits, enough for an
-exact float64 round-trip: golden files are bit-stable, and the scores of a
-recommendations file read back equal to the instance's.
+``_write_table``, from columns, in blocks of 2^16 rows: one ``%`` template
+(such as ``"%d,%d,%.17g\\r\\n"`` repeated once per row) applied to the flat
+tuple of a block's cells. A label cell (customer, item, provider,
+algorithm) is the cell ``csv.writer`` would write, quoted where it quotes,
+and is computed once per distinct label. Numeric output uses 17
+significant digits, enough for an exact float64 round-trip: golden files
+are bit-stable, and the scores of a recommendations file read back equal
+to the instance's.
 """
 
 from __future__ import annotations
@@ -47,8 +52,12 @@ class InstanceLabels:
     items: tuple[str, ...]
 
 
+# 17 significant digits: an exact float64 round trip
+_FLOAT = ".17g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT)
 
 
 def _table(path, columns: Sequence[str], optional: Sequence[str] = ()):
@@ -264,31 +273,61 @@ def load_instance(preferences_path, providers_path):
     return matrix, catalog, labels
 
 
-def _write_table(path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write one CSV table: the header row, then ``rows``."""
+class _Lines:
+    """What ``csv.writer`` writes to: ``write`` hands the line back, so
+    ``writerow`` returns it and nothing is stored."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def _label_cells(labels: Iterable) -> np.ndarray:
+    """Each of ``labels`` as ``csv.writer`` writes it in a cell, quoted where
+    csv quotes, as an object array for a table column to index."""
+    lines = csv.writer(_Lines())
+    # a row of two cells, the second empty, ends in ",\r\n"; one cell alone
+    # would be written differently when empty
+    return np.array([lines.writerow((label, ""))[:-3] for label in labels], dtype=object)
+
+
+# rows per block of ``_write_table``: a whole-file temporary would raise peak RSS
+_ROWS = 1 << 16
+
+
+def _write_table(path, header: Sequence[str], columns: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Write one CSV table: the header row, then one row per entry of
+    ``columns``, equal-length arrays each paired with its ``%`` conversion:
+    ``d`` for integers, ``_FLOAT`` for floats, ``s`` for ``_label_cells``.
+    """
+    row = ",".join(f"%{conversion}" for conversion, _ in columns) + "\r\n"
+    width, rows = len(columns), len(columns[0][1])
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(csv.writer(_Lines()).writerow(header))
+        for start in range(0, rows, _ROWS):
+            stop = min(start + _ROWS, rows)
+            cells = [None] * (width * (stop - start))
+            for j, (_, values) in enumerate(columns):
+                cells[j::width] = values[start:stop].tolist()
+            handle.write((row * (stop - start)) % tuple(cells))
 
 
-def _triplets(scores: np.ndarray):
-    rated = scores != 0.0
-    rated[:1] |= ~rated.any(axis=0)
-    for u, row in enumerate(scores):
-        for i in np.flatnonzero(rated[u]):
-            yield u, i, _fmt(row[i])
-
-
-def write_instance_files(scores: np.ndarray, assignments: np.ndarray, out_dir) -> tuple[Path, Path]:
+def write_instance_files(scores: np.ndarray, assignments: Sequence, out_dir) -> tuple[Path, Path]:
     """Write preference triplets and the provider map; zero scores are omitted,
-    except that an item no customer rated gets one zero row, of customer 0."""
+    except that an item no customer rated gets one zero row, of customer 0.
+    A provider is written as ``str`` of its label."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     preferences = out / "preferences.csv"
     providers = out / "providers.csv"
-    _write_table(preferences, ("customer", "item", "score"), _triplets(scores))
-    _write_table(providers, ("item", "provider"), ((i, int(p)) for i, p in enumerate(assignments)))
+    rated = scores != 0.0
+    rated[:1] |= ~rated.any(axis=0)
+    u, i = np.nonzero(rated)
+    triplets = [("d", u), ("d", i), (_FLOAT, scores[u, i])]
+    _write_table(preferences, ("customer", "item", "score"), triplets)
+    ids: dict[str, int] = {}
+    provider = [ids.setdefault(str(label), len(ids)) for label in assignments]
+    cells = _label_cells(ids)[provider]
+    _write_table(providers, ("item", "provider"), [("d", np.arange(len(cells))), ("s", cells)])
     return preferences, providers
 
 
@@ -306,20 +345,22 @@ def write_recommendations(
     """
     served = list(served)
     online = any(req is not None for req, _ in served)
+    lengths = np.array([len(rec.items) for _, rec in served], dtype=np.int64)
+    owners = np.repeat(np.array([rec.owner for _, rec in served], dtype=np.int64), lengths)
+    items = np.array([item for _, rec in served for item in rec.items], dtype=np.int64)
+    ranks = np.arange(1, len(items) + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    columns = [
+        ("s", _label_cells(labels.customers)[owners]),
+        ("d", ranks),
+        ("s", _label_cells(labels.items)[items]),
+        ("s", _label_cells(catalog.provider_labels)[catalog.provider_of[items]]),
+        (_FLOAT, matrix.scores[owners, items]),
+    ]
+    if online:
+        requests = np.repeat(np.array([req for req, _ in served], dtype=np.int64), lengths)
+        columns.insert(0, ("d", requests))
     header = ["request"] * online + ["customer", "rank", "item", "provider", "score"]
-    rows = (
-        [req] * online
-        + [
-            labels.customers[rec.owner],
-            pos + 1,
-            labels.items[item],
-            catalog.provider_labels[catalog.provider_of[item]],
-            _fmt(matrix.scores[rec.owner, item]),
-        ]
-        for req, rec in served
-        for pos, item in enumerate(rec.items)
-    )
-    _write_table(path, header, rows)
+    _write_table(path, header, columns)
 
 
 def read_recommendations(path, matrix: PreferenceMatrix, catalog: Catalog, labels: InstanceLabels):
@@ -394,14 +435,19 @@ def write_trace(path, rows: Iterable[TraceRow]) -> None:
     """Metric trace as CSV, one row per (step, algorithm) pair.
 
     The columns are the fields of ``TraceRow``, in order; floats are written
-    with ``_fmt``.
+    as ``_fmt`` writes them.
     """
-    columns = [(f.name, f.type in (float, "float")) for f in fields(TraceRow)]
-    cells = (
-        [_fmt(getattr(row, name)) if real else getattr(row, name) for name, real in columns]
-        for row in rows
-    )
-    _write_table(path, [name for name, _ in columns], cells)
+    rows = list(rows)
+    columns = []
+    for field in fields(TraceRow):
+        values = [getattr(row, field.name) for row in rows]
+        if field.type == "str":
+            ids: dict[str, int] = {}
+            index = [ids.setdefault(value, len(ids)) for value in values]
+            columns.append(("s", _label_cells(ids)[index]))
+        else:  # the annotations are strings: ``experiments`` defers them
+            columns.append(({"int": "d", "float": _FLOAT}[field.type], np.array(values)))
+    _write_table(path, [field.name for field in fields(TraceRow)], columns)
 
 
 def write_summary(path, payload: dict) -> None:

@@ -78,12 +78,15 @@ class OfflineRun:
     exposure_before: np.ndarray
 
 
-def _check_originals(originals: Sequence[RankedList], m: int) -> None:
+def _check_originals(originals: Sequence[RankedList], m: int, n: int) -> None:
     if len(originals) != m:
         raise ValidationError(f"expected {m} original rankings, got {len(originals)}")
     for u, ranked in enumerate(originals):
         if ranked.owner != u:
             raise ValidationError(f"original ranking at index {u} owned by {ranked.owner}")
+        if len(ranked.items) != n:
+            message = f"original ranking at index {u} holds {len(ranked.items)} items, not {n}"
+            raise ValidationError(message)
 
 
 def tfrom_offline(
@@ -101,7 +104,7 @@ def tfrom_offline(
     """
     m, n = matrix.m, matrix.n
     _check_k(k, n)
-    _check_originals(originals, m)
+    _check_originals(originals, m, n)
 
     budget = fair_targets(mode, total_exposure(m, k), catalog, matrix)
     budgets = budget.per_provider

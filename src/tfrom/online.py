@@ -88,6 +88,8 @@ def serve_request(
     _check_k(k, n)
     if original.owner != u:
         raise ValidationError(f"original ranking owned by {original.owner}, not {u}")
+    if len(original.items) != n:
+        raise ValidationError(f"original ranking holds {len(original.items)} items, not {n}")
     if len(state.exposure) != catalog.l:
         raise ValidationError(
             f"state tracks {len(state.exposure)} providers, the catalog has {catalog.l}"

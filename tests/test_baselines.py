@@ -9,6 +9,7 @@ import tfrom
 from conftest import random_mini_instance
 from tfrom import errors
 from tfrom.baselines import all_random
+from tfrom.model import RankedList
 from tfrom.online import OnlineState
 from tfrom.targets import FairnessMode
 
@@ -45,6 +46,18 @@ def test_list_length_checked_alike(name, k, error):
     matrix, catalog, originals = build([[1.0, 2.0, 3.0]], [0, 1, 0])
     with pytest.raises(error):
         RERANKERS[name](matrix, catalog, originals, k)
+
+
+@pytest.mark.parametrize("name", ["tfrom_offline", "serve_request"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_wrong_length_caller_rankings_rejected(name, length):
+    matrix, catalog, originals = build([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 1, 0])
+    wrong = [
+        RankedList(owner=ranked.owner, items=np.resize(ranked.items, length))
+        for ranked in originals
+    ]
+    with pytest.raises(errors.ValidationError, match=f"holds {length} items, not 3"):
+        RERANKERS[name](matrix, catalog, wrong, 2)
 
 
 class TestTopK:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -69,6 +70,36 @@ class TestGen:
         preferences, providers = instance_files
         matrix, catalog, _ = tfrom.fileio.load_instance(preferences, providers)
         assert matrix.m == 6 and matrix.n == 15 and catalog.l == 3
+
+
+# sha256 of the files these commands write (paths under their --out
+# directories); every CSV writer must reproduce them byte for byte
+PINNED = {
+    "instance/preferences.csv": "2f86ce335b30cf1d2e99f596c339922d92051263135e3e9426663fb34654b188",
+    "instance/providers.csv": "035e0f7e33e069dad568af78b60244aa551dc252cb8f095eb6eb0b17636e8e9b",
+    "offline/tfrom_k5/recommendations.csv": (
+        "6a79e929fe73cabb6db6412a3fb707662fea75759ba782d0f0e9b50a5549556f"
+    ),
+    "offline/trace.csv": "780f4d2da4f003436766061360128367cfd303ff7ce039efef607c8df95b3fd0",
+    "online/tfrom/recommendations.csv": (
+        "3c16191daff63cd772ed7453641dea3e93a69ee5ca8ed99718bfbb3e1bab9904"
+    ),
+    "online/trace.csv": "6492a0de291deff5771597c65c2094e53c74c729d8966bb1de8c01371ca4114b",
+}
+
+
+def test_output_bytes_pinned(tmp_path):
+    instance = tmp_path / "instance"
+    files = ["--preferences", str(instance / "preferences.csv")]
+    files += ["--providers", str(instance / "providers.csv")]
+    run = ["--k", "5", "--seed", "7"]
+    size = ["--m", "40", "--n", "60", "--l", "5"]
+    assert main(["gen", *size, "--seed", "7", "--out", str(instance)]) == 0
+    assert main(["offline", *files, *run, "--out", str(tmp_path / "offline")]) == 0
+    online = ["--stream-multiplier", "2", "--out", str(tmp_path / "online")]
+    assert main(["online", *files, *run, *online]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED}
+    assert digests == PINNED
 
 
 class TestOffline:

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import math
 import os
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -237,6 +239,21 @@ class TestInstanceRoundTripProperty:
         assert np.array_equal(matrix.scores, scores[np.ix_(customers, items)])
         loaded = [catalog.provider_labels[p] for p in catalog.provider_of]
         assert loaded == [str(assignments[i]) for i in items]
+
+    @pytest.mark.parametrize(
+        "assignments",
+        [["x", "y", "x"], [0.5, 1.5, 0.5], [0.2, 0.7, 0.2], ["a,b", 'say "hi"', "a,b"]],
+    )
+    def test_provider_labels_written_as_text(self, tmp_path, assignments):
+        tfrom.write_instance_files(np.ones((2, 3)), assignments, tmp_path)
+        _, catalog, labels = fileio.load_instance(
+            tmp_path / "preferences.csv", tmp_path / "providers.csv"
+        )
+        assert labels.items == ("0", "1", "2")
+        loaded = [catalog.provider_labels[p] for p in catalog.provider_of]
+        assert loaded == [str(label) for label in assignments]
+        # the same partition of items into providers
+        assert [loaded.index(x) for x in loaded] == [assignments.index(x) for x in assignments]
 
 
 # A small csv field size limit, so that cells over it stay small.
@@ -490,6 +507,34 @@ class TestRecommendationsRoundTrip:
             (req, rec.owner, rec.items) for req, rec in served
         ]
 
+    @pytest.mark.parametrize("online", [False, True])
+    def test_labels_that_need_quoting(self, tmp_path, online):
+        customers = ["a,b", 'say "hi"', "two\nlines", "plain"]
+        items = ["i,1", '"q"', "new\nline", "cr\rhere", "\u00e9t\u00e9", " pad "]
+        providers = ['p,"1"', "p\n2", "p3"]
+        rng = np.random.default_rng(21)
+        with open(tmp_path / "p.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["customer", "item", "score"])
+            writer.writerows([u, i, rng.random() + 0.1] for u in customers for i in items)
+        with open(tmp_path / "q.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["item", "provider"])
+            writer.writerows([i, providers[j % 3]] for j, i in enumerate(items))
+        assert fileio._plain_preferences(tmp_path / "p.csv") is None  # the row reader reads it
+        matrix, catalog, labels = fileio.load_instance(tmp_path / "p.csv", tmp_path / "q.csv")
+        assert labels.customers == tuple(customers)
+        assert labels.items == tuple(item.strip() for item in items)
+        originals = tfrom.original_rankings(matrix)
+        run = tfrom.tfrom_offline(matrix, catalog, originals, 3, FairnessMode.UNIFORM, seed=2)
+        served = [(u if online else None, rec) for u, rec in enumerate(run.lists)]
+        path = tmp_path / "recommendations.csv"
+        fileio.write_recommendations(path, served, matrix, catalog, labels)
+        loaded = fileio.read_recommendations(path, matrix, catalog, labels)
+        assert [(req, rec.owner, rec.items) for req, rec in loaded] == [
+            (req, rec.owner, rec.items) for req, rec in served
+        ]
+
     def test_metrics_survive_round_trip(self, tmp_path):
         scores, assignments = tfrom.generate_synthetic(5, 12, 3, seed=15)
         matrix, catalog = tfrom.build_instance(scores, assignments)
@@ -533,3 +578,83 @@ class TestTraceWriting:
         fileio.write_trace(path, [])
         names = [f.name for f in dataclasses.fields(tfrom.TraceRow)]
         assert path.read_bytes() == (",".join(names) + "\r\n").encode()
+
+
+def bit_pattern_float(bits: int) -> float:
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, (1 << 64) - 1).map(bit_pattern_float),
+    st.sampled_from([-0.0, 5e-324, 2.225e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+)
+LABEL_CELLS = st.one_of(
+    # csv before Python 3.11 refuses to write NUL without an escapechar
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+    st.sampled_from(
+        ["", " ", " a ", "a,b", 'say "hi"', '"', "x\ny", "x\ry", "\r\n", "\u00e9\u4e2d", "%d%s"]
+    ),
+)
+CELLS = {"int": st.integers(-(1 << 63), (1 << 63) - 1), "float": FLOAT_CELLS, "label": LABEL_CELLS}
+
+
+@st.composite
+def tables(draw):
+    """``(kinds, rows)``: a table of two to five columns, each of int, float
+    or label cells."""
+    kinds = draw(st.lists(st.sampled_from(list(CELLS)), min_size=2, max_size=5))
+    rows = draw(st.lists(st.tuples(*(CELLS[kind] for kind in kinds)), max_size=12))
+    return kinds, rows
+
+
+class TestWriteTable:
+    """``_write_table`` writes the bytes ``csv.writer`` writes, given floats
+    through ``_fmt`` and labels as they are."""
+
+    def both(self, directory, kinds, rows) -> tuple[bytes, bytes]:
+        """The bytes ``_write_table`` writes, then the reference's."""
+        header = [f"c{j}" for j in range(len(kinds))]
+        reference = Path(directory) / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(
+                [fileio._fmt(x) if kind == "float" else x for kind, x in zip(kinds, row)]
+                for row in rows
+            )
+        columns = []
+        for j, kind in enumerate(kinds):
+            values = [row[j] for row in rows]
+            if kind == "label":
+                columns.append(("s", fileio._label_cells(values)))
+            elif kind == "int":
+                columns.append(("d", np.array(values, dtype=np.int64)))
+            else:
+                columns.append((fileio._FLOAT, np.array(values, dtype=np.float64)))
+        blocks = Path(directory) / "blocks.csv"
+        fileio._write_table(blocks, header, columns)
+        return blocks.read_bytes(), reference.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables(), st.sampled_from([1, 2, 5, 1 << 16]))
+    @example((["int", "label"], []), 1 << 16)
+    @example((["label", "float"], [("", -0.0), (" a,b ", 5e-324), ('"\r\n"', math.nan)]), 2)
+    def test_matches_csv_writer(self, table, rows_per_block):
+        kinds, rows = table
+        with mock.patch.object(fileio, "_ROWS", rows_per_block):
+            with tempfile.TemporaryDirectory() as tmp:
+                ours, reference = self.both(tmp, kinds, rows)
+        assert ours == reference
+
+    def test_more_rows_than_one_block(self, tmp_path):
+        rng = np.random.default_rng(3)
+        count = fileio._ROWS + 5
+        floats = rng.standard_normal(count) * 10.0 ** rng.integers(-300, 300, count)
+        floats[:8] = [-0.0, 5e-324, 2.225e-308, 1e308, -1e308, math.inf, -math.inf, math.nan]
+        labels = rng.choice(["a,b", 'say "hi"', "x\ny", "", " pad ", "\u00e9"], count)
+        ints = rng.integers(-(1 << 63), (1 << 63) - 1, count)
+        rows = list(zip(ints.tolist(), floats.tolist(), labels.tolist()))
+        ours, reference = self.both(tmp_path, ["int", "float", "label"], rows)
+        assert ours == reference
+
