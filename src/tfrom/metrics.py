@@ -16,6 +16,7 @@ customer sets are complete populations, not samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -35,6 +36,12 @@ def position_weight(rank: int) -> float:
     if rank < 1:
         raise InvalidRank(f"rank must be >= 1, got {rank}")
     return 1.0 / math.log2(rank + 1)
+
+
+@functools.lru_cache(maxsize=64)
+def slot_weights(k: int) -> tuple[float, ...]:
+    """The weights of ranks 1..k, ``position_weight`` of each, once per k."""
+    return tuple(position_weight(rank) for rank in range(1, k + 1))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ An *instance* is a dense non-negative relevance matrix (customers x items)
 plus a catalog assigning every item to exactly one provider. All types are
 immutable after construction and safe to share across threads; the
 re-rankers and metrics build on them without further validation. Arrays
-derived from an instance, such as ``PreferenceMatrix.order``, are computed
-once, on first use, and never change afterwards.
+derived from an instance, such as ``PreferenceMatrix.order`` and the
+provider queues, are computed once, on first use, and never change
+afterwards.
 """
 
 from __future__ import annotations
@@ -24,11 +25,13 @@ from .errors import (
     NegativeScore,
     NonFiniteScore,
     UnknownCustomer,
+    ValidationError,
 )
 
 
-# scores per argsort call in ``PreferenceMatrix.order``: the negated block
-# and its argsort are temporaries of 0.5 MB each, not copies of the matrix
+# scores per argsort call in ``PreferenceMatrix.order`` and
+# ``provider_queues``: each block's temporaries take 0.5 MB, not a copy of
+# the matrix
 _ORDER_BLOCK = 1 << 16
 
 
@@ -69,6 +72,46 @@ class PreferenceMatrix:
             order[lo : lo + rows] = np.argsort(-block, axis=1, kind="stable")
         return _readonly(order)
 
+    @functools.cached_property
+    def rows(self) -> tuple[np.ndarray, ...]:
+        """The rows of ``order`` as views, one object per customer: the
+        ``items`` of every ranking ``original_ranking(s)`` returns."""
+        return tuple(self.order)
+
+    def provider_queues(self, catalog: "Catalog") -> "ProviderQueues":
+        """Every customer's preference order split into one queue per
+        provider of ``catalog``, built on first use.
+
+        The matrix keeps the queues of the catalog it was last asked about,
+        together with that catalog, so asking about another catalog builds
+        them anew and a memo can never answer for the wrong one. Callers
+        keep the object this returns, so threads that ask about different
+        catalogs each use their own. ValidationError if a provider owns no
+        item or ``catalog.sizes`` miscounts ``catalog.provider_of``.
+        """
+        memo = self.__dict__.get("_queues")
+        if memo is not None and memo.catalog is catalog:
+            return memo
+        m, n = self.scores.shape
+        counts = np.bincount(catalog.provider_of, minlength=catalog.l)
+        if not (np.array_equal(counts, catalog.sizes) and (counts > 0).all()):
+            raise ValidationError("catalog sizes must count each provider's items, one or more")
+        order = self.order
+        # the smallest key type sorts fastest (a radix sort for 8 and 16 bits)
+        # and, stable, gives the same permutation as the int64 ids; the
+        # smallest position type holds n, the mark of an empty queue
+        keys = catalog.provider_of.astype(np.min_scalar_type(catalog.l - 1))
+        positions = np.empty((m, n), dtype=np.min_scalar_type(n))
+        per_block = max(1, _ORDER_BLOCK // n)
+        for lo in range(0, m, per_block):
+            block = keys[order[lo : lo + per_block]]
+            positions[lo : lo + per_block] = np.argsort(block, axis=1, kind="stable")
+        end = np.cumsum(catalog.sizes)
+        start = end - catalog.sizes
+        memo = ProviderQueues(catalog, _readonly(positions), _readonly(start), _readonly(end))
+        self.__dict__["_queues"] = memo
+        return memo
+
 
 @dataclass(frozen=True)
 class Catalog:
@@ -77,7 +120,8 @@ class Catalog:
     Provider ids are contiguous ``0..l-1``; ``provider_labels`` preserves
     the external labels they were compacted from, for output files.
     ``provider_of`` is the only item map: the items of provider ``p`` are
-    ``np.flatnonzero(provider_of == p)``, in ascending id order.
+    ``np.flatnonzero(provider_of == p)``, in ascending id order. Every
+    provider owns at least one item.
     """
 
     provider_of: np.ndarray
@@ -94,9 +138,36 @@ class Catalog:
 
 
 @dataclass(frozen=True)
+class ProviderQueues:
+    """Every customer's preference order grouped by provider, for one
+    matrix and one catalog.
+
+    Row u of the read-only m x n ``positions`` array, of the smallest
+    unsigned type that holds n, holds the positions 0..n-1 of
+    ``matrix.order[u]``, grouped by provider (provider 0 first) and
+    ascending within each group: a stable argsort of
+    ``catalog.provider_of[matrix.order[u]]``. Provider p's queue is
+    ``positions[u, start[p]:end[p]]`` in every row, since every row holds
+    all of p's ``catalog.sizes[p]`` items; its head is p's best-ranked item.
+    A re-ranker that takes an item only from a queue head thus keeps every
+    queue in preference order and finds its next item among l heads.
+    """
+
+    catalog: Catalog
+    positions: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+
+@dataclass(frozen=True)
 class RankedList:
     """A customer's full ranking: all n items in descending relevance order,
-    ties broken by ascending item id."""
+    ties broken by ascending item id.
+
+    ``tfrom_offline`` and ``serve_request`` accept only customer u's row of
+    ``matrix.order`` (``_check_original``); the rankings
+    ``original_ranking(s)`` return pass that check at no cost.
+    """
 
     owner: int
     items: np.ndarray
@@ -120,6 +191,25 @@ class RecommendationList:
     @property
     def k(self) -> int:
         return len(self.items)
+
+
+def _check_original(
+    matrix: PreferenceMatrix, original: RankedList, u: int, where: str = ""
+) -> None:
+    """The ranking check of both TFROM re-rankers: ``original`` must be
+    customer u's preference order, ``matrix.order[u]``, since their queue
+    positions index that row (ValidationError otherwise). A ranking that
+    ``original_ranking(s)`` returned passes on identity; any other costs
+    an O(n) compare. ``where`` places the ranking in the message."""
+    if original.owner != u:
+        raise ValidationError(f"original ranking{where} owned by {original.owner}, not {u}")
+    items = original.items
+    if items is matrix.rows[u]:
+        return
+    if len(items) != matrix.n:
+        raise ValidationError(f"original ranking{where} holds {len(items)} items, not {matrix.n}")
+    if not np.array_equal(items, matrix.order[u]):
+        raise ValidationError(f"original ranking{where} is not customer {u}'s preference order")
 
 
 def _check_k(k: int, n: int) -> None:
@@ -178,16 +268,16 @@ def original_ranking(matrix: PreferenceMatrix, u: int) -> RankedList:
     """Full descending-score permutation for one customer.
 
     Ties are broken by ascending item id, so the result is deterministic
-    for identical inputs. ``items`` is a read-only row view of
-    ``matrix.order``.
+    for identical inputs. ``items`` is ``matrix.rows[u]``, a read-only row
+    view of ``matrix.order``.
     """
     if not 0 <= u < matrix.m:
         raise UnknownCustomer(f"customer {u} outside universe of size {matrix.m}")
-    return RankedList(owner=u, items=matrix.order[u])
+    return RankedList(owner=u, items=matrix.rows[u])
 
 
 def original_rankings(matrix: PreferenceMatrix) -> list[RankedList]:
-    """Original ranking for every customer, indexed by customer id; all of
-    them are row views of the one ``matrix.order`` array."""
-    order = matrix.order
-    return [RankedList(owner=u, items=order[u]) for u in range(matrix.m)]
+    """Original ranking for every customer, indexed by customer id; their
+    items are ``matrix.rows``, the row views of the one ``matrix.order``
+    array."""
+    return [RankedList(owner=u, items=row) for u, row in enumerate(matrix.rows)]

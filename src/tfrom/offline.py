@@ -8,16 +8,21 @@ item before anyone receives a rank-(r+1) item.
 Phase 1 walks ranks 1..k. At rank 1 customers are visited in a seeded
 random order; at later ranks in descending order of the quality they have
 accumulated so far (ascending customer id on ties), so whoever has lost
-the least quality is asked to absorb the next loss. Each customer scans
-their not-yet-recommended items in original preference order and takes
-the first one whose provider still has budget for this slot's weight. If
-no provider fits, the slot is left open.
+the least quality is asked to absorb the next loss. Each customer takes
+their best-ranked not-yet-recommended item whose provider still has
+budget for this slot's weight. If no provider fits, the slot is left open.
 
 Phase 2 revisits open slots from high ranks to low, customers in
-ascending id, and fills each with the first remaining item, in preference
-order, whose provider has the least exposure among the providers still
-holding one (so ties go to the higher score, then the lower item id). No
-budget check applies, so every list ends up with k items.
+ascending id, and fills each with the best-ranked remaining item whose
+provider has the least exposure among the providers still holding one
+(so ties go to the higher score, then the lower item id). No budget
+check applies, so every list ends up with k items.
+
+Both phases look only at queue heads: a customer's remaining items of one
+provider, in preference order, form a queue (``ProviderQueues``), so a
+slot chooses among l heads, never among n items. The preference order is
+the only tie-break rule, which is why the caller's rankings must be the
+matrix's own (``_check_original``).
 
 Budget admission uses a small slack to absorb floating-point
 accumulation; the slack is part of the algorithm contract, so reference
@@ -43,21 +48,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import dcg, position_weight
-from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList, _check_k
+from .metrics import dcg, slot_weights
+from .model import (
+    Catalog,
+    PreferenceMatrix,
+    RankedList,
+    RecommendationList,
+    _check_k,
+    _check_original,
+)
 from .targets import FairnessMode, FairTargets, fair_targets, total_exposure
 
 BUDGET_SLACK = 1e-12
-
-
-def first_open(pool_providers: np.ndarray, open_slots: np.ndarray, allowed: np.ndarray) -> int:
-    """The slot scan of both TFROM re-rankers (the offline phases and the
-    online passes): the first open pool position whose provider the mask
-    ``allowed`` admits, else -1. Pools are in preference order, so this is
-    their only tie-break rule; only the masks differ."""
-    hits = allowed[pool_providers] & open_slots
-    pos = int(hits.argmax())
-    return pos if hits[pos] else -1
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,6 @@ class OfflineRun:
     exposure_before: np.ndarray
 
 
-def _check_originals(originals: Sequence[RankedList], m: int, n: int) -> None:
-    if len(originals) != m:
-        raise ValidationError(f"expected {m} original rankings, got {len(originals)}")
-    for u, ranked in enumerate(originals):
-        if ranked.owner != u:
-            raise ValidationError(f"original ranking at index {u} owned by {ranked.owner}")
-        if len(ranked.items) != n:
-            message = f"original ranking at index {u} holds {len(ranked.items)} items, not {n}"
-            raise ValidationError(message)
-
-
 def tfrom_offline(
     matrix: PreferenceMatrix,
     catalog: Catalog,
@@ -104,69 +95,88 @@ def tfrom_offline(
     """
     m, n = matrix.m, matrix.n
     _check_k(k, n)
-    _check_originals(originals, m, n)
+    if len(originals) != m:
+        raise ValidationError(f"expected {m} original rankings, got {len(originals)}")
+    for u, ranked in enumerate(originals):
+        _check_original(matrix, ranked, u, where=f" at index {u}")
 
     budget = fair_targets(mode, total_exposure(m, k), catalog, matrix)
-    budgets = budget.per_provider
+    limit = budget.per_provider + BUDGET_SLACK
+    weights = slot_weights(k)
 
-    pools = np.stack([ranked.items for ranked in originals])
-    pool_providers = catalog.provider_of[pools]
-    open_slots = np.ones((m, n), dtype=bool)
+    # front[u, p]: the position in customer u's order of provider p's
+    # queue head, n once the queue is empty; head[u, p]: where that head
+    # sits in ``positions[u]``
+    queues = matrix.provider_queues(catalog)
+    positions, end = queues.positions, queues.end.tolist()
+    head = np.tile(queues.start, (m, 1))
+    front = positions[:, queues.start]
+    order, scores = matrix.order, matrix.scores
 
-    ideal = np.array([dcg(u, originals[u].items[:k], matrix) for u in range(m)])
+    ideal = [dcg(u, originals[u].items[:k], matrix) for u in range(m)]
     exposure = np.zeros(catalog.l)
-    q = np.zeros(m)
-    slots = np.full((m, k), -1, dtype=np.int64)
-    step = np.empty((m, k), dtype=np.int64)
-    exposure_before = np.empty((m, k))
+    q = [0.0] * m
+    # the log of customer u's rank-r slot is entry u * k + r - 1 of each list
+    slots = [-1] * (m * k)
+    step = [0] * (m * k)
+    exposure_before = [0.0] * (m * k)
     clock = itertools.count()
     skipped: set[tuple[int, int]] = set()
 
-    def place(rank: int, u: int, pos: int, w: float) -> None:
-        item = pools[u, pos]
-        p = pool_providers[u, pos]
-        step[u, rank - 1] = next(clock)
-        exposure_before[u, rank - 1] = exposure[p]
-        slots[u, rank - 1] = item
-        exposure[p] += w
-        q[u] += float(matrix.scores[u, item]) / (math.log2(rank + 1) * ideal[u])
-        open_slots[u, pos] = False
+    def place(rank: int, u: int, p: int, row: np.ndarray) -> None:
+        """Give customer u's rank-r slot to the head of provider p's queue,
+        at position ``row[p]`` of their order, and advance that queue;
+        ``row`` is ``front[u]``."""
+        slot = u * k + rank - 1
+        item = int(order[u, row[p]])
+        slots[slot] = item
+        step[slot] = next(clock)
+        before = exposure[p]
+        exposure_before[slot] = before
+        exposure[p] = before + weights[rank - 1]
+        q[u] += float(scores[u, item]) / (math.log2(rank + 1) * ideal[u])
+        h = head[u, p] + 1
+        head[u, p] = h
+        row[p] = positions[u, h] if h < end[p] else n
 
     for rank in range(1, k + 1):
-        w = position_weight(rank)
+        w = weights[rank - 1]
         if rank == 1:
             visit = np.random.default_rng(seed).permutation(m)
         else:
-            visit = np.argsort(-q, kind="stable")
-        for u in visit:
-            u = int(u)
-            fits = exposure + w <= budgets + BUDGET_SLACK
-            pos = first_open(pool_providers[u], open_slots[u], fits)
-            if pos >= 0:
-                place(rank, u, pos, w)
-            else:
+            visit = np.argsort(-np.array(q), kind="stable")
+        # a placement moves one provider's exposure, so only its entry of
+        # ``fits`` is computed again
+        fits = exposure + w <= limit
+        for u in visit.tolist():
+            row = front[u]
+            fitting = np.where(fits, row, n)
+            p = int(fitting.argmin())
+            if fitting[p] == n:
                 skipped.add((u, rank))
+                continue
+            place(rank, u, p, row)
+            fits[p] = exposure[p] + w <= limit[p]
 
     for rank in range(1, k + 1):
-        w = position_weight(rank)
         for u in range(m):
-            if slots[u, rank - 1] != -1:
+            if slots[u * k + rank - 1] != -1:
                 continue
-            # k <= n leaves an open item, so the least load always hits
-            least = exposure[pool_providers[u, open_slots[u]]].min()
-            pos = first_open(pool_providers[u], open_slots[u], exposure == least)
-            place(rank, u, pos, w)
+            # k <= n leaves an open item, so the least load always has a head
+            row = front[u]
+            held = row < n
+            least = exposure[held].min()
+            place(rank, u, int(np.where(held & (exposure == least), row, n).argmin()), row)
 
     lists = tuple(
-        RecommendationList(owner=u, items=tuple(int(i) for i in slots[u]))
-        for u in range(m)
+        RecommendationList(owner=u, items=tuple(slots[u * k : (u + 1) * k])) for u in range(m)
     )
     return OfflineRun(
         lists=lists,
         ledger=exposure,
-        quality=q,
+        quality=np.array(q),
         skipped=frozenset(skipped),
         targets=budget,
-        step=step,
-        exposure_before=exposure_before,
+        step=np.array(step, dtype=np.int64).reshape(m, k),
+        exposure_before=np.array(exposure_before).reshape(m, k),
     )

@@ -8,12 +8,15 @@ the incoming one, so the budget grows in lock-step with the exposure
 about to be spent. Per-customer quality never influences a decision, so
 it is accounted outside the state, by ``experiments.StreamTracker``.
 
-Pass 1 scans the customer's preference order and takes the first item
+Pass 1 takes, for each rank, the customer's best-ranked remaining item
 whose provider fits the slot weight under its budget (same slack rule as
 the batch variant). Pass 2 fills any remaining slots with the head of the
 remaining preference order, favoring quality over fairness for
 vacancies. Early in a stream every budget is below a single slot weight,
 so pass 1 selects nothing and the customer simply receives their top-k.
+Like the batch variant, both passes choose among the l heads of the
+customer's provider queues (``ProviderQueues``), so a request costs
+O(k·l) once the queues are built, once per matrix and catalog.
 
 A state value is never mutated: serving returns a fresh state, so
 snapshots can be kept, checkpointed, or replayed at will. Requests against
@@ -28,9 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnknownCustomer, ValidationError
-from .metrics import position_weight
-from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList, _check_k
-from .offline import BUDGET_SLACK, first_open
+from .metrics import slot_weights
+from .model import (
+    Catalog,
+    PreferenceMatrix,
+    RankedList,
+    RecommendationList,
+    _check_k,
+    _check_original,
+)
+from .offline import BUDGET_SLACK
 from .targets import FairnessMode, fair_targets, online_total_exposure
 
 
@@ -86,10 +96,7 @@ def serve_request(
     if not 0 <= u < m:
         raise UnknownCustomer(f"customer {u} outside universe of size {m}")
     _check_k(k, n)
-    if original.owner != u:
-        raise ValidationError(f"original ranking owned by {original.owner}, not {u}")
-    if len(original.items) != n:
-        raise ValidationError(f"original ranking holds {len(original.items)} items, not {n}")
+    _check_original(matrix, original, u)
     if len(state.exposure) != catalog.l:
         raise ValidationError(
             f"state tracks {len(state.exposure)} providers, the catalog has {catalog.l}"
@@ -98,28 +105,35 @@ def serve_request(
     budgets = fair_targets(
         mode, online_total_exposure(state.c_num + 1, k), catalog, matrix
     ).per_provider
+    limit = budgets + BUDGET_SLACK
+    weights = slot_weights(k)
 
-    pool = original.items
-    pool_providers = catalog.provider_of[pool]
-    open_slots = np.ones(n, dtype=bool)
+    # front[p]: the position in the customer's order of provider p's queue
+    # head, n once the queue is empty; head[p]: where that head sits in
+    # ``queue``
+    queues = matrix.provider_queues(catalog)
+    queue = queues.positions[u]
+    head = queues.start.copy()
+    front = queue[head]
     exposure = state.exposure.copy()
     out = [-1] * k
 
-    def place(rank: int, pos: int) -> None:
-        out[rank - 1] = int(pool[pos])
-        exposure[pool_providers[pos]] += position_weight(rank)
-        open_slots[pos] = False
+    def take(rank: int, p: int) -> None:
+        out[rank - 1] = int(original.items[front[p]])
+        exposure[p] += weights[rank - 1]
+        h = head[p] + 1
+        head[p] = h
+        front[p] = queue[h] if h < queues.end[p] else n
 
     for rank in range(1, k + 1):
-        fits = exposure + position_weight(rank) <= budgets + BUDGET_SLACK
-        pos = first_open(pool_providers, open_slots, fits)
-        if pos >= 0:
-            place(rank, pos)
+        fitting = np.where(exposure + weights[rank - 1] <= limit, front, n)
+        p = int(fitting.argmin())
+        if fitting[p] < n:
+            take(rank, p)
 
-    anyone = np.ones(catalog.l, dtype=bool)  # k <= n, so every vacancy hits
     for rank in range(1, k + 1):
         if out[rank - 1] == -1:
-            place(rank, first_open(pool_providers, open_slots, anyone))
+            take(rank, int(front.argmin()))  # k <= n, so every vacancy has a head
 
     new_state = OnlineState(exposure=exposure, c_num=state.c_num + 1)
     return RecommendationList(owner=u, items=tuple(out)), new_state

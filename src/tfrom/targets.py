@@ -10,13 +10,14 @@ stream progresses.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidDimension, ZeroTotalRelevance
-from .metrics import position_weight, provider_relevance
+from .metrics import provider_relevance, slot_weights
 from .model import Catalog, PreferenceMatrix
 
 
@@ -32,10 +33,11 @@ class FairTargets:
     per_provider: np.ndarray
 
 
+@functools.lru_cache(maxsize=64)
 def _slot_sum(k: int) -> float:
     total = 0.0
-    for rank in range(1, k + 1):
-        total += position_weight(rank)
+    for weight in slot_weights(k):
+        total += weight
     return total
 
 

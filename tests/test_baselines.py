@@ -60,6 +60,38 @@ def test_wrong_length_caller_rankings_rejected(name, length):
         RERANKERS[name](matrix, catalog, wrong, 2)
 
 
+@pytest.mark.parametrize("name", ["tfrom_offline", "serve_request"])
+@pytest.mark.parametrize(
+    "items",
+    [
+        lambda matrix: np.array([0, 0, 1]),
+        lambda matrix: np.array([0, 1, 2]),
+        lambda matrix: matrix.order[1],
+        lambda matrix: matrix.rows[1],
+    ],
+    ids=["repeated-item", "other-permutation", "other-row-view", "other-row"],
+)
+def test_caller_ranking_not_the_preference_order_rejected(name, items):
+    # customer 0's order is [2, 1, 0]; customer 1's is [0, 2, 1]
+    matrix, catalog, originals = build([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 1, 0])
+    wrong = [RankedList(owner=0, items=items(matrix)), originals[1]]
+    with pytest.raises(errors.ValidationError, match="not customer 0's preference order"):
+        RERANKERS[name](matrix, catalog, wrong, 2)
+
+
+@pytest.mark.parametrize("name", ["tfrom_offline", "serve_request"])
+def test_caller_copies_of_the_preference_order_accepted(name):
+    matrix, catalog, originals = build([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 1, 0])
+    assert tfrom.original_ranking(matrix, 1).items is originals[1].items is matrix.rows[1]
+
+    def lists(rankings):
+        served = RERANKERS[name](matrix, catalog, rankings, 2)
+        return served.lists if name == "tfrom_offline" else served[0]
+
+    for copy in (matrix.order[0], matrix.order[0].copy(), [2, 1, 0]):
+        assert lists([RankedList(owner=0, items=copy), originals[1]]) == lists(originals)
+
+
 class TestTopK:
     def test_prefix(self):
         matrix, _, originals = build([[1.0, 2.0, 3.0]], [0, 0, 0])

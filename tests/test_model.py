@@ -163,6 +163,58 @@ class TestOrder:
                 ranked.items[0] = 0
 
 
+class TestProviderQueues:
+    def instance(self, seed, m=5, n=9, l=3):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, 3, size=(m, n)).astype(np.float64)
+        scores[:, 0] = 1.0
+        assignments = np.concatenate([np.arange(l), rng.integers(0, l, size=n - l)])
+        rng.shuffle(assignments)
+        return scores, assignments
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_rows_group_the_order_by_provider(self, block):
+        for seed in range(10):
+            scores, assignments = self.instance(seed)
+            matrix, catalog = tfrom.build_instance(scores, assignments)
+            with mock.patch.object(model, "_ORDER_BLOCK", block):
+                queues = matrix.provider_queues(catalog)
+            providers = catalog.provider_of.tolist()
+            for u in range(matrix.m):
+                order = matrix.order[u].tolist()
+                expected = sorted(range(matrix.n), key=lambda pos: (providers[order[pos]], pos))
+                assert queues.positions[u].tolist() == expected
+                for p in range(catalog.l):
+                    group = queues.positions[u, queues.start[p] : queues.end[p]]
+                    assert [providers[order[pos]] for pos in group] == [p] * catalog.sizes[p]
+            assert not queues.positions.flags.writeable
+
+    def test_memo_follows_the_catalog(self):
+        scores, assignments = self.instance(3)
+        matrix, first = tfrom.build_instance(scores, assignments)
+        _, second = tfrom.build_instance(scores, assignments[::-1])
+        queues = matrix.provider_queues(first)
+        assert matrix.provider_queues(first) is queues
+        other = matrix.provider_queues(second)
+        assert other.catalog is second
+        assert other.positions.tolist() != queues.positions.tolist()
+        again = matrix.provider_queues(first)
+        assert again.catalog is first
+        assert again.positions.tolist() == queues.positions.tolist()
+
+
+    @pytest.mark.parametrize(
+        "provider_of, sizes",
+        [([0, 2, 2], [1, 0, 2]), ([0, 1, 1], [1, 1, 1]), ([0, 1, 1], [2, 1])],
+        ids=["empty-provider", "miscounted", "sizes-too-short"],
+    )
+    def test_catalog_that_breaks_the_group_bounds_rejected(self, provider_of, sizes):
+        matrix, _ = tfrom.build_instance([[3.0, 2.0, 1.0]], [0, 1, 1])
+        catalog = model.Catalog(np.array(provider_of), np.array(sizes), tuple(range(len(sizes))))
+        with pytest.raises(errors.ValidationError, match="catalog sizes"):
+            matrix.provider_queues(catalog)
+
+
 class TestRecommendationList:
     def test_duplicates_rejected(self):
         with pytest.raises(errors.InvalidShape):

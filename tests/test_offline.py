@@ -28,6 +28,18 @@ class TestSmallCases:
         run = tfrom.tfrom_offline(matrix, catalog, originals, 4, FairnessMode.UNIFORM, seed=1)
         assert sorted(run.lists[0].items) == [0, 1, 2, 3]
 
+    def test_placement_that_meets_the_limit_exactly_fits(self):
+        # provider 0's quality-weighted budget is 1.999999999999, so its
+        # limit (budget plus slack) is exactly 2.0: the second rank-1
+        # placement brings it to exactly that and still fits
+        matrix, catalog, originals = build([[1.0, 4.9994e-13], [1.0, 4.9994e-13]], [0, 1])
+        run = tfrom.tfrom_offline(
+            matrix, catalog, originals, 1, FairnessMode.QUALITY_WEIGHTED, seed=0
+        )
+        assert run.targets.per_provider[0] + 1e-12 == 2.0
+        assert [rec.items for rec in run.lists] == [(0,), (0,)]
+        assert run.skipped == frozenset()
+
     def test_insufficient_items(self):
         matrix, catalog, originals = build([[1.0, 2.0]], [0, 1])
         with pytest.raises(errors.InsufficientItems):

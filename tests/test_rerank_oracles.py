@@ -1,0 +1,140 @@
+"""Hypothesis differential tests of both TFROM re-rankers against the
+straight-line interpreters in oracles.py, on the edge shapes of the queue
+design: one-item providers whose queue empties mid-list, k = n, l = 1,
+l = n, all-zero item columns, tie-heavy integer scores, and one matrix
+re-ranked under two catalogs in a row."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+import tfrom
+from tfrom.experiments import StreamTracker
+from tfrom.online import OnlineState
+from tfrom.targets import FairnessMode
+
+SHAPES = ["any", "l=1", "l=n", "one-item providers"]
+
+
+@st.composite
+def assignments(draw, n):
+    """Provider ids for n items, every provider owning at least one."""
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "l=1":
+        l = 1
+    elif shape == "l=n":
+        l = n
+    else:
+        l = draw(st.integers(1, n))
+    if shape == "one-item providers":
+        extra = [0] * (n - l)  # providers 1..l-1 own one item each
+    else:
+        extra = draw(st.lists(st.integers(0, l - 1), min_size=n - l, max_size=n - l))
+    return draw(st.permutations(list(range(l)) + extra))
+
+
+@st.composite
+def instances(draw):
+    """(scores, providers, k, mode): up to 4 customers and 12 items, with
+    whole zero columns and, half the time, scores in {0, 1, 2}; k = n half
+    the time."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        cell = st.sampled_from([0.0, 1.0, 2.0])
+    else:
+        cell = st.floats(0.0, 1.0)
+    scores = np.array(
+        draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    )
+    zero_columns = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    live = draw(st.integers(0, n - 1))
+    zero_columns[live] = False
+    scores[:, zero_columns] = 0.0
+    scores[~(scores > 0).any(axis=1), live] = 1.0
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    mode = draw(st.sampled_from(list(FairnessMode)))
+    return scores, draw(assignments(n)), k, mode
+
+
+def check_offline(matrix, catalog, scores, k, mode, seed):
+    run = tfrom.tfrom_offline(
+        matrix, catalog, tfrom.original_rankings(matrix), k, mode, seed=seed
+    )
+    providers = catalog.provider_of.tolist()
+    ref = oracles.offline_oracle(scores.tolist(), providers, k, mode.value, seed=seed)
+    assert [list(r.items) for r in run.lists] == ref["lists"]
+    assert run.ledger.tolist() == ref["exposure"]
+    assert run.quality.tolist() == ref["quality"]
+    assert set(run.skipped) == ref["skipped"]
+    assert run.step.tolist() == ref["step"]
+    assert run.exposure_before.tolist() == ref["exposure_before"]
+
+
+class Stream:
+    """One served stream and its oracle mirror, fed one request at a time."""
+
+    def __init__(self, matrix, catalog, scores, k, mode):
+        self.matrix, self.catalog, self.scores, self.k, self.mode = (
+            matrix, catalog, scores, k, mode
+        )
+        self.originals = tfrom.original_rankings(matrix)
+        self.state = OnlineState.fresh(matrix.m, catalog.l)
+        self.tracker = StreamTracker(matrix, catalog, self.originals)
+        self.mirror = oracles.fresh_online_state(matrix.m, catalog.l)
+
+    def serve(self, u):
+        rec, self.state = tfrom.serve_request(
+            self.state, u, self.matrix, self.catalog, self.originals[u], self.k, self.mode
+        )
+        self.tracker.record(rec)
+        expected = oracles.online_oracle_request(
+            self.mirror, u, self.scores.tolist(), self.catalog.provider_of.tolist(), self.k,
+            self.mode.value,
+        )
+        assert list(rec.items) == expected
+
+    def check(self):
+        assert self.state.exposure.tolist() == self.mirror["exposure"]
+        assert self.state.c_num == self.mirror["c_num"]
+        assert self.tracker.rec_time.tolist() == self.mirror["rec_time"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.integers(0, 2**32 - 1))
+def test_offline_matches_oracle(instance, seed):
+    scores, providers, k, mode = instance
+    matrix, catalog = tfrom.build_instance(scores, providers)
+    check_offline(matrix, catalog, scores, k, mode, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_online_stream_matches_oracle(instance, data):
+    scores, providers, k, mode = instance
+    matrix, catalog = tfrom.build_instance(scores, providers)
+    requests = data.draw(st.lists(st.integers(0, matrix.m - 1), min_size=1, max_size=12))
+    stream = Stream(matrix, catalog, scores, k, mode)
+    for u in requests:
+        stream.serve(u)
+    stream.check()
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(), st.data())
+def test_one_matrix_under_two_catalogs(instance, data):
+    # each call asks the matrix for the queues of another catalog than the
+    # call before it, so a stale memo would serve the wrong provider groups
+    scores, providers, k, mode = instance
+    matrix, first = tfrom.build_instance(scores, providers)
+    _, second = tfrom.build_instance(scores, data.draw(assignments(matrix.n)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    for catalog in (first, second, first):
+        check_offline(matrix, catalog, scores, k, mode, seed)
+    streams = [Stream(matrix, catalog, scores, k, mode) for catalog in (first, second)]
+    requests = data.draw(st.lists(st.integers(0, matrix.m - 1), min_size=2, max_size=8))
+    for i, u in enumerate(requests):
+        streams[i % 2].serve(u)
+    for stream in streams:
+        stream.check()
