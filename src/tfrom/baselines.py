@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import position_weight
+from .metrics import slot_weights
 from .model import Catalog, RankedList, RecommendationList, _check_k
 
 
@@ -64,16 +64,21 @@ def minimum_exposure(
         raise ValidationError(
             f"the ledger must be a writable 1-d float64 array of {catalog.l} finite values"
         )
-    pool_providers = catalog.provider_of[pool]
-    # provider p's items, in preference order, are queue[head[p]:end[p]]
-    queue = np.argsort(pool_providers, kind="stable")
-    head = np.searchsorted(pool_providers[queue], np.arange(catalog.l))
-    end = np.append(head[1:], pool.size)
+    keys = catalog.provider_keys[pool]
+    # provider p's items, in preference order, are pool[queue[head[p]:end[p]]]
+    queue = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=catalog.l)
+    end = np.cumsum(counts)
+    head = end - counts
+    # the ledger of every provider with an item left, inf for the others
+    open_load = np.where(counts > 0, ledger, np.inf)
+    head, end = head.tolist(), end.tolist()
     out = []
-    for rank in range(1, k + 1):
+    for w in slot_weights(k):
         # k <= n leaves an open item, so the least-loaded open provider exists
-        p = int(np.where(head < end, ledger, np.inf).argmin())
+        p = int(open_load.argmin())
         out.append(int(pool[queue[head[p]]]))
         head[p] += 1
-        ledger[p] += position_weight(rank)
+        ledger[p] += w
+        open_load[p] = ledger[p] if head[p] < end[p] else np.inf
     return RecommendationList(owner=original.owner, items=tuple(out))

@@ -109,7 +109,8 @@ class StreamTracker:
     """Cumulative accounting of one served stream, fed from its lists only.
 
     Exposure adds up slot by slot in request order; each customer's
-    quality is the running mean of the NDCG of their requests.
+    quality is the running mean of the NDCG of their requests. A
+    customer's ideal gain at k is computed once per tracker.
     """
 
     def __init__(
@@ -119,13 +120,16 @@ class StreamTracker:
         self.per_provider = np.zeros(catalog.l)
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
+        self._ideal: dict[tuple[int, int], float] = {}
 
     def record(self, rec: RecommendationList) -> None:
-        for pos, item in enumerate(rec.items):
-            w = metrics.position_weight(pos + 1)
+        for w, item in zip(metrics.slot_weights(rec.k), rec.items):
             self.per_provider[self.catalog.provider_of[item]] += w
-        u = rec.owner
-        request_ndcg = metrics.ndcg(u, rec, self.matrix, self.originals[u])
+        u, k = rec.owner, rec.k
+        ideal = self._ideal.get((u, k))
+        if ideal is None:
+            ideal = self._ideal[u, k] = metrics._ideal_dcg(u, k, self.matrix, self.originals[u])
+        request_ndcg = metrics.dcg(u, rec.items, self.matrix) / ideal
         t = int(self.rec_time[u])
         self.avg_quality[u] = (self.avg_quality[u] * t + request_ndcg) / (t + 1)
         self.rec_time[u] = t + 1

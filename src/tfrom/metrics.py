@@ -10,6 +10,15 @@ List quality is discounted cumulative gain under the same weight curve,
 normalized by the gain of the customer's own top-k prefix, so 1.0 means
 "exactly what the customer would have been shown anyway".
 
+``position_weight`` and ``dcg`` are the reference definitions, one slot
+at a time. ``exposure`` and ``quality`` score whole collections of lists
+as per-slot columns instead: each slot's owner, item and 0-based rank,
+list by list and in rank order within a list (``_slot_columns``). Each
+sum is one ``np.bincount`` over those columns, which adds in input order
+from 0.0, so every customer's gain and every item's exposure has the bits
+of the slot-by-slot loop. (``np.sum``, ``ufunc.reduce`` and ``@`` sum
+pairwise and would not.)
+
 All dispersion metrics are population variances: the provider and
 customer sets are complete populations, not samples.
 """
@@ -17,6 +26,7 @@ customer sets are complete populations, not samples.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -64,12 +74,10 @@ def exposure(lists: Iterable[RecommendationList], catalog: Catalog) -> ExposureR
     Lists from different customers simply add up; serving the same
     customer twice counts twice.
     """
-    per_item = np.zeros(catalog.n)
-    for rec in lists:
-        for pos, item in enumerate(rec.items):
-            per_item[item] += position_weight(pos + 1)
-    per_provider = np.zeros(catalog.l)
-    np.add.at(per_provider, catalog.provider_of, per_item)
+    _, items, ranks = _slot_columns(lists)
+    weights = np.array(slot_weights(int(ranks.max(initial=-1)) + 1))
+    per_item = np.bincount(items, weights=weights[ranks], minlength=catalog.n)
+    per_provider = np.bincount(catalog.provider_of, weights=per_item, minlength=catalog.l)
     return ExposureReport(per_provider=per_provider)
 
 
@@ -87,6 +95,39 @@ def dcg(u: int, items: Sequence[int], matrix: PreferenceMatrix) -> float:
     return total
 
 
+def _slot_columns(
+    lists: Iterable[RecommendationList],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Any collection of lists as three per-slot columns: owner, item and
+    0-based rank, list by list and in rank order within a list."""
+    lists = tuple(lists)
+    lengths = np.fromiter((rec.k for rec in lists), np.intp, len(lists))
+    owners = np.fromiter((rec.owner for rec in lists), np.intp, len(lists))
+    items = np.fromiter(
+        itertools.chain.from_iterable(rec.items for rec in lists), np.intp, int(lengths.sum())
+    )
+    ranks = np.arange(items.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(owners, lengths), items, ranks
+
+
+def _dcg_sums(
+    matrix: PreferenceMatrix, owners: np.ndarray, items: np.ndarray, ranks: np.ndarray
+) -> np.ndarray:
+    """``dcg`` of every list in per-slot columns, added up per customer:
+    one m-vector, 0.0 for a customer who owns no slot."""
+    log2div = np.array([math.log2(r + 2) for r in range(int(ranks.max(initial=-1)) + 1)])
+    gains = matrix.scores[owners, items] / log2div[ranks]
+    return np.bincount(owners, weights=gains, minlength=matrix.m)
+
+
+def _top_k_dcg(matrix: PreferenceMatrix, k: int) -> np.ndarray:
+    """Every customer's ideal gain at k: the ``dcg`` of ``matrix.order[u, :k]``."""
+    m = matrix.m
+    return _dcg_sums(
+        matrix, np.repeat(np.arange(m), k), matrix.order[:, :k].ravel(), np.tile(np.arange(k), m)
+    )
+
+
 def ndcg(
     u: int,
     rec: RecommendationList,
@@ -94,10 +135,16 @@ def ndcg(
     original: RankedList,
 ) -> float:
     """Quality of ``rec`` relative to the customer's own top-k prefix."""
-    ideal = dcg(u, original.items[: rec.k], matrix)
-    if ideal <= 0.0:
-        raise ZeroIdealQuality(f"customer {u} has zero ideal gain at k={rec.k}")
+    ideal = _ideal_dcg(u, rec.k, matrix, original)
     return dcg(u, rec.items, matrix) / ideal
+
+
+def _ideal_dcg(u: int, k: int, matrix: PreferenceMatrix, original: RankedList) -> float:
+    """The denominator of ``ndcg``: ZeroIdealQuality if it is not positive."""
+    ideal = dcg(u, original.items[:k], matrix)
+    if ideal <= 0.0:
+        raise ZeroIdealQuality(f"customer {u} has zero ideal gain at k={k}")
+    return ideal
 
 
 def quality(
@@ -106,21 +153,27 @@ def quality(
     originals: Sequence[RankedList],
 ) -> QualityReport:
     """Quality report for one list per customer (any order, each exactly once)."""
-    m = matrix.m
-    dcgs = np.full(m, np.nan)
-    idcgs = np.full(m, np.nan)
-    for rec in lists:
-        u = rec.owner
-        if not np.isnan(dcgs[u]):
-            raise ValidationError(f"two lists for customer {u}")
-        dcgs[u] = dcg(u, rec.items, matrix)
-        idcgs[u] = dcg(u, originals[u].items[: rec.k], matrix)
-    if np.isnan(dcgs).any():
-        missing = int(np.flatnonzero(np.isnan(dcgs))[0])
-        raise ValidationError(f"no list for customer {missing}")
+    lists = tuple(lists)
+    owners, items, ranks = _slot_columns(lists)
+    # one owner per list, in list order: the first to repeat is the one
+    # named, as a loop over the lists would name it
+    list_owners = owners[ranks == 0]
+    repeat = np.ones(list_owners.size, dtype=bool)
+    repeat[np.unique(list_owners, return_index=True)[1]] = False
+    if repeat.any():
+        raise ValidationError(f"two lists for customer {int(list_owners[repeat.argmax()])}")
+    listed = np.zeros(matrix.m, dtype=bool)
+    listed[list_owners] = True
+    if not listed.all():
+        raise ValidationError(f"no list for customer {int(listed.argmin())}")
+    # the ideal list of each list: its owner's own prefix of the same length
+    ideal_items = np.concatenate([originals[rec.owner].items[: rec.k] for rec in lists])
+    if ideal_items.size != items.size:
+        raise ValidationError("an original ranking holds fewer items than its customer's list")
+    idcgs = _dcg_sums(matrix, owners, ideal_items, ranks)
     if (idcgs <= 0).any():
         raise ZeroIdealQuality("a customer has zero ideal gain")
-    return QualityReport(per_customer_ndcg=dcgs / idcgs)
+    return QualityReport(per_customer_ndcg=_dcg_sums(matrix, owners, items, ranks) / idcgs)
 
 
 def total_quality(report: QualityReport) -> float:

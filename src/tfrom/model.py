@@ -62,10 +62,10 @@ class PreferenceMatrix:
     @functools.cached_property
     def order(self) -> np.ndarray:
         """Every customer's original preference order, one read-only m x n
-        array: row u lists the items by descending score, ascending id on
-        ties."""
+        array of the smallest unsigned type that holds n - 1: row u lists
+        the items by descending score, ascending id on ties."""
         m, n = self.scores.shape
-        order = np.empty((m, n), dtype=np.intp)
+        order = np.empty((m, n), dtype=np.min_scalar_type(n - 1))
         rows = max(1, _ORDER_BLOCK // n)
         for lo in range(0, m, rows):
             block = self.scores[lo : lo + rows]
@@ -97,10 +97,8 @@ class PreferenceMatrix:
         if not (np.array_equal(counts, catalog.sizes) and (counts > 0).all()):
             raise ValidationError("catalog sizes must count each provider's items, one or more")
         order = self.order
-        # the smallest key type sorts fastest (a radix sort for 8 and 16 bits)
-        # and, stable, gives the same permutation as the int64 ids; the
-        # smallest position type holds n, the mark of an empty queue
-        keys = catalog.provider_of.astype(np.min_scalar_type(catalog.l - 1))
+        # the smallest position type holds n, the mark of an empty queue
+        keys = catalog.provider_keys
         positions = np.empty((m, n), dtype=np.min_scalar_type(n))
         per_block = max(1, _ORDER_BLOCK // n)
         for lo in range(0, m, per_block):
@@ -135,6 +133,14 @@ class Catalog:
     @property
     def l(self) -> int:
         return int(self.sizes.size)
+
+    @functools.cached_property
+    def provider_keys(self) -> np.ndarray:
+        """``provider_of`` in the smallest unsigned type that holds l - 1,
+        read-only: the sort key of the provider queues. A stable argsort of
+        it gives the permutation of the int64 ids, and numpy radix-sorts
+        8- and 16-bit keys."""
+        return _readonly(self.provider_of.astype(np.min_scalar_type(self.l - 1)))
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import dcg, slot_weights
+from .metrics import _top_k_dcg, slot_weights
 from .model import (
     Catalog,
     PreferenceMatrix,
@@ -113,7 +113,7 @@ def tfrom_offline(
     front = positions[:, queues.start]
     order, scores = matrix.order, matrix.scores
 
-    ideal = [dcg(u, originals[u].items[:k], matrix) for u in range(m)]
+    ideal = _top_k_dcg(matrix, k).tolist()  # the originals are matrix.order's rows
     exposure = np.zeros(catalog.l)
     q = [0.0] * m
     # the log of customer u's rank-r slot is entry u * k + r - 1 of each list

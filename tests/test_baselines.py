@@ -199,6 +199,16 @@ class TestMinimumExposure:
         with pytest.raises(errors.InsufficientItems):
             tfrom.minimum_exposure(originals[0], catalog, np.zeros(1), 2)
 
+    def test_provider_without_an_item_in_the_ranking_is_passed_over(self):
+        # a ranking shorter than n leaves provider 1 without an item, so
+        # its lower load must not win a slot
+        matrix, catalog, _ = build([[4.0, 3.0, 2.0, 1.0]], [0, 0, 1, 1])
+        ledger = np.array([1.0, 0.0])
+        prefix = RankedList(owner=0, items=matrix.order[0, :2])
+        rec = tfrom.minimum_exposure(prefix, catalog, ledger, 2)
+        assert rec.items == (0, 1)
+        assert ledger.tolist() == [1.0 + 1.0 + tfrom.position_weight(2), 0.0]
+
 
 def _read_only(ledger):
     ledger.setflags(write=False)

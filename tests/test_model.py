@@ -151,6 +151,13 @@ class TestOrder:
         matrix, _ = tfrom.build_instance([[1.0, 2.0], [2.0, 1.0]], [0, 1])
         assert matrix.order is matrix.order
 
+    @pytest.mark.parametrize("n, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_smallest_unsigned_type_that_holds_every_item(self, n, dtype):
+        scores = np.arange(1.0, n + 1.0)[None, :]
+        matrix, _ = tfrom.build_instance(scores, [0] * n)
+        assert matrix.order.dtype == dtype
+        assert matrix.order[0].tolist() == list(range(n - 1, -1, -1))
+
     def test_rankings_are_read_only_views(self):
         rng = np.random.default_rng(8)
         matrix, _ = tfrom.build_instance(1.0 - rng.random((4, 5)), [0, 1, 0, 1, 2])
@@ -202,6 +209,15 @@ class TestProviderQueues:
         assert again.catalog is first
         assert again.positions.tolist() == queues.positions.tolist()
 
+
+    @pytest.mark.parametrize("l, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_provider_keys_are_the_ids_in_the_smallest_type(self, l, dtype):
+        assignments = np.arange(l).repeat(2)[::-1]
+        matrix, catalog = tfrom.build_instance(np.ones((1, 2 * l)), assignments)
+        keys = catalog.provider_keys
+        assert keys.dtype == dtype and not keys.flags.writeable
+        assert keys.tolist() == catalog.provider_of.tolist()
+        assert catalog.provider_keys is keys
 
     @pytest.mark.parametrize(
         "provider_of, sizes",

@@ -1,8 +1,9 @@
-"""Hypothesis differential tests of both TFROM re-rankers against the
-straight-line interpreters in oracles.py, on the edge shapes of the queue
-design: one-item providers whose queue empties mid-list, k = n, l = 1,
-l = n, all-zero item columns, tie-heavy integer scores, and one matrix
-re-ranked under two catalogs in a row."""
+"""Hypothesis differential tests of both TFROM re-rankers and the
+minimum-exposure baseline against the straight-line interpreters in
+oracles.py, on the edge shapes of the queue design: one-item providers
+whose queue empties mid-list, k = n, l = 1, l = n, all-zero item columns,
+tie-heavy integer scores, and one matrix re-ranked under two catalogs in
+a row."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -138,3 +139,25 @@ def test_one_matrix_under_two_catalogs(instance, data):
         streams[i % 2].serve(u)
     for stream in streams:
         stream.check()
+
+
+@settings(max_examples=50, deadline=None)
+@given(instances(), st.data())
+def test_minimum_exposure_matches_oracle(instance, data):
+    # one ledger across a customer sequence, from zero or from tied
+    # nonzero loads
+    scores, providers, k, _ = instance
+    matrix, catalog = tfrom.build_instance(scores, providers)
+    originals = tfrom.original_rankings(matrix)
+    start = data.draw(
+        st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=catalog.l, max_size=catalog.l)
+    )
+    ledger = np.array(start)
+    mirror = list(start)
+    for u in data.draw(st.lists(st.integers(0, matrix.m - 1), min_size=1, max_size=12)):
+        rec = tfrom.minimum_exposure(originals[u], catalog, ledger, k)
+        expected = oracles.minimum_exposure_oracle(
+            mirror, u, scores.tolist(), catalog.provider_of.tolist(), k
+        )
+        assert list(rec.items) == expected
+    assert ledger.tolist() == mirror

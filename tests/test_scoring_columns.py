@@ -1,0 +1,201 @@
+"""Differential tests of the column scoring in metrics.py (``exposure``,
+``quality``, the ``tfrom_offline`` ideal gain and ``StreamTracker``)
+against slot-by-slot reference loops built from ``position_weight`` and
+``dcg``, compared bit for bit with ``tobytes()``."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tfrom
+from tfrom import errors, metrics
+from tfrom.experiments import StreamTracker
+from tfrom.model import RankedList, RecommendationList
+
+
+def reference_exposure(lists, catalog):
+    per_item = np.zeros(catalog.n)
+    for rec in lists:
+        for pos, item in enumerate(rec.items):
+            per_item[item] += tfrom.position_weight(pos + 1)
+    per_provider = np.zeros(catalog.l)
+    for item, p in enumerate(catalog.provider_of):
+        per_provider[p] += per_item[item]
+    return per_provider
+
+
+def reference_quality(lists, matrix, originals):
+    dcgs = np.full(matrix.m, np.nan)
+    idcgs = np.full(matrix.m, np.nan)
+    for rec in lists:
+        u = rec.owner
+        if not np.isnan(dcgs[u]):
+            raise errors.ValidationError(f"two lists for customer {u}")
+        dcgs[u] = tfrom.dcg(u, rec.items, matrix)
+        idcgs[u] = tfrom.dcg(u, originals[u].items[: rec.k], matrix)
+    if np.isnan(dcgs).any():
+        missing = int(np.flatnonzero(np.isnan(dcgs))[0])
+        raise errors.ValidationError(f"no list for customer {missing}")
+    if (idcgs <= 0).any():
+        raise errors.ZeroIdealQuality("a customer has zero ideal gain")
+    return dcgs / idcgs
+
+
+class ReferenceTracker:
+    """StreamTracker's accounting, slot by slot and without the cache."""
+
+    def __init__(self, matrix, catalog, originals):
+        self.matrix, self.catalog, self.originals = matrix, catalog, originals
+        self.per_provider = np.zeros(catalog.l)
+        self.avg_quality = np.zeros(matrix.m)
+        self.rec_time = np.zeros(matrix.m, dtype=np.int64)
+
+    def record(self, rec):
+        for pos, item in enumerate(rec.items):
+            self.per_provider[self.catalog.provider_of[item]] += tfrom.position_weight(pos + 1)
+        u = rec.owner
+        request_ndcg = tfrom.ndcg(u, rec, self.matrix, self.originals[u])
+        t = int(self.rec_time[u])
+        self.avg_quality[u] = (self.avg_quality[u] * t + request_ndcg) / (t + 1)
+        self.rec_time[u] = t + 1
+
+
+def outcome(call):
+    """(value, None) or (None, (error type, message)) of ``call()``."""
+    try:
+        return call(), None
+    except errors.TfromError as exc:
+        return None, (type(exc), str(exc))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def instances(draw):
+    """(matrix, catalog): up to 5 customers and 10 items, scores drawn from
+    {0, 1, 2} or [0, 1], every row with a positive score."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
+    cell = st.sampled_from([0.0, 1.0, 2.0]) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    scores = np.array(
+        draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
+    )
+    scores[~(scores > 0).any(axis=1), draw(st.integers(0, n - 1))] = 1.0
+    l = draw(st.integers(1, n))
+    providers = draw(st.permutations(list(range(l)) + [0] * (n - l)))
+    return tfrom.build_instance(scores, providers)
+
+
+def a_list(draw, u, n):
+    """Customer u's list of any length 1..n, items in any order."""
+    k = draw(st.integers(1, n))
+    return RecommendationList(owner=u, items=tuple(draw(st.permutations(range(n)))[:k]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_quality_and_exposure_match_the_slot_loops(instance, data):
+    # mixed lengths, lists in any owner order, and, when drawn, a repeated
+    # or a missing customer, or rankings that are not the preference order
+    # (so some ideal gains are zero)
+    matrix, catalog = instance
+    lists = [a_list(data.draw, u, matrix.n) for u in range(matrix.m)]
+    lists = data.draw(st.permutations(lists))
+    if data.draw(st.booleans()):
+        lists = data.draw(
+            st.lists(st.sampled_from(lists), min_size=1, max_size=2 * matrix.m)
+        )
+    if data.draw(st.booleans()):
+        originals = tfrom.original_rankings(matrix)
+    else:
+        originals = [
+            RankedList(owner=u, items=np.array(data.draw(st.permutations(range(matrix.n)))))
+            for u in range(matrix.m)
+        ]
+    got, got_error = outcome(lambda: tfrom.quality(lists, matrix, originals).per_customer_ndcg)
+    want, want_error = outcome(lambda: reference_quality(lists, matrix, originals))
+    assert got_error == want_error
+    if want_error is None:
+        assert same_bits(got, want)
+    assert same_bits(
+        tfrom.exposure(iter(lists), catalog).per_provider, reference_exposure(lists, catalog)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(instances(), st.data())
+def test_top_k_dcg_matches_dcg(instance, data):
+    matrix, _ = instance
+    k = data.draw(st.integers(1, matrix.n))
+    want = np.array([tfrom.dcg(u, matrix.order[u, :k], matrix) for u in range(matrix.m)])
+    assert same_bits(metrics._top_k_dcg(matrix, k), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.data())
+def test_stream_tracker_matches_the_uncached_reference(instance, data):
+    # requests revisit customers, and k varies between requests, so the
+    # cache must answer per (customer, k)
+    matrix, catalog = instance
+    originals = tfrom.original_rankings(matrix)
+    tracker = StreamTracker(matrix, catalog, originals)
+    reference = ReferenceTracker(matrix, catalog, originals)
+    owners = data.draw(st.lists(st.integers(0, matrix.m - 1), min_size=1, max_size=16))
+    for u in owners:
+        rec = a_list(data.draw, u, matrix.n)
+        tracker.record(rec)
+        reference.record(rec)
+    for name in ("per_provider", "avg_quality", "rec_time"):
+        assert same_bits(getattr(tracker, name), getattr(reference, name))
+    step = len(owners)
+    assert tracker.row(step, "x") == StreamTracker.row(reference, step, "x")
+
+
+def test_generator_and_empty_iterable():
+    matrix, catalog = tfrom.build_instance([[3.0, 1.0, 2.0], [1.0, 2.0, 0.0]], [0, 1, 1])
+    lists = [RecommendationList(0, (2, 0)), RecommendationList(1, (1,))]
+    from_generator = tfrom.exposure((rec for rec in lists), catalog).per_provider
+    assert same_bits(from_generator, reference_exposure(lists, catalog))
+    assert same_bits(tfrom.exposure(iter(()), catalog).per_provider, np.zeros(2))
+    with pytest.raises(errors.ValidationError, match="^no list for customer 0$"):
+        tfrom.quality([], matrix, tfrom.original_rankings(matrix))
+
+
+def test_error_messages():
+    matrix, catalog = tfrom.build_instance([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0, 1])
+    originals = tfrom.original_rankings(matrix)
+    one = {u: RecommendationList(u, (0,)) for u in range(3)}
+    # the first list whose customer came before names that customer
+    with pytest.raises(errors.ValidationError, match="^two lists for customer 2$"):
+        tfrom.quality([one[1], one[2], one[0], one[2], one[1]], matrix, originals)
+    with pytest.raises(errors.ValidationError, match="^two lists for customer 1$"):
+        tfrom.quality([one[1], one[1]], matrix, originals)
+    with pytest.raises(errors.ValidationError, match="^no list for customer 1$"):
+        tfrom.quality([one[2], one[0]], matrix, originals)
+    bogus = list(originals)
+    bogus[1] = RankedList(owner=1, items=np.array([0, 1]))
+    with pytest.raises(errors.ZeroIdealQuality, match="^a customer has zero ideal gain$"):
+        tfrom.quality(list(one.values()), matrix, bogus)
+    short = list(originals)
+    short[2] = RankedList(owner=2, items=matrix.order[2, :1])
+    with pytest.raises(errors.ValidationError, match="^an original ranking holds fewer items"):
+        tfrom.quality([one[0], one[1], RecommendationList(2, (1, 0))], matrix, short)
+    tracker = StreamTracker(matrix, catalog, bogus)
+    with pytest.raises(errors.ZeroIdealQuality, match="^customer 1 has zero ideal gain at k=1$"):
+        tracker.record(one[1])
+
+
+def test_ideal_gain_is_cached_per_customer_and_k(monkeypatch):
+    matrix, catalog = tfrom.build_instance([[1.0, 2.0, 3.0]], [0, 0, 1])
+    tracker = StreamTracker(matrix, catalog, tfrom.original_rankings(matrix))
+    calls = []
+    ideal = metrics._ideal_dcg
+    monkeypatch.setattr(
+        metrics, "_ideal_dcg", lambda u, k, *rest: calls.append((u, k)) or ideal(u, k, *rest)
+    )
+    for items in [(0, 1), (2, 1), (1,), (0, 2), (2,)]:
+        tracker.record(RecommendationList(0, items))
+    assert calls == [(0, 2), (0, 1)]
