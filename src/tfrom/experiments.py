@@ -121,10 +121,12 @@ class StreamTracker:
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
         self._ideal: dict[tuple[int, int], float] = {}
+        # Python ints index ``per_provider`` faster than numpy scalars do
+        self._provider_of = catalog.provider_of.tolist()
 
     def record(self, rec: RecommendationList) -> None:
         for w, item in zip(metrics.slot_weights(rec.k), rec.items):
-            self.per_provider[self.catalog.provider_of[item]] += w
+            self.per_provider[self._provider_of[item]] += w
         u, k = rec.owner, rec.k
         ideal = self._ideal.get((u, k))
         if ideal is None:

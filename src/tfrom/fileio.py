@@ -9,7 +9,10 @@ labels in ``Catalog.provider_labels``. ``_table`` holds the rules all three
 input files share (header, blank and short rows, encoding) and reads every
 input table but one kind: a plain preferences file (bare ASCII cells, the
 same number on every line, see ``_plain_preferences``) is read block by
-block, in columns, to the same result. Every output table is written by
+block, in columns, to the same result. Both preference readers return the
+labels and three file-order columns (customer index, item index, score);
+``_grid`` alone turns them into the dense grid, where a repeated (customer,
+item) pair keeps its last score and warns. Every output table is written by
 ``_write_table``, from columns, in blocks of 2^16 rows: one ``%`` template
 (such as ``"%d,%d,%.17g\\r\\n"`` repeated once per row) applied to the flat
 tuple of a block's cells. A label cell (customer, item, provider,
@@ -40,6 +43,7 @@ from .errors import (
     UnknownItemInProviderFile,
 )
 from .experiments import TraceRow
+from .metrics import _slot_columns
 from .model import Catalog, PreferenceMatrix, RecommendationList, build_instance
 
 
@@ -125,32 +129,19 @@ _TRIPLET = ("customer", "item", "score")
 
 
 def _preferences(path):
-    """``(customers, items, scores)`` of the preferences file at ``path``,
-    read row by row: ids as labels in order of first appearance, ``scores``
-    the dense customer-by-item grid. A repeated (customer, item) pair keeps
-    its last score and warns."""
+    """``(customers, items, u, i, scores)`` of the preferences file at
+    ``path``, read row by row: the customer and item labels in order of first
+    appearance, and per row the customer's and the item's index and the
+    score, in file order."""
     customer_ids: dict[str, int] = {}
     item_ids: dict[str, int] = {}
-    triplets: dict[tuple[int, int], float] = {}
+    u, i, scores = [], [], []
     for line, (customer, item, score) in _table(path, _TRIPLET):
-        customer, item = customer.strip(), item.strip()
-        score = _number(float, "score", score, path, line)
-        u = customer_ids.setdefault(customer, len(customer_ids))
-        i = item_ids.setdefault(item, len(item_ids))
-        key = (u, i)
-        if key in triplets:
-            warnings.warn(
-                f"duplicate rating for customer {customer!r}, item {item!r}; "
-                "keeping the last value",
-                DuplicateTripletWarning,
-            )
-        triplets[key] = score
-    if not triplets:
-        raise ParseError("no data rows", path=path, line=1)
-    scores = np.zeros((len(customer_ids), len(item_ids)))
-    for (u, i), score in triplets.items():
-        scores[u, i] = score
-    return tuple(customer_ids), tuple(item_ids), scores
+        scores.append(_number(float, "score", score, path, line))
+        u.append(customer_ids.setdefault(customer.strip(), len(customer_ids)))
+        i.append(item_ids.setdefault(item.strip(), len(item_ids)))
+    u, i = np.array(u, np.intp), np.array(i, np.intp)
+    return tuple(customer_ids), tuple(item_ids), u, i, np.array(scores)
 
 
 def _plain_preferences(path):
@@ -161,10 +152,9 @@ def _plain_preferences(path):
     cells of ``_CELL_BYTES`` separated by ``,`` and ended by the header's LF
     or CRLF (the last may lack it); no line is longer than the csv field size
     limit; the header names no column twice and all three of ``_TRIPLET``;
-    there is a data row; every score is a ``float``; and no (customer, item)
-    pair repeats. ``_table`` would then strip nothing, skip no row and raise
-    no error, so both readers agree. A file that cannot be read twice, such
-    as a pipe, is not plain.
+    there is a data row; and every score is a ``float``. ``_table`` would
+    then strip nothing, skip no row and raise no error, so both readers
+    agree. A file that cannot be read twice, such as a pipe, is not plain.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as handle:
@@ -179,7 +169,9 @@ def _plain_preferences(path):
         if len(set(names)) < len(names) or not set(_TRIPLET) <= set(names):
             return None
         positions = [names.index(name) for name in _TRIPLET]
-        parts = []
+        customer_ids: dict[bytes, int] = {}
+        item_ids: dict[bytes, int] = {}
+        u, i, scores = [], [], []
         for block in iter(partial(handle.read, _BLOCK), b""):
             # end on a line end: read on to the next one, up to past the limit
             block += handle.readline(limit + 1)
@@ -188,24 +180,20 @@ def _plain_preferences(path):
             part = _plain_block(block, eol, row, limit, positions)
             if part is None:
                 return None
-            parts.append(part)
-    if not parts:
+            customer, item, score = part
+            u += [customer_ids.setdefault(label, len(customer_ids)) for label in customer]
+            i += [item_ids.setdefault(label, len(item_ids)) for label in item]
+            scores.append(score)
+    if not scores:
         return None
-    customers, items, scores = (np.concatenate(column) for column in zip(*parts))
-    customers, u = _first_seen(customers)
-    items, i = _first_seen(items)
-    key = np.sort(u * len(items) + i)
-    if (key[1:] == key[:-1]).any():
-        return None
-    grid = np.zeros((len(customers), len(items)))
-    grid[u, i] = scores
-    return customers, items, grid
+    customers, items = (tuple(label.decode() for label in ids) for ids in (customer_ids, item_ids))
+    return customers, items, np.array(u, np.intp), np.array(i, np.intp), np.concatenate(scores)
 
 
 def _plain_block(block: bytes, eol: bytes, row: bytes, limit: int, positions):
-    """The customer, item and score columns of ``block``, whole lines of a
-    plain file whose header is ``row`` without its cells, or None if the
-    block is not plain."""
+    """The customer and item cells and the scores of ``block``, whole lines
+    of a plain file whose header is ``row`` without its cells, or None if
+    the block is not plain."""
     lines = block.count(eol)
     if block.translate(None, _CELL_BYTES) != row * lines:
         return None
@@ -220,17 +208,29 @@ def _plain_block(block: bytes, eol: bytes, row: bytes, limit: int, positions):
         scores = np.fromiter(map(float, score), np.float64, lines)
     except ValueError:
         return None
-    return np.array(customer), np.array(item), scores
+    return customer, item, scores
 
 
-def _first_seen(ids: np.ndarray):
-    """The distinct byte strings of ``ids`` as labels, in order of first
-    appearance, and each entry's index among them."""
-    labels, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return tuple(label.decode() for label in labels[order].tolist()), rank[inverse]
+def _grid(path, customers, items, u, i, scores) -> np.ndarray:
+    """The dense customer-by-item grid of the preferences file at ``path``,
+    from what either reader returns: a repeated (customer, item) pair keeps
+    its last score, with one warning per repeated row, in file order."""
+    if not len(scores):
+        raise ParseError("no data rows", path=path, line=1)
+    key = u * len(items) + i
+    ordered = np.sort(key)
+    if (ordered[1:] == ordered[:-1]).any():
+        # stable: each pair's rows in file order, so a row repeats its left neighbour's pair
+        order = np.argsort(key, kind="stable")
+        repeats = key[order[1:]] == key[order[:-1]]
+        for r in np.sort(order[1:][repeats]).tolist():
+            message = f"duplicate rating for customer {customers[u[r]]!r}, item {items[i[r]]!r}"
+            warnings.warn(f"{message}; keeping the last value", DuplicateTripletWarning)
+        # the last score wins: drop each row that a later row repeats
+        u, i, scores = (np.delete(column, order[:-1][repeats]) for column in (u, i, scores))
+    grid = np.zeros((len(customers), len(items)))
+    grid[u, i] = scores
+    return grid
 
 
 def load_instance(preferences_path, providers_path):
@@ -241,8 +241,9 @@ def load_instance(preferences_path, providers_path):
     without a provider row, or a provider row for an unknown item, is an
     error.
     """
-    plain = _plain_preferences(preferences_path)
-    customers, items, scores = plain or _preferences(preferences_path)
+    columns = _plain_preferences(preferences_path) or _preferences(preferences_path)
+    customers, items = columns[:2]
+    scores = _grid(preferences_path, *columns)
     item_ids = {label: i for i, label in enumerate(items)}
 
     provider_by_item: dict[int, str] = {}
@@ -345,19 +346,16 @@ def write_recommendations(
     """
     served = list(served)
     online = any(req is not None for req, _ in served)
-    lengths = np.array([len(rec.items) for _, rec in served], dtype=np.int64)
-    owners = np.repeat(np.array([rec.owner for _, rec in served], dtype=np.int64), lengths)
-    items = np.array([item for _, rec in served for item in rec.items], dtype=np.int64)
-    ranks = np.arange(1, len(items) + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    owners, items, ranks = _slot_columns(rec for _, rec in served)
     columns = [
         ("s", _label_cells(labels.customers)[owners]),
-        ("d", ranks),
+        ("d", ranks + 1),
         ("s", _label_cells(labels.items)[items]),
         ("s", _label_cells(catalog.provider_labels)[catalog.provider_of[items]]),
         (_FLOAT, matrix.scores[owners, items]),
     ]
     if online:
-        requests = np.repeat(np.array([req for req, _ in served], dtype=np.int64), lengths)
+        requests = np.repeat([req for req, _ in served], [rec.k for _, rec in served])
         columns.insert(0, ("d", requests))
     header = ["request"] * online + ["customer", "rank", "item", "provider", "score"]
     _write_table(path, header, columns)

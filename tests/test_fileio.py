@@ -99,6 +99,13 @@ class TestLoadInstance:
         with pytest.raises(errors.ParseError):
             fileio.load_instance(preferences, providers)
 
+    def test_header_only_file(self, tmp_path):
+        preferences = write(tmp_path / "p.csv", "customer,item,score\n")
+        providers = write(tmp_path / "q.csv", "item,provider\n")
+        with pytest.raises(errors.ParseError, match="no data rows") as info:
+            fileio.load_instance(preferences, providers)
+        assert info.value.line == 1
+
     @pytest.mark.parametrize("score", ["1_5", "\u0661\u0665", "\uff11\uff15"])
     def test_lenient_score_rejected(self, tmp_path, score):
         # Python's float() reads each of these as 15.0
@@ -296,7 +303,8 @@ def preference_files(draw):
         for triplet in triplets
     ]
     mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3))
-    plain = bool(rows) and not mutations
+    # a repeated pair is plain too: the last score wins whichever reader runs
+    plain = bool(rows) and not set(mutations) - {"duplicate pair"}
     for mutation in mutations:
         j = draw(st.integers(0, len(header) - 1))
         if mutation == "repeated column":
@@ -378,6 +386,18 @@ def load_outcome(preferences, providers):
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def only_in_blocks(monkeypatch, preferences):
+    """Let ``_table`` read any file but ``preferences``, so that only the
+    block reader can read it."""
+    table = fileio._table
+
+    def other_files(path, *args, **kwargs):
+        assert path != preferences, "preferences.csv read row by row"
+        return table(path, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "_table", other_files)
+
+
 class TestPlainPreferences:
     """``_plain_preferences`` reads plain files, and only those, exactly as
     the row reader ``_preferences`` does."""
@@ -388,7 +408,7 @@ class TestPlainPreferences:
     @example((b"customer,item,score\n" + b"7" * 41 + b",i0,1\n", b"item,provider\ni0,a\n", False), 64)
     @example((b"customer,item,score\nu0,i0,1,w\n", b"item,provider\ni0,a\n", False), 1 << 20)
     @example((b"customer,item,score,note\nu0,i0,1\n", b"item,provider\ni0,a\n", False), 1 << 20)
-    @example((b"customer,item,score\nu0,i0,1\nu0,i0,2\n", b"item,provider\ni0,a\n", False), 1 << 20)
+    @example((b"customer,item,score\nu0,i0,1\nu0,i0,2\n", b"item,provider\ni0,a\n", True), 1 << 20)
     @example((b'customer,item,score\n"u0",i0,1\n', b"item,provider\ni0,a\n", False), 1 << 20)
     @example((b"customer,item,score\r\nu0,i0,1\r\nu1,i0,2", b"item,provider\ni0,a\n", True), 4)
     def test_agrees_with_the_row_reader(self, files, block):
@@ -428,18 +448,33 @@ class TestPlainPreferences:
         assert cli.main(["gen", *args]) == 0
         preferences = tmp_path / "preferences.csv"
         preferences.write_bytes(preferences.read_bytes().replace(b"\r\n", end))
-        table = fileio._table
-
-        def providers_only(path, *args, **kwargs):
-            assert path != preferences, "preferences.csv read row by row"
-            return table(path, *args, **kwargs)
-
-        monkeypatch.setattr(fileio, "_table", providers_only)
+        only_in_blocks(monkeypatch, preferences)
         matrix, _, labels = fileio.load_instance(preferences, tmp_path / "providers.csv")
         scores, _ = tfrom.generate_synthetic(250, 400, 6, seed=3)
         assert matrix.scores.tobytes() == scores.tobytes()
         assert labels.customers == tuple(map(str, range(250)))
         assert labels.items == tuple(map(str, range(400)))
+
+    def test_repeated_pairs_are_read_in_blocks(self, tmp_path, monkeypatch):
+        args = ["--m", "250", "--n", "400", "--l", "6", "--seed", "3", "--out", str(tmp_path)]
+        assert cli.main(["gen", *args]) == 0
+        preferences, providers = tmp_path / "preferences.csv", tmp_path / "providers.csv"
+        scores, _ = tfrom.generate_synthetic(250, 400, 6, seed=3)
+        # two pairs of the file: the first repeats twice with different scores
+        (u, i), (v, j) = np.argwhere(scores != 0)[[0, -1]].tolist()
+        with open(preferences, "a", newline="") as handle:
+            handle.write(f"{u},{i},0.25\r\n{v},{j},0.5\r\n{u},{i},0.75\r\n")
+        with mock.patch.object(fileio, "_plain_preferences", lambda path: None):
+            rows = load_outcome(preferences, providers)
+        only_in_blocks(monkeypatch, preferences)
+        blocks = load_outcome(preferences, providers)
+        assert blocks == rows
+        (shape, grid, *_), caught = blocks
+        scores[u, i], scores[v, j] = 0.75, 0.5
+        assert shape == scores.shape and grid == scores.tobytes()
+        text = "duplicate rating for customer {!r}, item {!r}; keeping the last value"
+        want = [text.format(str(a), str(b)) for a, b in ((u, i), (v, j), (u, i))]
+        assert caught == [(errors.DuplicateTripletWarning, message) for message in want]
 
 
 @st.composite
