@@ -163,12 +163,15 @@ def offline_oracle(scores, providers, k, mode, seed):
     }
 
 
-def fresh_online_state(m, n_providers):
+def fresh_online_state(m, n_providers, exposure=None, c_num=0):
+    """A stream state with empty per-customer accounts: zero exposure after
+    no requests, or the given ``exposure`` list after ``c_num`` requests (a
+    stream picked up in the middle)."""
     return {
-        "exposure": [0.0] * n_providers,
+        "exposure": [0.0] * n_providers if exposure is None else list(exposure),
         "q": [0.0] * m,
         "rec_time": [0] * m,
-        "c_num": 0,
+        "c_num": c_num,
     }
 
 

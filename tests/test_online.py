@@ -1,4 +1,6 @@
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from pytest import approx
 import oracles
 import tfrom
 from conftest import random_mini_instance
-from tfrom import errors
+from tfrom import errors, model
 from tfrom.experiments import StreamTracker
+from tfrom.metrics import slot_weights
+from tfrom.offline import BUDGET_SLACK
 from tfrom.online import OnlineState
 from tfrom.targets import FairnessMode
 
@@ -74,6 +78,214 @@ class TestSingleRequests:
         state = OnlineState.fresh(2, catalog.l)
         with pytest.raises(errors.ValidationError):
             tfrom.serve_request(state, 0, matrix, catalog, originals[1], 1, FairnessMode.UNIFORM)
+
+
+def serve_from(rows, providers, k, exposure, c_num, mode=FairnessMode.UNIFORM):
+    """Serve customer 0 once from the state (exposure, c_num), check the list
+    and the new exposure bits against the oracle, and return both."""
+    matrix, catalog, originals = build(rows, providers)
+    state = OnlineState(exposure=np.array(exposure, dtype=np.float64), c_num=c_num)
+    rec, new = tfrom.serve_request(state, 0, matrix, catalog, originals[0], k, mode)
+    mirror = oracles.fresh_online_state(matrix.m, catalog.l, list(exposure), c_num)
+    expected = oracles.online_oracle_request(
+        mirror, 0, np.asarray(rows, dtype=float).tolist(), catalog.provider_of.tolist(), k,
+        mode.value,
+    )
+    assert list(rec.items) == expected
+    assert new.exposure.tolist() == mirror["exposure"]
+    return rec.items, new.exposure.tolist()
+
+
+def shares(rows, providers, k, c_num):
+    """Each provider's uniform budget after c_num requests."""
+    matrix, catalog, _ = build(rows, providers)
+    total = tfrom.online_total_exposure(c_num, k)
+    return tfrom.fair_targets(FairnessMode.UNIFORM, total, catalog, matrix).per_provider.tolist()
+
+
+def fitting_exactly(limit, w):
+    """The exposure e with e + w == limit in floating point: a provider
+    at e fits a slot of weight w with nothing to spare."""
+    e = limit - w
+    while e + w > limit:
+        e = math.nextafter(e, -math.inf)
+    while math.nextafter(e, math.inf) + w <= limit:
+        e = math.nextafter(e, math.inf)
+    assert e + w == limit
+    return e
+
+
+class TestBudgetPass:
+    ROW = [[6.0, 5.0, 4.0, 3.0, 2.0, 1.0]]  # the order is item 0, 1, ..., 5
+
+    def test_cold_start_has_no_open_provider(self):
+        # first request: each budget is 1.63/3 = 0.54, below both slot weights
+        providers = [0, 1, 2, 0, 1, 2]
+        budgets = shares(self.ROW, providers, 2, 1)
+        w = slot_weights(2)
+        assert all(w[-1] > budget + 1e-12 for budget in budgets)
+        items, exposure = serve_from(self.ROW, providers, 2, [0.0] * 3, 0)
+        assert items == (0, 1)
+        assert exposure == [w[0], w[1], 0.0]
+
+    def test_one_provider_taken_twice_then_another(self):
+        # provider 0 has room for ranks 1 and 2 (1 + 0.63 <= 1.7) but not
+        # for rank 3; provider 1 only for rank 3 (0.5 <= 0.55), so item 2,
+        # provider 0's third, is passed over
+        providers = [0, 0, 0, 1, 1, 1]
+        share = shares(self.ROW, providers, 3, 3)
+        exposure = [share[0] - 1.7, share[1] - 0.55]
+        items, after = serve_from(self.ROW, providers, 3, exposure, 2)
+        assert items == (0, 1, 3)
+        assert after[1] == exposure[1] + slot_weights(3)[2]
+
+    def test_provider_skips_a_rank_then_fits_again(self):
+        # provider 0 takes rank 1, then lacks room for rank 2 (0.63 > 0.55)
+        # but has it for rank 3 (0.5); provider 1 fits rank 2 only
+        providers = [0, 0, 0, 1, 1, 1]
+        share = shares(self.ROW, providers, 3, 3)
+        exposure = [share[0] - 1.55, share[1] - 0.7]
+        items, _ = serve_from(self.ROW, providers, 3, exposure, 2)
+        assert items == (0, 3, 1)
+
+    def test_queue_emptied_mid_request(self):
+        # provider 0 owns items 0 and 1 and has room for every slot; once
+        # its queue is empty, rank 3 fits no provider and pass 2 gives it
+        # item 2, the best one left
+        providers = [0, 0, 1, 1, 2, 2]
+        share = shares(self.ROW, providers, 3, 3)
+        items, after = serve_from(self.ROW, providers, 3, [0.0, share[1], share[2]], 2)
+        assert items == (0, 1, 2)
+        assert after[1] == share[1] + slot_weights(3)[2]
+
+    def test_one_item_provider_emptied_at_rank_1(self):
+        # provider 0 owns only item 0 and has room for ranks 1 and 2 (2.0);
+        # provider 1 has room for rank 3 alone (0.5 <= 0.6), so rank 2 is
+        # a vacancy that pass 2 fills with item 2 after pass 1 put item 1
+        # at rank 3
+        providers = [0, 1, 1, 2, 2, 2]
+        share = shares(self.ROW, providers, 3, 10)
+        exposure = [share[0] - 2.0, share[1] - 0.6, share[2]]
+        items, _ = serve_from(self.ROW, providers, 3, exposure, 9)
+        assert items == (0, 2, 1)
+
+    def test_exact_fit_of_the_last_slot(self):
+        # provider 0 fits rank 3 with nothing to spare and no earlier rank,
+        # so its best item goes last; one ulp more exposure and it fits
+        # nothing; provider 1 is at its budget
+        providers = [0, 0, 0, 1, 1, 1]
+        share = shares(self.ROW, providers, 3, 3)
+        e = fitting_exactly(share[0] + BUDGET_SLACK, slot_weights(3)[2])
+        items, _ = serve_from(self.ROW, providers, 3, [e, share[1]], 2)
+        assert items == (1, 2, 0)
+        over = math.nextafter(e, math.inf)
+        items, _ = serve_from(self.ROW, providers, 3, [over, share[1]], 2)
+        assert items == (0, 1, 2)
+
+    def test_exact_fit_of_the_last_slot_after_a_take(self):
+        # provider 0 takes rank 1, which leaves it exactly room for rank 3
+        # (item 1); rank 2 fits no provider and pass 2 gives it item 2
+        providers = [0, 0, 0, 1, 1, 1]
+        share = shares(self.ROW, providers, 3, 3)
+        w = slot_weights(3)
+        after_rank_1 = fitting_exactly(share[0] + BUDGET_SLACK, w[2])
+        e = fitting_exactly(after_rank_1, w[0])
+        items, _ = serve_from(self.ROW, providers, 3, [e, share[1]], 2)
+        assert items == (0, 2, 1)
+
+    def test_single_provider_full_list(self):
+        # l = 1 and k = n: ranks 1 and 2 fit the budget, 3 and 4 are vacancies
+        row = [[3.0, 1.0, 2.0, 5.0]]
+        budget = shares(row, [0] * 4, 4, 6)[0]
+        items, after = serve_from(row, [0] * 4, 4, [budget - 1.7], 5)
+        assert items == (3, 0, 2, 1)
+        w = slot_weights(4)
+        assert after == [budget - 1.7 + w[0] + w[1] + w[2] + w[3]]
+
+    @pytest.mark.parametrize("mode", list(FairnessMode))
+    def test_k_equals_n_mid_stream(self, mode):
+        rng = np.random.default_rng(11)
+        rows = rng.random((3, 9)).tolist()
+        providers = [0, 1, 2, 3, 0, 1, 2, 0, 0]
+        for c_num in (1, 4, 30):
+            matrix, catalog, _ = build(rows, providers)
+            budget = tfrom.fair_targets(
+                mode, tfrom.online_total_exposure(c_num, 9), catalog, matrix
+            ).per_provider
+            exposure = (budget * rng.uniform(0.0, 1.2, size=4)).tolist()
+            items, _ = serve_from(rows, providers, 9, exposure, c_num, mode)
+            assert sorted(items) == list(range(9))
+
+    def test_slot_weights_fall_strictly_with_rank(self):
+        # the budget pass drops every provider over its limit at the last
+        # slot, which is right only while the weights fall with rank
+        weights = np.array(slot_weights(100_000))
+        assert (np.diff(weights) < 0).all()
+
+    def test_prebuilt_queues_are_reused(self):
+        matrix, catalog, originals = build([[2.0, 1.0, 3.0], [1.0, 3.0, 2.0]], [0, 1, 0])
+        queues = matrix.provider_queues(catalog)
+        state = OnlineState.fresh(matrix.m, catalog.l)
+        with mock.patch.object(model, "ProviderQueues", side_effect=AssertionError("rebuilt")):
+            for u in (0, 1, 0):
+                _, state = tfrom.serve_request(
+                    state, u, matrix, catalog, originals[u], 2, FairnessMode.UNIFORM
+                )
+        assert matrix.provider_queues(catalog) is queues
+
+
+class TestStateBoundary:
+    """A served state must hold one finite, non-negative float64 exposure
+    per provider and an integer request count, and the customer id must be
+    an integer: 30 customers, 40 items, 4 providers, after 50 requests."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        matrix, catalog = tfrom.build_instance(*tfrom.generate_synthetic(30, 40, 4, seed=5))
+        return matrix, catalog, tfrom.original_rankings(matrix)
+
+    def serve(self, instance, state, u=3):
+        matrix, catalog, originals = instance
+        return tfrom.serve_request(
+            state, u, matrix, catalog, originals[3], 5, FairnessMode.UNIFORM
+        )
+
+    @pytest.mark.parametrize(
+        "exposure, message",
+        [
+            (np.array([0, 0, 0, 1]), "float64 array, got int64"),
+            (np.array([0.82, 0.63, 0.5, 1.0], dtype=np.float32), "float64 array, got float32"),
+            ([0.82, 0.63, 0.5, 1.0], "float64 array, got list"),
+            (np.zeros((2, 2)), r"1-d float64 array, got float64 array of shape \(2, 2\)"),
+            (np.zeros(3), "tracks 3 providers, the catalog has 4"),
+            (np.array([0.82, np.nan, 0.5, 1.0]), "finite and non-negative"),
+            (np.array([0.82, np.inf, 0.5, 1.0]), "finite and non-negative"),
+            (np.array([0.82, -0.1, 0.5, 1.0]), "finite and non-negative"),
+        ],
+        ids=["int64", "float32", "list", "2d", "short", "nan", "inf", "negative"],
+    )
+    def test_bad_exposure_rejected(self, instance, exposure, message):
+        with pytest.raises(errors.ValidationError, match=message):
+            self.serve(instance, OnlineState(exposure=exposure, c_num=50))
+
+    @pytest.mark.parametrize("c_num", [-1, 2.5, 50.0, "50", True, None])
+    def test_bad_request_count_rejected(self, instance, c_num):
+        with pytest.raises(errors.ValidationError, match="request count"):
+            self.serve(instance, OnlineState(exposure=np.full(4, 0.5), c_num=c_num))
+
+    @pytest.mark.parametrize("u", [3.0, np.float64(3), "3", True, None])
+    def test_customer_id_must_be_an_integer(self, instance, u):
+        state = OnlineState(exposure=np.full(4, 0.5), c_num=50)
+        with pytest.raises(errors.UnknownCustomer, match="must be an integer"):
+            self.serve(instance, state, u)
+
+    @pytest.mark.parametrize("u", [np.int64(3), np.uint16(3)])
+    def test_numpy_integer_customer_id_served(self, instance, u):
+        state = OnlineState(exposure=np.full(4, 0.5), c_num=50)
+        rec, after = self.serve(instance, state, u)
+        plain, plain_after = self.serve(instance, state, 3)
+        assert rec.items == plain.items
+        assert after.exposure.tobytes() == plain_after.exposure.tobytes()
 
 
 def replay_stream(seed, length_factor=6, mode=FairnessMode.UNIFORM):

@@ -3,7 +3,9 @@ minimum-exposure baseline against the straight-line interpreters in
 oracles.py, on the edge shapes of the queue design: one-item providers
 whose queue empties mid-list, k = n, l = 1, l = n, all-zero item columns,
 tie-heavy integer scores, and one matrix re-ranked under two catalogs in
-a row."""
+a row. Online streams start either fresh or from a drawn mid-stream state,
+whose exposures sit around the fair shares, so the budget pass has room to
+place items from the first request on."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -73,17 +75,33 @@ def check_offline(matrix, catalog, scores, k, mode, seed):
     assert run.exposure_before.tolist() == ref["exposure_before"]
 
 
-class Stream:
-    """One served stream and its oracle mirror, fed one request at a time."""
+@st.composite
+def mid_stream(draw, matrix, catalog, k, mode):
+    """(exposure, c_num) of a stream after c_num requests: each provider's
+    exposure is its fair share of those requests times a drawn factor, so
+    some providers have room for several slots and others for none."""
+    c_num = draw(st.integers(1, 40))
+    shares = tfrom.fair_targets(
+        mode, tfrom.online_total_exposure(c_num, k), catalog, matrix
+    ).per_provider.tolist()
+    factor = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.5)
+    factors = draw(st.lists(factor, min_size=catalog.l, max_size=catalog.l))
+    return [share * f for share, f in zip(shares, factors)], c_num
 
-    def __init__(self, matrix, catalog, scores, k, mode):
+
+class Stream:
+    """One served stream and its oracle mirror, fed one request at a time,
+    from a fresh state or from ``start``, an (exposure, c_num) pair."""
+
+    def __init__(self, matrix, catalog, scores, k, mode, start=None):
         self.matrix, self.catalog, self.scores, self.k, self.mode = (
             matrix, catalog, scores, k, mode
         )
         self.originals = tfrom.original_rankings(matrix)
-        self.state = OnlineState.fresh(matrix.m, catalog.l)
         self.tracker = StreamTracker(matrix, catalog, self.originals)
-        self.mirror = oracles.fresh_online_state(matrix.m, catalog.l)
+        exposure, c_num = ([0.0] * catalog.l, 0) if start is None else start
+        self.state = OnlineState(exposure=np.array(exposure), c_num=c_num)
+        self.mirror = oracles.fresh_online_state(matrix.m, catalog.l, exposure, c_num)
 
     def serve(self, u):
         rec, self.state = tfrom.serve_request(
@@ -116,7 +134,8 @@ def test_online_stream_matches_oracle(instance, data):
     scores, providers, k, mode = instance
     matrix, catalog = tfrom.build_instance(scores, providers)
     requests = data.draw(st.lists(st.integers(0, matrix.m - 1), min_size=1, max_size=12))
-    stream = Stream(matrix, catalog, scores, k, mode)
+    start = data.draw(st.none() | mid_stream(matrix, catalog, k, mode))
+    stream = Stream(matrix, catalog, scores, k, mode, start)
     for u in requests:
         stream.serve(u)
     stream.check()
