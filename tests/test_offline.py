@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -12,6 +14,30 @@ from tfrom.targets import FairnessMode
 def build(rows, providers):
     matrix, catalog = tfrom.build_instance(rows, providers)
     return matrix, catalog, tfrom.original_rankings(matrix)
+
+
+def assert_matches_oracle(run, rows, providers, k, mode, seed):
+    """``run`` equals the straight-line interpreter's run in all six fields."""
+    ref = oracles.offline_oracle(rows, providers, k, mode.value, seed=seed)
+    assert [list(r.items) for r in run.lists] == ref["lists"]
+    assert run.ledger.tolist() == ref["exposure"]
+    assert run.quality.tolist() == ref["quality"]
+    assert set(run.skipped) == ref["skipped"]
+    assert run.step.tolist() == ref["step"]
+    assert run.exposure_before.tolist() == ref["exposure_before"]
+
+
+def checked_run(rows, providers, k, mode, seed):
+    matrix, catalog, originals = build(rows, providers)
+    run = tfrom.tfrom_offline(matrix, catalog, originals, k, mode, seed=seed)
+    assert_matches_oracle(run, rows, providers, k, mode, seed)
+    return run
+
+
+def by_step(run, rank):
+    """The customers placed at ``rank``, in the order they were placed."""
+    column = run.step[:, rank - 1]
+    return np.argsort(column, kind="stable").tolist()
 
 
 class TestSmallCases:
@@ -49,6 +75,107 @@ class TestSmallCases:
         matrix, catalog, originals = build([[1.0, 2.0]], [0, 1])
         with pytest.raises(errors.InvalidDimension):
             tfrom.tfrom_offline(matrix, catalog, originals, 0, FairnessMode.UNIFORM, seed=0)
+
+
+class TestSeed:
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, True])
+    def test_rejected_before_any_work(self, seed):
+        # k = 0 would fail its own check, so the seed is checked first
+        matrix, catalog, originals = build([[1.0, 2.0]], [0, 1])
+        for k in (1, 0):
+            with pytest.raises(errors.ValidationError, match="seed"):
+                tfrom.tfrom_offline(matrix, catalog, originals, k, FairnessMode.UNIFORM, seed)
+
+    def test_numpy_integer_accepted(self):
+        matrix, catalog, originals = build([[4.0, 3.0, 2.0, 1.0]] * 3, [0, 0, 1, 1])
+        runs = [
+            tfrom.tfrom_offline(matrix, catalog, originals, 2, FairnessMode.UNIFORM, seed)
+            for seed in (np.int64(3), 3)
+        ]
+        assert runs[0].step.tolist() == runs[1].step.tolist()
+        assert [r.items for r in runs[0].lists] == [r.items for r in runs[1].lists]
+
+
+class TestSaturationEvents:
+    """Providers that fill partway through a rank, each case also checked
+    against the oracle in all six fields. With k = 1 the slot weight is
+    1.0, so a provider admits floor(limit) placements."""
+
+    QW = FairnessMode.QUALITY_WEIGHTED
+
+    def test_provider_fills_exactly_at_its_limit(self):
+        # three customers prefer item 0 (provider 0); item 1's score sets
+        # provider 0's limit (budget plus slack) to exactly 2.0, so the
+        # second placement meets it and fits, and the third customer moves
+        # to provider 1
+        rows = [[1.0, 0.5000000000007498]] * 3
+        run = checked_run(rows, [0, 1], 1, self.QW, seed=0)
+        assert run.targets.per_provider[0] + 1e-12 == 2.0
+        first, second, third = by_step(run, 1)
+        assert [run.lists[u].items for u in (first, second, third)] == [(0,), (0,), (1,)]
+        assert [run.exposure_before[u, 0] for u in (first, second)] == [0.0, 1.0]
+        assert run.ledger.tolist()[0] == 2.0
+        assert run.skipped == frozenset()
+
+    def test_first_placement_meets_the_limit_exactly(self):
+        # item 1's score sets provider 1's limit to exactly 1.0, the weight
+        # of one rank-1 slot: provider 1 is open from the start of the
+        # rank, and takes the third customer once provider 0 is full
+        rows = [[3.0, 1.4999999999977498]] * 3
+        run = checked_run(rows, [0, 1], 1, self.QW, seed=0)
+        assert run.targets.per_provider[1] + 1e-12 == 1.0
+        first, second, third = by_step(run, 1)
+        assert [run.lists[u].items for u in (first, second, third)] == [(0,), (0,), (1,)]
+        assert run.ledger.tolist()[1] == 1.0
+        assert run.skipped == frozenset()
+
+    def test_one_ulp_below_the_exact_fit(self):
+        # a limit one ulp below 2.0 admits one placement: the second
+        # customer moves to provider 1, whose limit (about 1.0) then admits
+        # no more, so the third is left for phase 2
+        rows = [[1.0, 0.5000000000007501]] * 3
+        run = checked_run(rows, [0, 1], 1, self.QW, seed=0)
+        assert run.targets.per_provider[0] + 1e-12 == math.nextafter(2.0, -math.inf)
+        first, second, third = by_step(run, 1)
+        assert [run.lists[u].items for u in (first, second)] == [(0,), (1,)]
+        assert run.skipped == frozenset({(third, 1)})
+
+    def test_customer_chooses_again_twice(self):
+        # one item per provider and a budget of 1.0 each. Seed 1 visits
+        # customers 0, 1, 2; customer 2 prefers items 0, 1, 2 in that
+        # order, finds provider 0 full after customer 0, then provider 1
+        # full after customer 1, and takes item 2
+        rows = [[3.0, 2.0, 1.0], [1.0, 3.0, 2.0], [3.0, 2.0, 1.0]]
+        run = checked_run(rows, [0, 1, 2], 1, FairnessMode.UNIFORM, seed=1)
+        assert run.step[:, 0].tolist() == [0, 1, 2]
+        assert [rec.items for rec in run.lists] == [(0,), (1,), (2,)]
+        assert run.skipped == frozenset()
+
+    def test_every_provider_full_partway_through_a_rank(self):
+        # five customers, three one-item providers with room for one
+        # placement each (5/3): the first three visits take items 0, 1, 2,
+        # the last two find every provider full. Phase 2 gives the first of
+        # them item 0 (all loads tie, so the best-ranked head wins) and the
+        # second item 1, of the least-loaded provider left
+        rows = [[3.0, 2.0, 1.0]] * 5
+        run = checked_run(rows, [0, 1, 2], 1, FairnessMode.UNIFORM, seed=4)
+        order = by_step(run, 1)
+        assert [run.lists[u].items for u in order] == [(0,), (1,), (2,), (0,), (1,)]
+        assert run.skipped == frozenset({(order[3], 1), (order[4], 1)})
+        assert run.ledger.tolist() == [2.0, 2.0, 1.0]
+
+    def test_mover_whose_open_queue_is_empty(self):
+        # one item per provider; provider 0 never fits. Rank 1 (customers
+        # 2, 0, 1) empties the provider-1 queues of customers 2 and 0. At
+        # rank 2 (customers 2, 0, 1) providers 1 and 2 each admit one more
+        # placement: customer 2 takes item 2, so customer 0 must move, and
+        # its only open provider with room, 1, has an empty queue for it;
+        # customer 1, visited later, still takes item 1
+        rows = [[1.0, 9.0, 9.0], [2.0, 7.0, 1.0], [1.0, 4.0, 3.0]]
+        run = checked_run(rows, [0, 1, 2], 2, self.QW, seed=77)
+        assert by_step(run, 1) == [2, 0, 1]
+        assert [rec.items for rec in run.lists] == [(1, 0), (2, 1), (1, 2)]
+        assert run.skipped == frozenset({(0, 2)})
 
 
 class TestGoldenMiniTable:
@@ -175,15 +302,9 @@ class TestOracleEquivalence:
             run = tfrom.tfrom_offline(
                 matrix, catalog, originals, k, FairnessMode(mode), seed=case
             )
-            ref = oracles.offline_oracle(
-                scores.tolist(), [int(p) for p in catalog.provider_of], k, mode, seed=case
+            assert_matches_oracle(
+                run, scores.tolist(), catalog.provider_of.tolist(), k, FairnessMode(mode), case
             )
-            assert [list(r.items) for r in run.lists] == ref["lists"]
-            assert run.ledger.tolist() == ref["exposure"]
-            assert run.quality.tolist() == ref["quality"]
-            assert set(run.skipped) == ref["skipped"]
-            assert run.step.tolist() == ref["step"]
-            assert run.exposure_before.tolist() == ref["exposure_before"]
 
 
 class TestTradeOffDirection:

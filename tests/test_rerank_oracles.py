@@ -3,7 +3,8 @@ minimum-exposure baseline against the straight-line interpreters in
 oracles.py, on the edge shapes of the queue design: one-item providers
 whose queue empties mid-list, k = n, l = 1, l = n, all-zero item columns,
 tie-heavy integer scores, and one matrix re-ranked under two catalogs in
-a row. Online streams start either fresh or from a drawn mid-stream state,
+a row. Offline runs with many more customers than providers fill providers
+partway through a rank, so customers choose again within it. Online streams start either fresh or from a drawn mid-stream state,
 whose exposures sit around the fair shares, so the budget pass has room to
 place items from the first request on."""
 
@@ -37,13 +38,9 @@ def assignments(draw, n):
     return draw(st.permutations(list(range(l)) + extra))
 
 
-@st.composite
-def instances(draw):
-    """(scores, providers, k, mode): up to 4 customers and 12 items, with
-    whole zero columns and, half the time, scores in {0, 1, 2}; k = n half
-    the time."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 12))
+def score_grid(draw, m, n):
+    """An m x n score matrix with whole zero columns and, half the time,
+    scores in {0, 1, 2}; every row keeps a positive score."""
     if draw(st.booleans()):
         cell = st.sampled_from([0.0, 1.0, 2.0])
     else:
@@ -56,9 +53,36 @@ def instances(draw):
     zero_columns[live] = False
     scores[:, zero_columns] = 0.0
     scores[~(scores > 0).any(axis=1), live] = 1.0
+    return scores
+
+
+@st.composite
+def instances(draw):
+    """(scores, providers, k, mode): up to 4 customers and 12 items; k = n
+    half the time."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    scores = score_grid(draw, m, n)
     k = draw(st.one_of(st.just(n), st.integers(1, n)))
     mode = draw(st.sampled_from(list(FairnessMode)))
     return scores, draw(assignments(n)), k, mode
+
+
+@st.composite
+def crowded_instances(draw):
+    """(scores, providers, k, mode): 5 to 40 customers sharing 2 to 4
+    providers of up to 8 items; k = n half the time. Every customer's
+    scores carry the same per-item popularity, so many customers want the
+    same providers, which then fill partway through a rank."""
+    m = draw(st.integers(5, 40))
+    n = draw(st.integers(2, 8))
+    l = draw(st.integers(2, min(n, 4)))
+    extra = draw(st.lists(st.integers(0, l - 1), min_size=n - l, max_size=n - l))
+    providers = draw(st.permutations(list(range(l)) + extra))
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    mode = draw(st.sampled_from(list(FairnessMode)))
+    popularity = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=n, max_size=n))
+    return score_grid(draw, m, n) + popularity, providers, k, mode
 
 
 def check_offline(matrix, catalog, scores, k, mode, seed):
@@ -123,6 +147,14 @@ class Stream:
 @settings(max_examples=80, deadline=None)
 @given(instances(), st.integers(0, 2**32 - 1))
 def test_offline_matches_oracle(instance, seed):
+    scores, providers, k, mode = instance
+    matrix, catalog = tfrom.build_instance(scores, providers)
+    check_offline(matrix, catalog, scores, k, mode, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(crowded_instances(), st.integers(0, 2**32 - 1))
+def test_offline_crowded_matches_oracle(instance, seed):
     scores, providers, k, mode = instance
     matrix, catalog = tfrom.build_instance(scores, providers)
     check_offline(matrix, catalog, scores, k, mode, seed)
