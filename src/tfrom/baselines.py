@@ -19,7 +19,7 @@ from .model import Catalog, RankedList, RecommendationList, _check_k
 
 def top_k(original: RankedList, k: int) -> RecommendationList:
     """The first k items of the customer's own ranking (maximal quality)."""
-    _check_k(k, original.items.size)
+    k = _check_k(k, original.items.size)
     return RecommendationList(owner=original.owner, items=tuple(int(i) for i in original.items[:k]))
 
 
@@ -29,7 +29,7 @@ def all_random(original: RankedList, k: int, seed) -> RecommendationList:
     ``seed`` is anything ``numpy.random.default_rng`` accepts, including an
     existing generator (useful for drawing many lists from one stream).
     """
-    _check_k(k, original.items.size)
+    k = _check_k(k, original.items.size)
     rng = np.random.default_rng(seed)
     drawn = rng.choice(original.items, size=k, replace=False)
     return RecommendationList(owner=original.owner, items=tuple(int(i) for i in drawn))
@@ -53,7 +53,7 @@ def minimum_exposure(
     length ``catalog.l`` with finite values (ValidationError otherwise).
     """
     pool = original.items
-    _check_k(k, pool.size)
+    k = _check_k(k, pool.size)
     if not (
         isinstance(ledger, np.ndarray)
         and ledger.dtype == np.float64

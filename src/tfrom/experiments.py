@@ -24,11 +24,13 @@ from .model import (
     PreferenceMatrix,
     RankedList,
     RecommendationList,
+    _check_integer,
+    _check_k,
     original_rankings,
 )
 from .offline import tfrom_offline
 from .online import OnlineState, serve_request
-from .targets import FairnessMode
+from .targets import FairnessMode, _check_mode
 
 ALGORITHMS = ("tfrom", "topk", "random", "minexp")
 
@@ -46,6 +48,7 @@ class ExperimentConfig:
     trace_every: int | None = None
 
     def validate(self, n: int) -> None:
+        _check_mode(self.fairness)
         if not self.algorithms:
             raise ValidationError("the algorithm set must not be empty")
         for name in self.algorithms:
@@ -58,16 +61,13 @@ class ExperimentConfig:
         if not self.ks:
             raise ValidationError("at least one k value is required")
         for k in self.ks:
-            if not 1 <= k <= n:
-                raise ValidationError(f"k={k} outside valid range 1..{n}")
+            _check_k(k, n)
         if len(set(self.ks)) != len(self.ks):
             raise ValidationError("duplicate k values")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.stream_multiplier < 1:
-            raise ValidationError("stream multiplier must be >= 1")
-        if self.trace_every is not None and self.trace_every < 1:
-            raise ValidationError("trace granularity must be >= 1")
+        _check_integer("seed", self.seed, 0)
+        _check_integer("stream multiplier", self.stream_multiplier, 1)
+        if self.trace_every is not None:
+            _check_integer("trace granularity", self.trace_every, 1)
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,11 @@ class StreamTracker:
         self._provider_of = catalog.provider_of.tolist()
 
     def record(self, rec: RecommendationList) -> None:
-        for w, item in zip(metrics.slot_weights(rec.k), rec.items):
+        u, k, m, n = rec.owner, rec.k, self.matrix.m, self.matrix.n
+        if not (0 <= u < m and 0 <= min(rec.items) and max(rec.items) < n):
+            metrics._slot_columns((rec,), n, m)  # raises, naming the bad entry
+        for w, item in zip(metrics.slot_weights(k), rec.items):
             self.per_provider[self._provider_of[item]] += w
-        u, k = rec.owner, rec.k
         ideal = self._ideal.get((u, k))
         if ideal is None:
             ideal = self._ideal[u, k] = metrics._ideal_dcg(u, k, self.matrix, self.originals[u])
@@ -211,6 +213,7 @@ def run_offline_sweep(
 
 def request_stream(seed: int, m: int, length: int) -> np.ndarray:
     """The seeded request sequence shared by every algorithm in a run."""
+    _check_integer("seed", seed, 0)
     return np.random.default_rng([seed, _SEED_TAG["stream"]]).integers(0, m, size=length)
 
 
@@ -224,8 +227,8 @@ def run_online_stream(
     m = matrix.m
     k = config.ks[0]
     originals = original_rankings(matrix)
-    length = config.stream_multiplier * m
-    every = config.trace_every if config.trace_every is not None else m
+    length = int(config.stream_multiplier) * m
+    every = int(config.trace_every) if config.trace_every is not None else m
     stream = request_stream(config.seed, m, length)
 
     result = OnlineStreamResult(trace=[])

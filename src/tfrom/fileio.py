@@ -346,7 +346,7 @@ def write_recommendations(
     """
     served = list(served)
     online = any(req is not None for req, _ in served)
-    owners, items, ranks = _slot_columns(rec for _, rec in served)
+    owners, items, ranks = _slot_columns((rec for _, rec in served), catalog.n, matrix.m)
     columns = [
         ("s", _label_cells(labels.customers)[owners]),
         ("d", ranks + 1),

@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidRank, ValidationError, ZeroIdealQuality
-from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList
+from .errors import InvalidRank, UnknownCustomer, ValidationError, ZeroIdealQuality
+from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList, _check_integer
 
 # Providers whose normalized relevance mass is at or below this threshold are
 # excluded from the quality-weighted ratio variance (division would blow up).
@@ -43,8 +43,7 @@ NORMALIZED_RELEVANCE_EPS = 1e-12
 
 def position_weight(rank: int) -> float:
     """Exposure weight of the 1-based position ``rank``: 1/log2(rank+1)."""
-    if rank < 1:
-        raise InvalidRank(f"rank must be >= 1, got {rank}")
+    rank = _check_integer("rank", rank, 1, InvalidRank)
     return 1.0 / math.log2(rank + 1)
 
 
@@ -74,7 +73,7 @@ def exposure(lists: Iterable[RecommendationList], catalog: Catalog) -> ExposureR
     Lists from different customers simply add up; serving the same
     customer twice counts twice.
     """
-    _, items, ranks = _slot_columns(lists)
+    _, items, ranks = _slot_columns(lists, catalog.n)
     weights = np.array(slot_weights(int(ranks.max(initial=-1)) + 1))
     per_item = np.bincount(items, weights=weights[ranks], minlength=catalog.n)
     per_provider = np.bincount(catalog.provider_of, weights=per_item, minlength=catalog.l)
@@ -96,18 +95,27 @@ def dcg(u: int, items: Sequence[int], matrix: PreferenceMatrix) -> float:
 
 
 def _slot_columns(
-    lists: Iterable[RecommendationList],
+    lists: Iterable[RecommendationList], n: int, m: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Any collection of lists as three per-slot columns: owner, item and
-    0-based rank, list by list and in rank order within a list."""
+    0-based rank, list by list and in rank order within a list. Items must
+    lie in 0..n-1 (ValidationError) and, given m, owners in 0..m-1
+    (UnknownCustomer)."""
     lists = tuple(lists)
     lengths = np.fromiter((rec.k for rec in lists), np.intp, len(lists))
     owners = np.fromiter((rec.owner for rec in lists), np.intp, len(lists))
+    if m is not None and owners.size and not (0 <= owners.min() and owners.max() < m):
+        u = owners[(owners < 0) | (owners >= m)][0]
+        raise UnknownCustomer(f"list for customer {u} outside universe of size {m}")
+    owners = np.repeat(owners, lengths)
     items = np.fromiter(
         itertools.chain.from_iterable(rec.items for rec in lists), np.intp, int(lengths.sum())
     )
+    if items.size and not (0 <= items.min() and items.max() < n):
+        i = ((items < 0) | (items >= n)).argmax()
+        raise ValidationError(f"list for customer {owners[i]} holds unknown item {items[i]}")
     ranks = np.arange(items.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return np.repeat(owners, lengths), items, ranks
+    return owners, items, ranks
 
 
 def _dcg_sums(
@@ -154,7 +162,7 @@ def quality(
 ) -> QualityReport:
     """Quality report for one list per customer (any order, each exactly once)."""
     lists = tuple(lists)
-    owners, items, ranks = _slot_columns(lists)
+    owners, items, ranks = _slot_columns(lists, matrix.n, matrix.m)
     # one owner per list, in list order: the first to repeat is the one
     # named, as a loop over the lists would name it
     list_owners = owners[ranks == 0]

@@ -12,6 +12,7 @@ afterwards.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -218,12 +219,33 @@ def _check_original(
         raise ValidationError(f"original ranking{where} is not customer {u}'s preference order")
 
 
-def _check_k(k: int, n: int) -> None:
-    """The list-length check of every re-ranker: 1 <= k <= n."""
-    if k < 1:
-        raise InvalidDimension(f"list length must be >= 1, got {k}")
+def _check_integer(name: str, value, low: int, error=ValidationError) -> int:
+    """The rule of every count, index and seed: an integer >= ``low``, numpy
+    integers included and ``bool`` not (``error`` otherwise). Returns it as
+    a Python int, so arithmetic on it cannot wrap as a narrow numpy type."""
+    # a plain int skips the ABC check, which costs several times the rest
+    kind = type(value)
+    if kind is not int and (kind is bool or not isinstance(value, numbers.Integral)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def _check_k(k, n: int) -> int:
+    """The list-length check of every re-ranker: an integer 1 <= k <= n,
+    returned as a Python int."""
+    k = _check_integer("list length", k, 1, InvalidDimension)
     if k > n:
         raise InsufficientItems(f"cannot build a length-{k} list from {n} items")
+    return k
+
+
+def _check_customer(u, m: int) -> None:
+    """The customer-id check: an integer 0 <= u < m (UnknownCustomer otherwise)."""
+    _check_integer("customer id", u, 0, UnknownCustomer)
+    if u >= m:
+        raise UnknownCustomer(f"customer {u} outside universe of size {m}")
 
 
 def build_instance(
@@ -277,8 +299,7 @@ def original_ranking(matrix: PreferenceMatrix, u: int) -> RankedList:
     for identical inputs. ``items`` is ``matrix.rows[u]``, a read-only row
     view of ``matrix.order``.
     """
-    if not 0 <= u < matrix.m:
-        raise UnknownCustomer(f"customer {u} outside universe of size {matrix.m}")
+    _check_customer(u, matrix.m)
     return RankedList(owner=u, items=matrix.rows[u])
 
 

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,6 +72,7 @@ from .model import (
     PreferenceMatrix,
     RankedList,
     RecommendationList,
+    _check_integer,
     _check_k,
     _check_original,
 )
@@ -130,14 +130,14 @@ def tfrom_offline(
 ) -> OfflineRun:
     """Re-rank all customers at once under fair-exposure budgets.
 
-    ``seed``, an integer >= 0 (ValidationError otherwise), fixes the rank-1
-    visit order (a seeded shuffle); everything else is deterministic, so
-    identical inputs reproduce the run exactly.
+    ``seed``, an integer >= 0 (numpy integers too, ``bool`` not;
+    ValidationError otherwise), fixes the rank-1 visit order (a seeded
+    shuffle); everything else is deterministic, so identical inputs
+    reproduce the run exactly.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    _check_integer("seed", seed, 0)
     m, n = matrix.m, matrix.n
-    _check_k(k, n)
+    k = _check_k(k, n)
     if len(originals) != m:
         raise ValidationError(f"expected {m} original rankings, got {len(originals)}")
     for u, ranked in enumerate(originals):

@@ -33,18 +33,19 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownCustomer, ValidationError
+from .errors import InvalidDimension, ValidationError
 from .metrics import slot_weights
 from .model import (
     Catalog,
     PreferenceMatrix,
     RankedList,
     RecommendationList,
+    _check_customer,
+    _check_integer,
     _check_k,
     _check_original,
 )
@@ -64,6 +65,7 @@ class OnlineState:
     def fresh(cls, m: int, n_providers: int) -> "OnlineState":
         """Empty state. ``m`` is unused, since no per-customer value is
         kept; the signature stays the instance's shape."""
+        _check_integer("provider count", n_providers, 0, InvalidDimension)
         return cls(exposure=np.zeros(n_providers), c_num=0)
 
     def to_dict(self) -> dict:
@@ -80,14 +82,14 @@ class OnlineState:
             exposure = np.array(payload["exposure"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"state exposure is not a numeric vector: {exc}")
-        _check_state(exposure, payload["c_num"])
-        return cls(exposure=exposure, c_num=int(payload["c_num"]))
+        return cls(exposure=exposure, c_num=_check_state(exposure, payload["c_num"]))
 
 
-def _check_state(exposure, c_num, l: int | None = None) -> None:
+def _check_state(exposure, c_num, l: int | None = None) -> int:
     """The state check of ``from_dict`` and ``serve_request``: ``exposure``
     is a 1-d float64 array of finite, non-negative values, ``l`` of them
-    if given, and ``c_num`` an integer >= 0 (ValidationError otherwise)."""
+    if given, and ``c_num`` an integer >= 0 (ValidationError otherwise),
+    returned as a Python int."""
     if not (isinstance(exposure, np.ndarray) and exposure.dtype == np.float64
             and exposure.ndim == 1):
         got = (f"{exposure.dtype} array of shape {exposure.shape}"
@@ -98,8 +100,7 @@ def _check_state(exposure, c_num, l: int | None = None) -> None:
     # a NaN fails both comparisons
     if exposure.size and not (0.0 <= exposure.min() and exposure.max() < math.inf):
         raise ValidationError("state exposure must be finite and non-negative")
-    if isinstance(c_num, bool) or not isinstance(c_num, numbers.Integral) or c_num < 0:
-        raise ValidationError(f"state request count must be an integer >= 0, got {c_num!r}")
+    return _check_integer("state request count", c_num, 0)
 
 
 def serve_request(
@@ -112,18 +113,12 @@ def serve_request(
     mode: FairnessMode,
 ) -> tuple[RecommendationList, OnlineState]:
     """Serve one request for customer ``u`` and return (list, new state)."""
-    m = matrix.m
-    if isinstance(u, bool) or not isinstance(u, numbers.Integral):
-        raise UnknownCustomer(f"customer id must be an integer, got {u!r}")
-    if not 0 <= u < m:
-        raise UnknownCustomer(f"customer {u} outside universe of size {m}")
-    _check_k(k, matrix.n)
+    _check_customer(u, matrix.m)
+    k = _check_k(k, matrix.n)
     _check_original(matrix, original, u)
-    _check_state(state.exposure, state.c_num, catalog.l)
+    c_num = _check_state(state.exposure, state.c_num, catalog.l) + 1
 
-    budgets = fair_targets(
-        mode, online_total_exposure(state.c_num + 1, k), catalog, matrix
-    ).per_provider
+    budgets = fair_targets(mode, online_total_exposure(c_num, k), catalog, matrix).per_provider
     limit = budgets + BUDGET_SLACK
     weights = slot_weights(k)
     last = weights[-1]
@@ -191,5 +186,5 @@ def serve_request(
         for rank in vacant:
             exposure[owners[rank]] += weights[rank]
 
-    new_state = OnlineState(exposure=exposure, c_num=state.c_num + 1)
+    new_state = OnlineState(exposure=exposure, c_num=c_num)
     return RecommendationList(owner=u, items=tuple(items.tolist())), new_state

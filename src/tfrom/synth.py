@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidShape, ValidationError
+from .errors import InvalidShape
+from .model import _check_integer
 
 SCORE_DISTRIBUTIONS = ("uniform", "exponential", "lognormal")
 
@@ -49,16 +50,17 @@ def generate_synthetic(
     values give heavier tails (a few very large providers), 0.0 selects
     sizes as equal as possible, and a skew so small that a drawn weight
     overflows is rejected. ``score_distribution`` is one of
-    ``uniform`` (on (0, 1]), ``exponential`` or ``lognormal``.
+    ``uniform`` (on (0, 1]), ``exponential`` or ``lognormal``. ``m``, ``n``
+    and ``l`` are integers >= 1 (InvalidShape) and ``seed`` one >= 0
+    (ValidationError); numpy integers pass, ``bool`` does not.
     """
-    if m < 1 or n < 1 or l < 1:
-        raise InvalidShape(f"all dimensions must be >= 1, got m={m} n={n} l={l}")
+    for name, count in (("customer count", m), ("item count", n), ("provider count", l)):
+        _check_integer(name, count, 1, InvalidShape)
     if l > n:
         raise InvalidShape(f"{l} providers cannot share {n} items at one item minimum")
     if not provider_size_skew >= 0:  # also rejects NaN
         raise InvalidShape(f"provider size skew must be >= 0, got {provider_size_skew}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    _check_integer("seed", seed, 0)
     if score_distribution not in SCORE_DISTRIBUTIONS:
         raise InvalidShape(
             f"unknown score distribution {score_distribution!r}; "

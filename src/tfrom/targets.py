@@ -16,9 +16,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimension, ZeroTotalRelevance
+from .errors import InvalidDimension, ValidationError, ZeroTotalRelevance
 from .metrics import provider_relevance, slot_weights
-from .model import Catalog, PreferenceMatrix
+from .model import Catalog, PreferenceMatrix, _check_integer
 
 
 class FairnessMode(Enum):
@@ -43,20 +43,22 @@ def _slot_sum(k: int) -> float:
 
 def total_exposure(m: int, k: int) -> float:
     """Exposure delivered by m lists of length k."""
-    if m < 1:
-        raise InvalidDimension(f"customer count must be >= 1, got {m}")
-    if k < 1:
-        raise InvalidDimension(f"list length must be >= 1, got {k}")
+    _check_integer("customer count", m, 1, InvalidDimension)
+    k = _check_integer("list length", k, 1, InvalidDimension)
     return float(m) * _slot_sum(k)
 
 
 def online_total_exposure(c_num: int, k: int) -> float:
     """Exposure delivered by the first ``c_num`` requests of a stream."""
-    if c_num < 0:
-        raise InvalidDimension(f"request count must be >= 0, got {c_num}")
-    if c_num == 0:
-        return 0.0
+    _check_integer("request count", c_num, 0, InvalidDimension)
+    k = _check_integer("list length", k, 1, InvalidDimension)
     return float(c_num) * _slot_sum(k)
+
+
+def _check_mode(mode) -> None:
+    """The mode check of ``fair_targets`` and ``ExperimentConfig``."""
+    if not isinstance(mode, FairnessMode):
+        raise ValidationError(f"fairness mode must be a FairnessMode, got {mode!r}")
 
 
 def fair_targets(
@@ -68,6 +70,7 @@ def fair_targets(
     """Split an exposure budget across providers under the given mode:
     ``total * weight / weight.sum()``, where a provider's weight is its item
     count (uniform; the counts sum to n) or its relevance mass."""
+    _check_mode(mode)
     if total < 0:
         raise InvalidDimension(f"exposure budget must be >= 0, got {total}")
     if mode is FairnessMode.UNIFORM:

@@ -1,0 +1,249 @@
+"""Argument rules shared by every entry point: the integer rule for counts,
+indices and seeds, the fairness-mode check, and the range of list entries.
+
+The instance has m = 2 customers, n = 3 items and l = 2 providers. The
+seed of ``tfrom_offline`` and the customer id of ``original_ranking`` and
+``serve_request`` are covered by ``TestSeed`` (test_offline.py),
+``TestOriginalRanking`` (test_model.py) and ``TestStateBoundary``
+(test_online.py).
+"""
+
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+import tfrom
+from tfrom import errors, fileio
+from tfrom.baselines import all_random
+from tfrom.experiments import (
+    ExperimentConfig,
+    StreamTracker,
+    request_stream,
+    run_offline_sweep,
+    run_online_stream,
+)
+from tfrom.online import OnlineState
+from tfrom.targets import FairnessMode
+
+UNIFORM = FairnessMode.UNIFORM
+MATRIX, CATALOG = tfrom.build_instance([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 1, 0])
+ORIGINALS = tfrom.original_rankings(MATRIX)
+
+
+def lists_array(lists):
+    return np.array([[rec.owner, *rec.items] for rec in lists], dtype=np.int64)
+
+
+def config(**overrides):
+    base = dict(fairness=UNIFORM, algorithms=("tfrom", "topk", "random"), ks=(2,), seed=3)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def sweep(cfg):
+    result = run_offline_sweep(cfg, MATRIX, CATALOG)
+    rows = [(r.step, *astuple(r)[2:]) for r in result.trace]
+    return [np.array(rows, dtype=np.float64), *map(lists_array, result.lists.values())]
+
+
+def stream(cfg):
+    result = run_online_stream(cfg, MATRIX, CATALOG)
+    rows = [(r.step, *astuple(r)[2:]) for r in result.trace]
+    served = [lists_array(rec for _, rec in pairs) for pairs in result.served.values()]
+    return [np.array(rows, dtype=np.float64), *served]
+
+
+def offline_run(k):
+    run = tfrom.tfrom_offline(MATRIX, CATALOG, ORIGINALS, k, UNIFORM, seed=0)
+    return [lists_array(run.lists), run.ledger, run.quality, run.step, run.exposure_before]
+
+
+def served_once(k):
+    rec, state = tfrom.serve_request(
+        OnlineState.fresh(2, 2), 0, MATRIX, CATALOG, ORIGINALS[0], k, UNIFORM
+    )
+    return [lists_array([rec]), state.exposure]
+
+
+def min_exposure(k):
+    ledger = np.zeros(CATALOG.l)
+    rec = tfrom.minimum_exposure(ORIGINALS[0], CATALOG, ledger, k)
+    return [lists_array([rec]), ledger]
+
+
+def synthetic(m=3, n=4, l=2, seed=1):
+    return list(tfrom.generate_synthetic(m, n, l, seed=seed))
+
+
+DIM, SHAPE, VALUE = errors.InvalidDimension, errors.InvalidShape, errors.ValidationError
+
+# name: (an accepted value, the error a non-integer raises, the call); each
+# call returns its outputs as a list of arrays
+ENTRY_POINTS = {
+    "top_k k": (2, DIM, lambda v: [lists_array([tfrom.top_k(ORIGINALS[0], v)])]),
+    "all_random k": (2, DIM, lambda v: [lists_array([all_random(ORIGINALS[0], v, seed=0)])]),
+    "minimum_exposure k": (2, DIM, min_exposure),
+    "tfrom_offline k": (2, DIM, offline_run),
+    "serve_request k": (2, DIM, served_once),
+    "ExperimentConfig ks": (2, VALUE, lambda v: sweep(config(ks=(v,)))),
+    # without tfrom, whose own seed check would answer first
+    "ExperimentConfig seed": (3, VALUE, lambda v: sweep(config(seed=v, algorithms=("random",)))),
+    "stream_multiplier": (3, VALUE, lambda v: stream(config(stream_multiplier=v))),
+    "trace_every": (2, VALUE, lambda v: stream(config(trace_every=v))),
+    "request_stream seed": (3, VALUE, lambda v: [request_stream(v, 5, 20)]),
+    "generate_synthetic seed": (3, VALUE, lambda v: synthetic(seed=v)),
+    "generate_synthetic m": (3, SHAPE, lambda v: synthetic(m=v)),
+    "generate_synthetic n": (4, SHAPE, lambda v: synthetic(n=v)),
+    "generate_synthetic l": (2, SHAPE, lambda v: synthetic(l=v)),
+    "total_exposure m": (3, DIM, lambda v: [np.float64(tfrom.total_exposure(v, 2))]),
+    "total_exposure k": (2, DIM, lambda v: [np.float64(tfrom.total_exposure(3, v))]),
+    "online_total_exposure": (3, DIM, lambda v: [np.float64(tfrom.online_total_exposure(v, 2))]),
+    "online_total_exposure k": (2, DIM, lambda v: [np.float64(tfrom.online_total_exposure(3, v))]),
+    "OnlineState.fresh": (2, DIM, lambda v: [OnlineState.fresh(2, v).exposure]),
+    "position_weight": (2, errors.InvalidRank, lambda v: [np.float64(tfrom.position_weight(v))]),
+}
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "value", [1.5, np.float64(2), "2", None, True], ids=["float", "np-float", "str", "None", "bool"]
+)
+def test_non_integer_refused(name, value):
+    _, error, call = ENTRY_POINTS[name]
+    if name == "trace_every" and value is None:
+        call(value)  # the default: a trace row every m requests
+        return
+    with pytest.raises(error, match="must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+def test_numpy_integer_gives_identical_output(name, kind):
+    good, _, call = ENTRY_POINTS[name]
+    plain, numpy = call(good), call(kind(good))
+    assert [a.tobytes() for a in numpy] == [a.tobytes() for a in plain]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("ks", (2, 3.0)), ("seed", 1.5), ("stream_multiplier", 1.5), ("trace_every", 1.5)],
+)
+def test_config_refused_before_any_work(field, value):
+    # the re-rankers would refuse most of these too, but only partway through a run
+    with pytest.raises(errors.ValidationError, match="must be an integer"):
+        config(**{field: value}).validate(MATRIX.n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda mode: tfrom.fair_targets(mode, 3.0, CATALOG, MATRIX),
+        lambda mode: tfrom.tfrom_offline(MATRIX, CATALOG, ORIGINALS, 2, mode, seed=0),
+        lambda mode: tfrom.serve_request(
+            OnlineState.fresh(2, 2), 0, MATRIX, CATALOG, ORIGINALS[0], 2, mode
+        ),
+        lambda mode: config(fairness=mode).validate(MATRIX.n),
+    ],
+    ids=["fair_targets", "tfrom_offline", "serve_request", "ExperimentConfig"],
+)
+@pytest.mark.parametrize("mode", ["uniform", "quality-weighted", None])
+def test_mode_must_be_a_fairness_mode(call, mode):
+    # "uniform" used to be read as quality-weighted: [0.27, 2.73], not [1, 2]
+    with pytest.raises(errors.ValidationError, match="fairness mode must be a FairnessMode"):
+        call(mode)
+
+
+REC = tfrom.RecommendationList
+GOOD = [REC(0, (2, 1)), REC(1, (0, 2))]
+
+
+def score(consumer, lists, tmp_path):
+    if consumer == "exposure":
+        tfrom.exposure(lists, CATALOG)
+    elif consumer == "quality":
+        tfrom.quality(lists, MATRIX, ORIGINALS)
+    elif consumer == "write_recommendations":
+        labels = fileio.InstanceLabels(customers=("a", "b"), items=("x", "y", "z"))
+        served = [(None, rec) for rec in lists]
+        fileio.write_recommendations(tmp_path / "out.csv", served, MATRIX, CATALOG, labels)
+    else:
+        tracker = StreamTracker(MATRIX, CATALOG, ORIGINALS)
+        for rec in lists:
+            before = (tracker.per_provider.tolist(), tracker.rec_time.tolist())
+            try:
+                tracker.record(rec)
+            except errors.ValidationError:
+                # a refused list leaves the tracker as it was
+                assert (tracker.per_provider.tolist(), tracker.rec_time.tolist()) == before
+                raise
+
+
+CONSUMERS = ["exposure", "quality", "write_recommendations", "StreamTracker.record"]
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize(
+    "bad, message",
+    [(REC(1, (0, -1)), "customer 1 holds unknown item -1"),
+     (REC(1, (3, 0)), "customer 1 holds unknown item 3")],
+    ids=["item-negative", "item-n"],
+)
+def test_out_of_range_item_refused(consumer, bad, message, tmp_path):
+    with pytest.raises(errors.ValidationError, match=message):
+        score(consumer, [GOOD[0], bad], tmp_path)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS[1:])
+@pytest.mark.parametrize("owner", [2, -1])
+def test_out_of_range_owner_refused(consumer, owner, tmp_path):
+    message = f"customer {owner} outside universe of size 2"
+    with pytest.raises(errors.UnknownCustomer, match=message):
+        score(consumer, [GOOD[0], REC(owner, (0, 2))], tmp_path)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_in_range_lists_accepted(consumer, tmp_path):
+    score(consumer, GOOD, tmp_path)
+
+
+
+WIDE_MATRIX, WIDE_CATALOG = tfrom.build_instance(
+    1.0 - np.random.default_rng(0).random((2, 256)), [i % 2 for i in range(256)]
+)
+WIDE_ORIGINALS = tfrom.original_rankings(WIDE_MATRIX)
+
+
+def wide_offline(k):
+    run = tfrom.tfrom_offline(WIDE_MATRIX, WIDE_CATALOG, WIDE_ORIGINALS, k, UNIFORM, seed=0)
+    return [lists_array(run.lists), run.ledger]
+
+
+def wide_request(k=10, c_num=0):
+    rec, state = tfrom.serve_request(
+        OnlineState(np.zeros(2), c_num), 0, WIDE_MATRIX, WIDE_CATALOG, WIDE_ORIGINALS[0], k, UNIFORM
+    )
+    return [lists_array([rec]), state.exposure, np.array([state.c_num])]
+
+
+# name: (a value that, as np.uint8, wraps in the call's arithmetic; the call)
+NARROW = {
+    "tfrom_offline k": (255, wide_offline),
+    "serve_request k": (255, lambda v: wide_request(k=v)),
+    "serve_request c_num": (255, lambda v: wide_request(c_num=v)),
+    "minimum_exposure k": (255, lambda v: [lists_array([tfrom.minimum_exposure(
+        WIDE_ORIGINALS[0], WIDE_CATALOG, np.zeros(2), v)])]),
+    "total_exposure k": (255, lambda v: [np.float64(tfrom.total_exposure(2, v))]),
+    "position_weight": (255, lambda v: [np.float64(tfrom.position_weight(v))]),
+    "stream_multiplier": (200, lambda v: stream(config(stream_multiplier=v))),
+    "trace_every": (5, lambda v: stream(config(stream_multiplier=200, trace_every=v))),
+}
+
+
+@pytest.mark.parametrize("name", list(NARROW))
+def test_narrow_numpy_integer_does_not_wrap(name):
+    # np.uint8(255) + 1 is 0 and np.uint8(200) * 2 is 144; the checks hand
+    # back Python ints
+    value, call = NARROW[name]
+    assert [a.tobytes() for a in call(np.uint8(value))] == [a.tobytes() for a in call(value)]

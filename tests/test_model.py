@@ -82,6 +82,25 @@ class TestOriginalRanking:
         with pytest.raises(errors.UnknownCustomer):
             tfrom.original_ranking(matrix, 1)
 
+    @pytest.mark.parametrize("u", [1.5, np.float64(0), "0", None, True])
+    def test_customer_id_must_be_an_integer(self, u):
+        # True used to give customer 1's ranking, owned by True
+        matrix, _ = tfrom.build_instance([[1.0, 2.0], [2.0, 1.0]], [0, 1])
+        with pytest.raises(errors.UnknownCustomer, match="must be an integer"):
+            tfrom.original_ranking(matrix, u)
+
+    def test_negative_customer_id_rejected(self):
+        matrix, _ = tfrom.build_instance([[1.0, 2.0], [2.0, 1.0]], [0, 1])
+        with pytest.raises(errors.UnknownCustomer, match="customer id must be >= 0, got -1"):
+            tfrom.original_ranking(matrix, -1)
+
+    @pytest.mark.parametrize("u", [np.int64(1), np.uint16(1)])
+    def test_numpy_integer_customer_id_accepted(self, u):
+        matrix, _ = tfrom.build_instance([[1.0, 2.0], [2.0, 1.0]], [0, 1])
+        ranked = tfrom.original_ranking(matrix, u)
+        assert ranked.owner == 1
+        assert ranked.items.tobytes() == tfrom.original_ranking(matrix, 1).items.tobytes()
+
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=12))
     @settings(max_examples=100)
     def test_ranking_is_a_permutation_with_sorted_scores(self, row):

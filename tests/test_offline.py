@@ -78,7 +78,7 @@ class TestSmallCases:
 
 
 class TestSeed:
-    @pytest.mark.parametrize("seed", [-1, None, 1.5, True])
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, True, np.float64(2), "2"])
     def test_rejected_before_any_work(self, seed):
         # k = 0 would fail its own check, so the seed is checked first
         matrix, catalog, originals = build([[1.0, 2.0]], [0, 1])
@@ -90,10 +90,12 @@ class TestSeed:
         matrix, catalog, originals = build([[4.0, 3.0, 2.0, 1.0]] * 3, [0, 0, 1, 1])
         runs = [
             tfrom.tfrom_offline(matrix, catalog, originals, 2, FairnessMode.UNIFORM, seed)
-            for seed in (np.int64(3), 3)
+            for seed in (np.int64(3), np.uint16(3), 3)
         ]
-        assert runs[0].step.tolist() == runs[1].step.tolist()
-        assert [r.items for r in runs[0].lists] == [r.items for r in runs[1].lists]
+        for run in runs[:2]:
+            assert run.step.tobytes() == runs[2].step.tobytes()
+            assert run.exposure_before.tobytes() == runs[2].exposure_before.tobytes()
+            assert [r.items for r in run.lists] == [r.items for r in runs[2].lists]
 
 
 class TestSaturationEvents:

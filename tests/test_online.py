@@ -268,12 +268,12 @@ class TestStateBoundary:
         with pytest.raises(errors.ValidationError, match=message):
             self.serve(instance, OnlineState(exposure=exposure, c_num=50))
 
-    @pytest.mark.parametrize("c_num", [-1, 2.5, 50.0, "50", True, None])
+    @pytest.mark.parametrize("c_num", [-1, 2.5, 50.0, "50", True, None, np.float64(7)])
     def test_bad_request_count_rejected(self, instance, c_num):
         with pytest.raises(errors.ValidationError, match="request count"):
             self.serve(instance, OnlineState(exposure=np.full(4, 0.5), c_num=c_num))
 
-    @pytest.mark.parametrize("u", [3.0, np.float64(3), "3", True, None])
+    @pytest.mark.parametrize("u", [3.0, np.float64(3), "3", True, None, 1.5])
     def test_customer_id_must_be_an_integer(self, instance, u):
         state = OnlineState(exposure=np.full(4, 0.5), c_num=50)
         with pytest.raises(errors.UnknownCustomer, match="must be an integer"):
