@@ -3,9 +3,14 @@
 All three work per customer and emit valid recommendation lists; they are
 usable in both the batch and the streaming protocols. ``minimum_exposure``
 carries a mutable exposure ledger across calls, under the same
-one-request-at-a-time contract as the streaming re-ranker. It splits the
-customer's ranking into one queue per provider, once per call, so a slot
-costs a minimum over the l queue heads rather than a scan of all n items.
+one-request-at-a-time contract as the streaming re-ranker.
+
+The minimum-exposure rule has one home, ``_least_exposed_slots``, which
+picks each slot's provider from the ledger and the queue lengths alone.
+``minimum_exposure`` builds the caller's queues on every call, so any
+ranking works, a partial one included; the sweep's cell
+(``experiments._offline_cell``) runs the kernel once for all m lists on
+the matrix's own ``provider_queues``.
 """
 
 from __future__ import annotations
@@ -65,20 +70,41 @@ def minimum_exposure(
             f"the ledger must be a writable 1-d float64 array of {catalog.l} finite values"
         )
     keys = catalog.provider_keys[pool]
-    # provider p's items, in preference order, are pool[queue[head[p]:end[p]]]
     queue = np.argsort(keys, kind="stable")
     counts = np.bincount(keys, minlength=catalog.l)
+    # provider p's items, in preference order, are pool[queue[start[p]:end[p]]]
     end = np.cumsum(counts)
-    head = end - counts
-    # the ledger of every provider with an item left, inf for the others
-    open_load = np.where(counts > 0, ledger, np.inf)
-    head, end = head.tolist(), end.tolist()
-    out = []
-    for w in slot_weights(k):
-        # k <= n leaves an open item, so the least-loaded open provider exists
-        p = int(open_load.argmin())
-        out.append(int(pool[queue[head[p]]]))
-        head[p] += 1
-        ledger[p] += w
-        open_load[p] = ledger[p] if head[p] < end[p] else np.inf
-    return RecommendationList(owner=original.owner, items=tuple(out))
+    picks = _least_exposed_slots(ledger, end - counts, end, k, 1)
+    return RecommendationList(owner=original.owner, items=tuple(pool[queue[picks[0]]].tolist()))
+
+
+def _least_exposed_slots(
+    ledger: np.ndarray, start: np.ndarray, end: np.ndarray, k: int, lists: int
+) -> np.ndarray:
+    """The minimum-exposure rule on ``lists`` consecutive length-k lists
+    that each draw from the same queues: provider p's queue holds the
+    indices ``start[p]`` to ``end[p] - 1``.
+
+    Each slot goes to the open provider of least ledger exposure, lowest
+    id on ties (the order of ``argmin``), and takes that provider's next
+    queue entry; a provider whose queue the list has used up stays closed
+    until the list ends. Adds every slot's weight to ``ledger`` in place
+    and returns the lists x k queue indices. Needs ``k <= (end - start).sum()``.
+    """
+    closed = start == end
+    start, end = start.tolist(), end.tolist()
+    weights = slot_weights(k)
+    picks = []
+    for _ in range(lists):
+        # provider p's next entry is head[p]; the ledger of every provider
+        # with an entry left, inf for the others
+        head = start.copy()
+        open_load = np.where(closed, np.inf, ledger)
+        for w in weights:
+            # k <= (end - start).sum() leaves an entry, so an open provider exists
+            p = int(open_load.argmin())
+            picks.append(head[p])
+            head[p] += 1
+            ledger[p] += w
+            open_load[p] = ledger[p] if head[p] < end[p] else np.inf
+    return np.array(picks, dtype=np.intp).reshape(lists, k)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import baselines, metrics
-from .errors import ValidationError
+from .errors import InvalidDimension, ValidationError
 from .model import (
     Catalog,
     PreferenceMatrix,
@@ -181,9 +181,15 @@ def _offline_cell(
     if algo == "random":
         rng = np.random.default_rng([config.seed, _SEED_TAG["random"], k])
         return tuple(baselines.all_random(originals[u], k, rng) for u in range(matrix.m))
-    ledger = np.zeros(catalog.l)
+    # the originals are matrix.order's rows, so the matrix's queues are theirs
+    queues = matrix.provider_queues(catalog)
+    picks = baselines._least_exposed_slots(
+        np.zeros(catalog.l), queues.start, queues.end, k, matrix.m
+    )
+    positions = np.take_along_axis(queues.positions, picks, axis=1)
+    items = np.take_along_axis(matrix.order, positions, axis=1)
     return tuple(
-        baselines.minimum_exposure(originals[u], catalog, ledger, k) for u in range(matrix.m)
+        RecommendationList(owner=u, items=tuple(row)) for u, row in enumerate(items.tolist())
     )
 
 
@@ -212,8 +218,13 @@ def run_offline_sweep(
 
 
 def request_stream(seed: int, m: int, length: int) -> np.ndarray:
-    """The seeded request sequence shared by every algorithm in a run."""
+    """The seeded request sequence shared by every algorithm in a run:
+    ``length`` customer ids drawn uniformly from ``0..m-1``. ``m`` must be
+    an integer >= 1 (InvalidDimension), ``seed`` and ``length`` integers
+    >= 0 (ValidationError)."""
     _check_integer("seed", seed, 0)
+    m = _check_integer("customer count", m, 1, InvalidDimension)
+    length = _check_integer("stream length", length, 0)
     return np.random.default_rng([seed, _SEED_TAG["stream"]]).integers(0, m, size=length)
 
 

@@ -150,10 +150,10 @@ def tfrom_offline(
 
     # front[u, p]: the position in customer u's order of provider p's
     # queue head, n once the queue is empty; head[u, p]: where that head
-    # sits in ``positions[u]``
+    # sits in ``positions[u]``, in the positions' own type, which holds n
     queues = matrix.provider_queues(catalog)
     positions, end = queues.positions, queues.end
-    head = np.tile(queues.start, (m, 1))
+    head = np.tile(queues.start.astype(positions.dtype), (m, 1))
     front = positions[:, queues.start]
     order, scores = matrix.order, matrix.scores
 

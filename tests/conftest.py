@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import tfrom
+from tfrom import baselines
+from tfrom.experiments import ExperimentConfig, _offline_cell
+from tfrom.targets import FairnessMode
 
 # Desk-scale reference instance used across the suite: 200 customers, 500
 # items, 20 providers (sizes 24-26), uniform scores, fixed seed. Generated
@@ -67,3 +70,36 @@ def placement_log(run, catalog):
             )
             log.append((int(run.step[u, rank - 1]), placement))
     return [placement for _, placement in sorted(log, key=lambda entry: entry[0])]
+
+
+def minimum_exposure_loop(matrix, catalog, originals, k):
+    """(lists, ledger) of one ``minimum_exposure`` call per customer, in id
+    order, on one fresh ledger: the sweep cell's definition."""
+    ledger = np.zeros(catalog.l)
+    lists = tuple(
+        tfrom.minimum_exposure(originals[u], catalog, ledger, k) for u in range(matrix.m)
+    )
+    return lists, ledger
+
+
+def minimum_exposure_cell(matrix, catalog, originals, k):
+    """(lists, ledger) of the sweep's minimum-exposure cell; the ledger is
+    the one its pick kernel filled."""
+    ledgers = []
+    kernel = baselines._least_exposed_slots
+
+    def spy(ledger, *args):
+        ledgers.append(ledger)
+        return kernel(ledger, *args)
+
+    config = ExperimentConfig(FairnessMode.UNIFORM, ("minexp",), (k,), seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(baselines, "_least_exposed_slots", spy)
+        lists = _offline_cell("minexp", k, config, matrix, catalog, originals)
+    (ledger,) = ledgers
+    return lists, ledger
+
+
+def lists_bytes(lists):
+    """Owners and items of a collection of lists, as bytes."""
+    return np.array([[rec.owner, *rec.items] for rec in lists], dtype=np.int64).tobytes()

@@ -92,6 +92,8 @@ ENTRY_POINTS = {
     "stream_multiplier": (3, VALUE, lambda v: stream(config(stream_multiplier=v))),
     "trace_every": (2, VALUE, lambda v: stream(config(trace_every=v))),
     "request_stream seed": (3, VALUE, lambda v: [request_stream(v, 5, 20)]),
+    "request_stream m": (5, DIM, lambda v: [request_stream(3, v, 20)]),
+    "request_stream length": (20, VALUE, lambda v: [request_stream(3, 5, v)]),
     "generate_synthetic seed": (3, VALUE, lambda v: synthetic(seed=v)),
     "generate_synthetic m": (3, SHAPE, lambda v: synthetic(m=v)),
     "generate_synthetic n": (4, SHAPE, lambda v: synthetic(n=v)),
@@ -124,6 +126,22 @@ def test_numpy_integer_gives_identical_output(name, kind):
     good, _, call = ENTRY_POINTS[name]
     plain, numpy = call(good), call(kind(good))
     assert [a.tobytes() for a in numpy] == [a.tobytes() for a in plain]
+
+
+@pytest.mark.parametrize(
+    "m, length, error, message",
+    [(0, 20, DIM, "customer count must be >= 1, got 0"),
+     (-1, 20, DIM, "customer count must be >= 1, got -1"),
+     (5, -1, VALUE, "stream length must be >= 0, got -1")],
+)
+def test_request_stream_range_refused(m, length, error, message):
+    # numpy's own ValueError used to answer each of these
+    with pytest.raises(error, match=message):
+        request_stream(3, m, length)
+
+
+def test_empty_request_stream():
+    assert request_stream(3, 5, 0).size == 0
 
 
 @pytest.mark.parametrize(
@@ -201,6 +219,12 @@ def test_out_of_range_owner_refused(consumer, owner, tmp_path):
     message = f"customer {owner} outside universe of size 2"
     with pytest.raises(errors.UnknownCustomer, match=message):
         score(consumer, [GOOD[0], REC(owner, (0, 2))], tmp_path)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS[1:])
+def test_first_out_of_range_owner_named(consumer, tmp_path):
+    with pytest.raises(errors.UnknownCustomer, match="customer -1 outside"):
+        score(consumer, [GOOD[0], REC(-1, (0, 2)), REC(2, (0, 2))], tmp_path)
 
 
 @pytest.mark.parametrize("consumer", CONSUMERS)

@@ -6,7 +6,12 @@ from pytest import approx
 
 import oracles
 import tfrom
-from conftest import random_mini_instance
+from conftest import (
+    lists_bytes,
+    minimum_exposure_cell,
+    minimum_exposure_loop,
+    random_mini_instance,
+)
 from tfrom import errors
 from tfrom.baselines import all_random
 from tfrom.model import RankedList
@@ -210,6 +215,53 @@ class TestMinimumExposure:
         assert ledger.tolist() == [1.0 + 1.0 + tfrom.position_weight(2), 0.0]
 
 
+class TestMinimumExposureCell:
+    """The sweep's cell on the matrix's queues, against the per-call rule,
+    on exact cases at the boundaries of the pick kernel."""
+
+    @staticmethod
+    def both(rows, providers, k):
+        """The cell's (lists, ledger), checked equal to the per-call loop's."""
+        matrix, catalog, originals = build(rows, providers)
+        lists, ledger = minimum_exposure_cell(matrix, catalog, originals, k)
+        loop_lists, loop_ledger = minimum_exposure_loop(matrix, catalog, originals, k)
+        assert lists_bytes(lists) == lists_bytes(loop_lists)
+        assert ledger.tobytes() == loop_ledger.tobytes()
+        return [rec.items for rec in lists], ledger.tolist()
+
+    def test_equal_loads_go_to_the_lowest_id(self):
+        # every customer prefers provider 1's item; the loads tie at 0
+        # (customer 0) and at 1 (customer 2), and provider 0 wins both
+        lists, ledger = self.both([[1.0, 2.0]] * 3, [0, 1], 1)
+        assert lists == [(0,), (1,), (0,)]
+        assert ledger == [2.0, 1.0]
+
+    def test_last_item_at_the_last_slot(self):
+        # customer 0: provider 1's only item goes at slot 2, provider 0's
+        # second and last at slot 3; both are open again for customer 1,
+        # whose lower load (provider 1) comes first
+        w2 = tfrom.position_weight(2)
+        lists, ledger = self.both([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]], [0, 0, 1], 3)
+        assert lists == [(0, 2, 1), (2, 1, 0)]
+        assert ledger == [1.0 + 0.5 + w2 + 0.5, w2 + 1.0]
+
+    def test_provider_out_mid_list_is_open_for_the_next_customer(self):
+        # provider 1 owns one item: customer 0 takes it at slot 2, after
+        # which only provider 0 is open; customer 1 takes it at slot 1
+        w2, w3 = tfrom.position_weight(2), tfrom.position_weight(3)
+        rows = [[3.0, 2.0, 1.0, 4.0]] * 2
+        lists, ledger = self.both(rows, [0, 0, 0, 1], 3)
+        assert lists == [(0, 3, 1), (3, 0, 1)]
+        assert ledger == [1.0 + w3 + w2 + w3, w2 + 1.0]
+
+    def test_one_item_providers_full_lists(self):
+        # k = n = l: every provider runs out in every list
+        rng = np.random.default_rng(3)
+        rows = np.ceil(3 * rng.random((6, 5)))
+        lists, _ = self.both(rows, [4, 2, 0, 3, 1], 5)
+        assert all(sorted(items) == [0, 1, 2, 3, 4] for items in lists)
+
+
 def _read_only(ledger):
     ledger.setflags(write=False)
     return ledger
@@ -308,6 +360,18 @@ class TestMinimumExposureOracle:
             assignments = rng.permutation(n)
             k = int(rng.integers(1, n + 1))
             self.replay(rng, scores, assignments, k, np.zeros(n))
+
+    def test_long_rankings(self):
+        # 40 items: numpy's default argsort would not keep the items of one
+        # provider in preference order
+        for case in range(10):
+            rng = np.random.default_rng(7600 + case)
+            scores, assignments = random_mini_instance(
+                rng, max_m=3, max_n=40, max_l=4, ties=case % 2 == 1
+            )
+            l = int(assignments.max()) + 1
+            k = int(rng.integers(1, scores.shape[1] + 1))
+            self.replay(rng, scores, assignments, k, np.zeros(l))
 
     def test_tied_nonzero_start(self):
         # every provider starts at the same nonzero load, so the first

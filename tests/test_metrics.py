@@ -237,6 +237,13 @@ class TestQualityWeightedFairness:
         value = quality_weighted_provider_fairness(report, matrix, catalog)
         assert math.isfinite(value) and value >= 0.0
 
+    def test_relevance_at_the_cutoff_excluded(self):
+        # provider 1 normalizes to exactly NORMALIZED_RELEVANCE_EPS; only
+        # provider 2 is left, so the variance is 0
+        matrix, catalog = make_instance([[0.0, 1e-12, 1.0]], [0, 1, 2])
+        report = ExposureReport(per_provider=np.array([0.0, 1.0, 2.0]))
+        assert quality_weighted_provider_fairness(report, matrix, catalog) == 0.0
+
 
 class TestQualityReport:
     def test_requires_exactly_one_list_per_customer(self):

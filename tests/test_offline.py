@@ -66,6 +66,16 @@ class TestSmallCases:
         assert [rec.items for rec in run.lists] == [(0,), (0,)]
         assert run.skipped == frozenset()
 
+    def test_phase_two_fills_two_slots_from_one_provider(self):
+        # customer 0's ranks 4 and 5 stay open in phase 1 and both go to
+        # provider 1, of items 1 and 5, which customer 0 ranks 5, 1 and
+        # customer 1 ranks 1, 5: the second refill must follow customer
+        # 0's own queue
+        rows = [[3.0, 0.0, 1.0, 3.0, 0.0, 1.0], [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]]
+        run = checked_run(rows, [0, 1, 0, 2, 0, 1], 5, FairnessMode.QUALITY_WEIGHTED, seed=0)
+        assert run.skipped == frozenset({(0, 4), (0, 5), (1, 5)})
+        assert run.lists[0].items == (0, 3, 2, 5, 1)
+
     def test_insufficient_items(self):
         matrix, catalog, originals = build([[1.0, 2.0]], [0, 1])
         with pytest.raises(errors.InsufficientItems):

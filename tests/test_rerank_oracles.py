@@ -6,7 +6,8 @@ tie-heavy integer scores, and one matrix re-ranked under two catalogs in
 a row. Offline runs with many more customers than providers fill providers
 partway through a rank, so customers choose again within it. Online streams start either fresh or from a drawn mid-stream state,
 whose exposures sit around the fair shares, so the budget pass has room to
-place items from the first request on."""
+place items from the first request on. The sweep's minimum-exposure cell is
+compared with the per-call baseline it replaces, on rating-scale scores."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import tfrom
+from conftest import lists_bytes, minimum_exposure_cell, minimum_exposure_loop
 from tfrom.experiments import StreamTracker
 from tfrom.online import OnlineState
 from tfrom.targets import FairnessMode
@@ -212,3 +214,32 @@ def test_minimum_exposure_matches_oracle(instance, data):
         )
         assert list(rec.items) == expected
     assert ledger.tolist() == mirror
+
+
+@st.composite
+def rated_instances(draw):
+    """(scores, providers, k): 1 to 30 customers rating up to 12 items on a
+    0..5 scale, mostly 0, so ties are the rule; k = n half the time."""
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 12))
+    rating = st.sampled_from([0.0] * 5 + [1.0, 2.0, 3.0, 4.0, 5.0])
+    scores = np.array(
+        draw(st.lists(st.lists(rating, min_size=n, max_size=n), min_size=m, max_size=m))
+    )
+    scores[~(scores > 0).any(axis=1), draw(st.integers(0, n - 1))] = 1.0
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    return scores, draw(assignments(n)), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(rated_instances())
+def test_minimum_exposure_cell_matches_per_call_loop(instance):
+    # the sweep cell picks from the matrix's queues in one kernel call; the
+    # loop calls minimum_exposure once per customer on one ledger
+    scores, providers, k = instance
+    matrix, catalog = tfrom.build_instance(scores, providers)
+    originals = tfrom.original_rankings(matrix)
+    lists, ledger = minimum_exposure_cell(matrix, catalog, originals, k)
+    loop_lists, loop_ledger = minimum_exposure_loop(matrix, catalog, originals, k)
+    assert lists_bytes(lists) == lists_bytes(loop_lists)
+    assert ledger.tobytes() == loop_ledger.tobytes()

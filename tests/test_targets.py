@@ -76,6 +76,11 @@ class TestFairTargets:
         with pytest.raises(errors.InvalidDimension):
             tfrom.fair_targets(FairnessMode.UNIFORM, -1.0, catalog, matrix)
 
+    def test_zero_budget_accepted(self):
+        matrix, catalog = tfrom.build_instance([[1.0, 2.0]], [0, 1])
+        targets = tfrom.fair_targets(FairnessMode.UNIFORM, 0.0, catalog, matrix)
+        assert targets.per_provider.tolist() == [0.0, 0.0]
+
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(2, 10))
     @settings(max_examples=60)
     def test_targets_sum_to_budget(self, seed, l_max, n):
