@@ -126,7 +126,8 @@ class StreamTracker:
 
     def record(self, rec: RecommendationList) -> None:
         u, k, m, n = rec.owner, rec.k, self.matrix.m, self.matrix.n
-        if not (0 <= u < m and 0 <= min(rec.items) and max(rec.items) < n):
+        if not (type(u) is int and metrics._plain_ints(rec.items)
+                and 0 <= u < m and 0 <= min(rec.items) and max(rec.items) < n):
             metrics._slot_columns((rec,), n, m)  # raises, naming the bad entry
         for w, item in zip(metrics.slot_weights(k), rec.items):
             self.per_provider[self._provider_of[item]] += w

@@ -25,6 +25,7 @@ customer sets are complete populations, not samples.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import math
@@ -34,7 +35,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidRank, UnknownCustomer, ValidationError, ZeroIdealQuality
-from .model import Catalog, PreferenceMatrix, RankedList, RecommendationList, _check_integer
+from .model import (
+    Catalog,
+    PreferenceMatrix,
+    RankedList,
+    RecommendationList,
+    _check_integer,
+    _is_integer,
+)
 
 # Providers whose normalized relevance mass is at or below this threshold are
 # excluded from the quality-weighted ratio variance (division would blow up).
@@ -94,23 +102,57 @@ def dcg(u: int, items: Sequence[int], matrix: PreferenceMatrix) -> float:
     return total
 
 
+def _plain_ints(values) -> bool:
+    """Whether every one of ``values`` is a plain Python int: the fast path
+    of the integer rule on list entries."""
+    return set(map(type, values)) <= {int}
+
+
+def _int_column(values: list) -> np.ndarray | None:
+    """``values`` as an intp column, or None if one of them may break the
+    integer rule. ``array("q")`` refuses floats, strings and None, but reads
+    a bool as 0 or 1, so only the entries at 0 or 1 have their type looked
+    at; a look at every entry would cost as much as the conversion."""
+    try:
+        column = np.frombuffer(array.array("q", values), dtype=np.int64)
+    except (TypeError, OverflowError):
+        return None
+    if not _plain_ints(map(values.__getitem__, np.flatnonzero(column <= 1).tolist())):
+        return None
+    return column.astype(np.intp, copy=False)
+
+
 def _slot_columns(
     lists: Iterable[RecommendationList], n: int, m: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Any collection of lists as three per-slot columns: owner, item and
-    0-based rank, list by list and in rank order within a list. Items must
-    lie in 0..n-1 (ValidationError) and, given m, owners in 0..m-1
-    (UnknownCustomer)."""
+    0-based rank, list by list and in rank order within a list. Owners and
+    items must be integers under the integer rule (the first that is not,
+    in list order: UnknownCustomer for an owner, ValidationError naming
+    the owner for an item); items must lie in 0..n-1 (ValidationError)
+    and, given m, owners in 0..m-1 (UnknownCustomer)."""
     lists = tuple(lists)
-    lengths = np.fromiter((rec.k for rec in lists), np.intp, len(lists))
-    owners = np.fromiter((rec.owner for rec in lists), np.intp, len(lists))
+    owners = [rec.owner for rec in lists]
+    rows = [rec.items for rec in lists]
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    items = list(itertools.chain.from_iterable(rows))
+    owner_column, item_column = _int_column(owners), _int_column(items)
+    if owner_column is None or item_column is None:
+        for rec in lists:
+            if not _is_integer(rec.owner):
+                raise UnknownCustomer(f"list owner must be an integer, got {rec.owner!r}")
+            for item in rec.items:
+                if not _is_integer(item):
+                    raise ValidationError(
+                        f"list for customer {rec.owner}: an item must be an integer, got {item!r}"
+                    )
+        # every entry is an integer: numpy integers come this way
+        owner_column, item_column = np.array(owners, np.intp), np.array(items, np.intp)
+    owners, items = owner_column, item_column
     if m is not None and owners.size and not (0 <= owners.min() and owners.max() < m):
         u = owners[(owners < 0) | (owners >= m)][0]
         raise UnknownCustomer(f"list for customer {u} outside universe of size {m}")
     owners = np.repeat(owners, lengths)
-    items = np.fromiter(
-        itertools.chain.from_iterable(rec.items for rec in lists), np.intp, int(lengths.sum())
-    )
     if items.size and not (0 <= items.min() and items.max() < n):
         i = ((items < 0) | (items >= n)).argmax()
         raise ValidationError(f"list for customer {owners[i]} holds unknown item {items[i]}")
@@ -160,7 +202,12 @@ def quality(
     matrix: PreferenceMatrix,
     originals: Sequence[RankedList],
 ) -> QualityReport:
-    """Quality report for one list per customer (any order, each exactly once)."""
+    """Quality report for one list per customer (any order, each exactly once).
+
+    A caller's ranking that is not the preference order can give an ideal
+    gain so small (a subnormal score first) that a customer's NDCG
+    overflows: it is then ``inf``, quietly, as ``dcg(...) / ideal`` in
+    Python floats gives it."""
     lists = tuple(lists)
     owners, items, ranks = _slot_columns(lists, matrix.n, matrix.m)
     # one owner per list, in list order: the first to repeat is the one
@@ -181,7 +228,9 @@ def quality(
     idcgs = _dcg_sums(matrix, owners, ideal_items, ranks)
     if (idcgs <= 0).any():
         raise ZeroIdealQuality("a customer has zero ideal gain")
-    return QualityReport(per_customer_ndcg=_dcg_sums(matrix, owners, items, ranks) / idcgs)
+    with np.errstate(over="ignore"):
+        ndcgs = _dcg_sums(matrix, owners, items, ranks) / idcgs
+    return QualityReport(per_customer_ndcg=ndcgs)
 
 
 def total_quality(report: QualityReport) -> float:

@@ -41,6 +41,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` that skips its
+    ``__post_init__`` check, for values that are valid by construction."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class PreferenceMatrix:
     """Dense m x n grid of finite, non-negative relevance scores.
@@ -219,13 +227,18 @@ def _check_original(
         raise ValidationError(f"original ranking{where} is not customer {u}'s preference order")
 
 
+def _is_integer(value) -> bool:
+    """The type half of the integer rule: numpy integers pass, ``bool`` not."""
+    kind = type(value)
+    return kind is int or (kind is not bool and isinstance(value, numbers.Integral))
+
+
 def _check_integer(name: str, value, low: int, error=ValidationError) -> int:
     """The rule of every count, index and seed: an integer >= ``low``, numpy
     integers included and ``bool`` not (``error`` otherwise). Returns it as
     a Python int, so arithmetic on it cannot wrap as a narrow numpy type."""
     # a plain int skips the ABC check, which costs several times the rest
-    kind = type(value)
-    if kind is not int and (kind is bool or not isinstance(value, numbers.Integral)):
+    if type(value) is not int and not _is_integer(value):
         raise error(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")

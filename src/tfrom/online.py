@@ -24,13 +24,20 @@ unless the caller builds them first: ``matrix.provider_queues(catalog)``
 before a stream moves that cost (tens of milliseconds at 2000 x 2000)
 out of the first request, which then reuses them.
 
-A state value is never mutated: serving returns a fresh state, so
-snapshots can be kept, checkpointed, or replayed at will. Requests against
-one logical stream must be serialized by the caller.
+A state value is never mutated: its exposure is a read-only array, and
+serving returns a fresh state, so snapshots can be kept, checkpointed, or
+replayed at will. A state is validated once, when it is built: by
+``OnlineState(...)``, ``fresh`` or ``from_dict``, which copy the caller's
+array. ``serve_request`` builds the state it returns without that check,
+since sums of positive slot weights stay finite and non-negative, and
+checks only what a state cannot know: its provider count against the
+catalog. Requests against one logical stream must be serialized by the
+caller.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -48,6 +55,8 @@ from .model import (
     _check_integer,
     _check_k,
     _check_original,
+    _readonly,
+    _unchecked,
 )
 from .offline import BUDGET_SLACK
 from .targets import FairnessMode, fair_targets, online_total_exposure
@@ -56,10 +65,18 @@ from .targets import FairnessMode, fair_targets, online_total_exposure
 @dataclass(frozen=True)
 class OnlineState:
     """Decision state of a stream: cumulative exposure per provider and
-    the number of requests served."""
+    the number of requests served.
+
+    Construction validates (``_check_state``) and keeps a read-only copy of
+    ``exposure`` and ``c_num`` as a Python int."""
 
     exposure: np.ndarray
     c_num: int
+
+    def __post_init__(self):
+        c_num = _check_state(self.exposure, self.c_num)
+        object.__setattr__(self, "exposure", _readonly(self.exposure.copy()))
+        object.__setattr__(self, "c_num", c_num)
 
     @classmethod
     def fresh(cls, m: int, n_providers: int) -> "OnlineState":
@@ -82,25 +99,29 @@ class OnlineState:
             exposure = np.array(payload["exposure"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"state exposure is not a numeric vector: {exc}")
-        return cls(exposure=exposure, c_num=_check_state(exposure, payload["c_num"]))
+        return cls(exposure=exposure, c_num=payload["c_num"])
 
 
-def _check_state(exposure, c_num, l: int | None = None) -> int:
-    """The state check of ``from_dict`` and ``serve_request``: ``exposure``
-    is a 1-d float64 array of finite, non-negative values, ``l`` of them
-    if given, and ``c_num`` an integer >= 0 (ValidationError otherwise),
-    returned as a Python int."""
+def _check_state(exposure, c_num) -> int:
+    """The check of every state built outside ``serve_request``:
+    ``exposure`` is a 1-d float64 array of finite, non-negative values and
+    ``c_num`` an integer >= 0 (ValidationError otherwise), returned as a
+    Python int."""
     if not (isinstance(exposure, np.ndarray) and exposure.dtype == np.float64
             and exposure.ndim == 1):
         got = (f"{exposure.dtype} array of shape {exposure.shape}"
                if isinstance(exposure, np.ndarray) else type(exposure).__name__)
         raise ValidationError(f"state exposure must be a 1-d float64 array, got {got}")
-    if l is not None and exposure.size != l:
-        raise ValidationError(f"state tracks {exposure.size} providers, the catalog has {l}")
     # a NaN fails both comparisons
     if exposure.size and not (0.0 <= exposure.min() and exposure.max() < math.inf):
         raise ValidationError("state exposure must be finite and non-negative")
     return _check_integer("state request count", c_num, 0)
+
+
+@functools.lru_cache(maxsize=64)
+def _weight_column(k: int) -> np.ndarray:
+    """``slot_weights(k)`` as a read-only k x 1 column, once per k."""
+    return _readonly(np.array(slot_weights(k))[:, None])
 
 
 def serve_request(
@@ -112,11 +133,21 @@ def serve_request(
     k: int,
     mode: FairnessMode,
 ) -> tuple[RecommendationList, OnlineState]:
-    """Serve one request for customer ``u`` and return (list, new state)."""
+    """Serve one request for customer ``u`` and return (list, new state).
+
+    ``state`` must be an ``OnlineState``, which was validated when it was
+    built, with one exposure value per provider of ``catalog``
+    (ValidationError otherwise)."""
     _check_customer(u, matrix.m)
     k = _check_k(k, matrix.n)
     _check_original(matrix, original, u)
-    c_num = _check_state(state.exposure, state.c_num, catalog.l) + 1
+    if not isinstance(state, OnlineState):
+        raise ValidationError(f"state must be an OnlineState, got {type(state).__name__}")
+    if state.exposure.size != catalog.l:
+        raise ValidationError(
+            f"state tracks {state.exposure.size} providers, the catalog has {catalog.l}"
+        )
+    c_num = state.c_num + 1
 
     budgets = fair_targets(mode, online_total_exposure(c_num, k), catalog, matrix).per_provider
     limit = budgets + BUDGET_SLACK
@@ -137,7 +168,7 @@ def serve_request(
     # at the queue start, next index of the group, end of the group). A
     # taken provider that fits a later rank waits in ``refits`` till then.
     open_ = np.flatnonzero(exposure + last <= limit)
-    first = (np.array(weights)[:, None] + exposure[open_] <= limit[open_]).argmax(0)
+    first = (_weight_column(k) + exposure[open_] <= limit[open_]).argmax(0)
     front = queue[queues.start[open_]]
     by_first = np.lexsort((front, first))
     fronts, providers = front[by_first], open_[by_first]
@@ -186,5 +217,8 @@ def serve_request(
         for rank in vacant:
             exposure[owners[rank]] += weights[rank]
 
-    new_state = OnlineState(exposure=exposure, c_num=c_num)
-    return RecommendationList(owner=u, items=tuple(items.tolist())), new_state
+    # pass 1 takes queue heads and pass 2 positions outside ``taken``, so the
+    # k items are distinct, and the new exposure adds positive weights to a
+    # valid one: neither needs its check
+    rec = _unchecked(RecommendationList, owner=u, items=tuple(items.tolist()))
+    return rec, _unchecked(OnlineState, exposure=_readonly(exposure), c_num=c_num)

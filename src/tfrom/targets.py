@@ -68,16 +68,17 @@ def fair_targets(
     matrix: PreferenceMatrix,
 ) -> FairTargets:
     """Split an exposure budget across providers under the given mode:
-    ``total * weight / weight.sum()``, where a provider's weight is its item
-    count (uniform; the counts sum to n) or its relevance mass."""
+    ``total * weight / weight_sum``, where a provider's weight is its item
+    count (uniform: the counts sum to n, so ``weight_sum`` is n with no
+    reduction) or its relevance mass (quality-weighted: their sum)."""
     _check_mode(mode)
     if total < 0:
         raise InvalidDimension(f"exposure budget must be >= 0, got {total}")
     if mode is FairnessMode.UNIFORM:
-        weight = catalog.sizes
+        weight, weight_sum = catalog.sizes, float(catalog.n)
     else:
         weight = provider_relevance(matrix, catalog)
-    weight_sum = float(weight.sum())
+        weight_sum = float(weight.sum())
     if weight_sum <= 0.0:
         raise ZeroTotalRelevance("all relevance scores are zero")
     return FairTargets(per_provider=total * weight / weight_sum)

@@ -232,6 +232,50 @@ def test_in_range_lists_accepted(consumer, tmp_path):
     score(consumer, GOOD, tmp_path)
 
 
+NON_INTEGERS = [1.5, True, np.float64(2), "2", None, np.True_]
+NON_INTEGER_IDS = ["float", "bool", "np-float", "str", "None", "np-bool"]
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize("item", NON_INTEGERS, ids=NON_INTEGER_IDS)
+def test_non_integer_item_refused(consumer, item, tmp_path):
+    # numpy used to read 1.5, True and "2" as item 1 or 2, and None failed
+    # with a bare TypeError
+    with pytest.raises(errors.ValidationError, match="customer 1: an item must be an integer"):
+        score(consumer, [GOOD[0], REC(1, (item, 0))], tmp_path)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize("owner", NON_INTEGERS, ids=NON_INTEGER_IDS)
+def test_non_integer_owner_refused(consumer, owner, tmp_path):
+    # an owner of 0.5 used to end quality in a bare TypeError
+    with pytest.raises(errors.UnknownCustomer, match="list owner must be an integer"):
+        score(consumer, [GOOD[0], REC(owner, (0, 2))], tmp_path)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_first_non_integer_named(consumer, tmp_path):
+    lists = [GOOD[0], REC(1, (0, 2.5)), REC(0.5, (0, 2))]
+    with pytest.raises(errors.ValidationError, match="got 2.5"):
+        score(consumer, lists, tmp_path)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint16])
+def test_numpy_integer_entries_score_alike(kind):
+    # 0 and 1 are the values whose type the column conversion looks at
+    numpy = [REC(kind(rec.owner), tuple(map(kind, rec.items))) for rec in GOOD]
+    assert tfrom.quality(numpy, MATRIX, ORIGINALS).per_customer_ndcg.tobytes() == \
+        tfrom.quality(GOOD, MATRIX, ORIGINALS).per_customer_ndcg.tobytes()
+    assert tfrom.exposure(numpy, CATALOG).per_provider.tobytes() == \
+        tfrom.exposure(GOOD, CATALOG).per_provider.tobytes()
+    plain, tracker = StreamTracker(MATRIX, CATALOG, ORIGINALS), StreamTracker(MATRIX, CATALOG, ORIGINALS)
+    for rec, twin in zip(GOOD, numpy):
+        plain.record(rec)
+        tracker.record(twin)
+    assert tracker.per_provider.tobytes() == plain.per_provider.tobytes()
+    assert tracker.avg_quality.tobytes() == plain.avg_quality.tobytes()
+
+
 
 WIDE_MATRIX, WIDE_CATALOG = tfrom.build_instance(
     1.0 - np.random.default_rng(0).random((2, 256)), [i % 2 for i in range(256)]

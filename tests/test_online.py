@@ -430,6 +430,75 @@ class TestStateRestore:
             tfrom.serve_request(state, 0, matrix, catalog, originals[0], 1, FairnessMode.UNIFORM)
 
 
+class TestStateContract:
+    """A state is checked when it is built and its exposure is read-only,
+    so ``serve_request`` trusts the states it returns."""
+
+    def test_every_state_is_read_only(self):
+        matrix, catalog, originals = build([[2.0, 1.0, 3.0], [1.0, 3.0, 2.0]], [0, 1, 0])
+        fresh = OnlineState.fresh(matrix.m, catalog.l)
+        _, served = tfrom.serve_request(
+            fresh, 0, matrix, catalog, originals[0], 2, FairnessMode.UNIFORM
+        )
+        restored = OnlineState.from_dict(served.to_dict())
+        built = OnlineState(exposure=np.ones(2), c_num=1)
+        for state in (fresh, served, restored, built):
+            assert not state.exposure.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                state.exposure[0] = 5.0
+            assert type(state.c_num) is int
+
+    def test_caller_array_is_copied(self):
+        exposure = np.array([1.0, 0.5])
+        state = OnlineState(exposure=exposure, c_num=np.int64(3))
+        exposure[0] = 9.0
+        assert state.exposure.tolist() == [1.0, 0.5]
+        assert exposure.flags.writeable
+        assert state.c_num == 3 and type(state.c_num) is int
+
+    def test_bad_state_refused_when_built(self):
+        # before any request: the error is the constructor's, not serve_request's
+        with pytest.raises(errors.ValidationError, match="finite and non-negative"):
+            OnlineState(exposure=np.array([1.0, -0.5]), c_num=0)
+        with pytest.raises(errors.ValidationError, match="request count must be >= 0, got -1"):
+            OnlineState(exposure=np.zeros(2), c_num=-1)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            type("Lookalike", (), {"exposure": np.zeros(2), "c_num": 0})(),
+            {"exposure": np.zeros(2), "c_num": 0},
+            None,
+        ],
+        ids=["lookalike", "dict", "None"],
+    )
+    def test_only_an_online_state_is_served(self, state):
+        matrix, catalog, originals = build([[2.0, 1.0]], [0, 1])
+        with pytest.raises(errors.ValidationError, match="state must be an OnlineState, got"):
+            tfrom.serve_request(state, 0, matrix, catalog, originals[0], 1, FairnessMode.UNIFORM)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"c_num": 0}, "^state snapshot lacks 'exposure'$"),
+            ({"exposure": [0.0]}, "^state snapshot lacks 'c_num'$"),
+            ({"exposure": ["a"], "c_num": 0}, "^state exposure is not a numeric vector: "),
+            ({"exposure": [[0.0]], "c_num": 0},
+             r"^state exposure must be a 1-d float64 array, got float64 array of shape \(1, 1\)$"),
+            ({"exposure": 1.0, "c_num": 0},
+             r"^state exposure must be a 1-d float64 array, got float64 array of shape \(\)$"),
+            ({"exposure": [1.0, float("nan")], "c_num": 0},
+             "^state exposure must be finite and non-negative$"),
+            ({"exposure": [0.0], "c_num": 1.5}, "^state request count must be an integer, got 1.5$"),
+            ({"exposure": [0.0], "c_num": -1}, "^state request count must be >= 0, got -1$"),
+        ],
+        ids=["no-exposure", "no-c_num", "text", "2d", "scalar", "nan", "float-count", "negative"],
+    )
+    def test_restore_messages(self, payload, message):
+        with pytest.raises(errors.ValidationError, match=message):
+            OnlineState.from_dict(payload)
+
+
 class TestOracleEquivalence:
     def test_mini_fuzz_sample(self):
         # a slice of the acceptance fuzz: 20 continuous and 20 tie-heavy cases

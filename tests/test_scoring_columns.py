@@ -3,6 +3,9 @@
 against slot-by-slot reference loops built from ``position_weight`` and
 ``dcg``, compared bit for bit with ``tobytes()``."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +42,8 @@ def reference_quality(lists, matrix, originals):
         raise errors.ValidationError(f"no list for customer {missing}")
     if (idcgs <= 0).any():
         raise errors.ZeroIdealQuality("a customer has zero ideal gain")
-    return dcgs / idcgs
+    # Python floats, as ``ndcg`` divides: an overflow gives inf, no warning
+    return np.array([d / i for d, i in zip(dcgs.tolist(), idcgs.tolist())])
 
 
 class ReferenceTracker:
@@ -152,6 +156,23 @@ def test_stream_tracker_matches_the_uncached_reference(instance, data):
         assert same_bits(getattr(tracker, name), getattr(reference, name))
     step = len(owners)
     assert tracker.row(step, "x") == StreamTracker.row(reference, step, "x")
+
+
+def test_subnormal_ideal_gain_gives_a_quiet_inf():
+    # a ranking that is not the preference order puts a subnormal score
+    # first, so the ideal gain is 2.2e-309 and the NDCG overflows; numpy
+    # used to warn, which CI's -W error::RuntimeWarning made a failure of
+    # the Hypothesis test above
+    matrix, _ = tfrom.build_instance([[2.2e-309, 1.0], [1.0, 0.0], [1.0, 0.0]], [0, 0])
+    originals = tfrom.original_rankings(matrix)
+    originals[0] = RankedList(owner=0, items=np.array([0, 1]))
+    lists = [RecommendationList(u, items) for u, items in enumerate([(1,), (0,), (0,)])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tfrom.quality(lists, matrix, originals).per_customer_ndcg
+        want = reference_quality(lists, matrix, originals)
+    assert same_bits(got, want)
+    assert got.tolist() == [math.inf, 1.0, 1.0]
 
 
 def test_generator_and_empty_iterable():

@@ -94,6 +94,9 @@ class TestFairTargets:
             targets = tfrom.fair_targets(mode, 11.25, catalog, matrix)
             assert targets.per_provider.sum() == approx(11.25, abs=1e-9)
             assert (targets.per_provider >= 0).all()
+        # the item counts sum to n exactly: dividing by n gives their bits
+        uniform = tfrom.fair_targets(FairnessMode.UNIFORM, 11.25, catalog, matrix).per_provider
+        assert uniform.tobytes() == (11.25 * catalog.sizes / float(catalog.sizes.sum())).tobytes()
 
     def test_uniform_permutation_equivariance(self):
         rng = np.random.default_rng(8)
