@@ -39,7 +39,13 @@ from .metrics import (
     total_quality,
     uniform_provider_fairness,
 )
-from .model import RecommendationList, build_instance, original_ranking, original_rankings
+from .model import (
+    RecommendationBlock,
+    RecommendationList,
+    build_instance,
+    original_ranking,
+    original_rankings,
+)
 from .offline import tfrom_offline
 from .online import OnlineState, serve_request
 from .synth import generate_synthetic

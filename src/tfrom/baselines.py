@@ -34,10 +34,20 @@ def all_random(original: RankedList, k: int, seed) -> RecommendationList:
     ``seed`` is anything ``numpy.random.default_rng`` accepts, including an
     existing generator (useful for drawing many lists from one stream).
     """
-    k = _check_k(k, original.items.size)
-    rng = np.random.default_rng(seed)
-    drawn = rng.choice(original.items, size=k, replace=False)
-    return RecommendationList(owner=original.owner, items=tuple(int(i) for i in drawn))
+    pool = original.items
+    k = _check_k(k, pool.size)
+    (positions,) = _random_positions(np.random.default_rng(seed), pool.size, k, 1)
+    return RecommendationList(owner=original.owner, items=tuple(pool[positions].tolist()))
+
+
+def _random_positions(rng: np.random.Generator, n: int, k: int, lists: int) -> np.ndarray:
+    """The draws of ``lists`` consecutive ``all_random`` lists from rankings
+    of n items: row i holds list i's k distinct positions in its ranking,
+    in draw order, from one ``rng.choice`` per list."""
+    drawn = np.empty((lists, k), dtype=np.intp)
+    for row in drawn:
+        row[:] = rng.choice(n, size=k, replace=False)
+    return drawn
 
 
 def minimum_exposure(

@@ -159,10 +159,7 @@ def _cmd_offline(args) -> int:
         seed=args.seed,
     )
     result = run_offline_sweep(config, matrix, catalog)
-    cells = [
-        (f"{algo}_k{k}", [(None, rec) for rec in lists])
-        for (algo, k), lists in result.lists.items()
-    ]
+    cells = [(f"{algo}_k{k}", lists) for (algo, k), lists in result.lists.items()]
     return _write_run(args, config, matrix, catalog, labels, result.trace, cells)
 
 

@@ -23,7 +23,9 @@ from .model import (
     Catalog,
     PreferenceMatrix,
     RankedList,
+    RecommendationBlock,
     RecommendationList,
+    _block,
     _check_integer,
     _check_k,
     original_rankings,
@@ -158,7 +160,7 @@ class StreamTracker:
 @dataclass
 class OfflineSweepResult:
     trace: list[TraceRow]
-    lists: dict[tuple[str, int], tuple[RecommendationList, ...]] = field(default_factory=dict)
+    lists: dict[tuple[str, int], RecommendationBlock] = field(default_factory=dict)
 
 
 @dataclass
@@ -174,24 +176,26 @@ def _offline_cell(
     matrix: PreferenceMatrix,
     catalog: Catalog,
     originals: Sequence[RankedList],
-) -> tuple[RecommendationList, ...]:
+) -> RecommendationBlock:
+    """One sweep cell's lists, customer u's in row u. Each baseline gives
+    the lists of m calls in customer order, from ``matrix.order`` (the
+    originals are its rows)."""
     if algo == "tfrom":
         return tfrom_offline(matrix, catalog, originals, k, config.fairness, config.seed).lists
+    owners, order = np.arange(matrix.m), matrix.order
     if algo == "topk":
-        return tuple(baselines.top_k(originals[u], k) for u in range(matrix.m))
+        return _block(owners, order[:, :k])
     if algo == "random":
         rng = np.random.default_rng([config.seed, _SEED_TAG["random"], k])
-        return tuple(baselines.all_random(originals[u], k, rng) for u in range(matrix.m))
-    # the originals are matrix.order's rows, so the matrix's queues are theirs
-    queues = matrix.provider_queues(catalog)
-    picks = baselines._least_exposed_slots(
-        np.zeros(catalog.l), queues.start, queues.end, k, matrix.m
-    )
-    positions = np.take_along_axis(queues.positions, picks, axis=1)
-    items = np.take_along_axis(matrix.order, positions, axis=1)
-    return tuple(
-        RecommendationList(owner=u, items=tuple(row)) for u, row in enumerate(items.tolist())
-    )
+        positions = baselines._random_positions(rng, matrix.n, k, matrix.m)
+    else:
+        # the matrix's queues are the originals' queues
+        queues = matrix.provider_queues(catalog)
+        picks = baselines._least_exposed_slots(
+            np.zeros(catalog.l), queues.start, queues.end, k, matrix.m
+        )
+        positions = np.take_along_axis(queues.positions, picks, axis=1)
+    return _block(owners, np.take_along_axis(order, positions, axis=1))
 
 
 def run_offline_sweep(

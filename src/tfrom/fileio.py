@@ -44,7 +44,13 @@ from .errors import (
 )
 from .experiments import TraceRow
 from .metrics import _slot_columns
-from .model import Catalog, PreferenceMatrix, RecommendationList, build_instance
+from .model import (
+    Catalog,
+    PreferenceMatrix,
+    RecommendationBlock,
+    RecommendationList,
+    build_instance,
+)
 
 
 @dataclass(frozen=True)
@@ -334,7 +340,7 @@ def write_instance_files(scores: np.ndarray, assignments: Sequence, out_dir) -> 
 
 def write_recommendations(
     path,
-    served: Iterable[tuple[int | None, RecommendationList]],
+    served: Iterable[tuple[int | None, RecommendationList]] | RecommendationBlock,
     matrix: PreferenceMatrix,
     catalog: Catalog,
     labels: InstanceLabels,
@@ -342,11 +348,16 @@ def write_recommendations(
     """Write served lists, one row per slot.
 
     ``served`` yields (request_index, list) pairs; a request index of None
-    means a batch result, and the request column is omitted entirely.
+    means a batch result, and the request column is omitted entirely. A
+    ``RecommendationBlock`` is a batch result, written from its columns.
     """
-    served = list(served)
+    if isinstance(served, RecommendationBlock):
+        served, lists = (), served
+    else:
+        served = list(served)
+        lists = (rec for _, rec in served)
     online = any(req is not None for req, _ in served)
-    owners, items, ranks = _slot_columns((rec for _, rec in served), catalog.n, matrix.m)
+    owners, items, ranks = _slot_columns(lists, catalog.n, matrix.m)
     columns = [
         ("s", _label_cells(labels.customers)[owners]),
         ("d", ranks + 1),

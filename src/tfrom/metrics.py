@@ -13,7 +13,8 @@ normalized by the gain of the customer's own top-k prefix, so 1.0 means
 ``position_weight`` and ``dcg`` are the reference definitions, one slot
 at a time. ``exposure`` and ``quality`` score whole collections of lists
 as per-slot columns instead: each slot's owner, item and 0-based rank,
-list by list and in rank order within a list (``_slot_columns``). Each
+list by list and in rank order within a list (``_slot_columns``); a
+``RecommendationBlock`` hands over its arrays as those columns. Each
 sum is one ``np.bincount`` over those columns, which adds in input order
 from 0.0, so every customer's gain and every item's exposure has the bits
 of the slot-by-slot loop. (``np.sum``, ``ufunc.reduce`` and ``@`` sum
@@ -36,12 +37,15 @@ import numpy as np
 
 from .errors import InvalidRank, UnknownCustomer, ValidationError, ZeroIdealQuality
 from .model import (
+    _INTP,
     Catalog,
     PreferenceMatrix,
     RankedList,
+    RecommendationBlock,
     RecommendationList,
+    _check_entries,
     _check_integer,
-    _is_integer,
+    _intp_column,
 )
 
 # Providers whose normalized relevance mass is at or below this threshold are
@@ -76,7 +80,8 @@ class QualityReport:
 
 
 def exposure(lists: Iterable[RecommendationList], catalog: Catalog) -> ExposureReport:
-    """Sum slot weights over any collection of lists.
+    """Sum slot weights over any collection of lists, a
+    ``RecommendationBlock`` included.
 
     Lists from different customers simply add up; serving the same
     customer twice counts twice.
@@ -126,36 +131,41 @@ def _slot_columns(
     lists: Iterable[RecommendationList], n: int, m: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Any collection of lists as three per-slot columns: owner, item and
-    0-based rank, list by list and in rank order within a list. Owners and
+    0-based rank, list by list and in rank order within a list. A
+    ``RecommendationBlock`` gives its columns as they are. Owners and
     items must be integers under the integer rule (the first that is not,
     in list order: UnknownCustomer for an owner, ValidationError naming
     the owner for an item); items must lie in 0..n-1 (ValidationError)
-    and, given m, owners in 0..m-1 (UnknownCustomer)."""
-    lists = tuple(lists)
-    owners = [rec.owner for rec in lists]
-    rows = [rec.items for rec in lists]
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    items = list(itertools.chain.from_iterable(rows))
-    owner_column, item_column = _int_column(owners), _int_column(items)
-    if owner_column is None or item_column is None:
-        for rec in lists:
-            if not _is_integer(rec.owner):
-                raise UnknownCustomer(f"list owner must be an integer, got {rec.owner!r}")
-            for item in rec.items:
-                if not _is_integer(item):
-                    raise ValidationError(
-                        f"list for customer {rec.owner}: an item must be an integer, got {item!r}"
-                    )
-        # every entry is an integer: numpy integers come this way
-        owner_column, item_column = np.array(owners, np.intp), np.array(items, np.intp)
-    owners, items = owner_column, item_column
-    if m is not None and owners.size and not (0 <= owners.min() and owners.max() < m):
-        u = owners[(owners < 0) | (owners >= m)][0]
-        raise UnknownCustomer(f"list for customer {u} outside universe of size {m}")
+    and owners, given m, in 0..m-1, else strictly inside intp's range
+    (UnknownCustomer). An out-of-range entry is named by its value, one
+    past intp's range included."""
+    if isinstance(lists, RecommendationBlock):
+        owners, items = lists.owners, lists.items.ravel()
+        lengths = np.full(owners.size, lists.k)
+        named_owners, named_items = owners, items
+    else:
+        lists = tuple(lists)
+        named_owners = [rec.owner for rec in lists]
+        rows = [rec.items for rec in lists]
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        named_items = list(itertools.chain.from_iterable(rows))
+        owners, items = _int_column(named_owners), _int_column(named_items)
+        if owners is None or items is None:
+            _check_entries(named_owners, rows)
+            # every entry is an integer: numpy integers and those past
+            # intp come this way, the latter clipped to its ends
+            owners, items = _intp_column(named_owners)[0], _intp_column(named_items)[0]
+    low, high, universe = (
+        (0, m, f"universe of size {m}") if m is not None
+        else (_INTP.min + 1, _INTP.max, "the intp range")
+    )
+    if owners.size and not (low <= owners.min() and owners.max() < high):
+        u = named_owners[((owners < low) | (owners >= high)).argmax()]
+        raise UnknownCustomer(f"list for customer {u} outside {universe}")
     owners = np.repeat(owners, lengths)
     if items.size and not (0 <= items.min() and items.max() < n):
         i = ((items < 0) | (items >= n)).argmax()
-        raise ValidationError(f"list for customer {owners[i]} holds unknown item {items[i]}")
+        raise ValidationError(f"list for customer {owners[i]} holds unknown item {named_items[i]}")
     ranks = np.arange(items.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return owners, items, ranks
 
@@ -202,17 +212,18 @@ def quality(
     matrix: PreferenceMatrix,
     originals: Sequence[RankedList],
 ) -> QualityReport:
-    """Quality report for one list per customer (any order, each exactly once).
+    """Quality report for one list per customer (any order, each exactly
+    once); ``lists`` may be a ``RecommendationBlock``.
 
     A caller's ranking that is not the preference order can give an ideal
     gain so small (a subnormal score first) that a customer's NDCG
     overflows: it is then ``inf``, quietly, as ``dcg(...) / ideal`` in
     Python floats gives it."""
-    lists = tuple(lists)
     owners, items, ranks = _slot_columns(lists, matrix.n, matrix.m)
     # one owner per list, in list order: the first to repeat is the one
     # named, as a loop over the lists would name it
-    list_owners = owners[ranks == 0]
+    starts = np.flatnonzero(ranks == 0)
+    list_owners = owners[starts]
     repeat = np.ones(list_owners.size, dtype=bool)
     repeat[np.unique(list_owners, return_index=True)[1]] = False
     if repeat.any():
@@ -222,7 +233,10 @@ def quality(
     if not listed.all():
         raise ValidationError(f"no list for customer {int(listed.argmin())}")
     # the ideal list of each list: its owner's own prefix of the same length
-    ideal_items = np.concatenate([originals[rec.owner].items[: rec.k] for rec in lists])
+    lengths = np.diff(starts, append=ranks.size).tolist()
+    ideal_items = np.concatenate(
+        [originals[u].items[:k] for u, k in zip(list_owners.tolist(), lengths)]
+    )
     if ideal_items.size != items.size:
         raise ValidationError("an original ranking holds fewer items than its customer's list")
     idcgs = _dcg_sums(matrix, owners, ideal_items, ranks)

@@ -1,4 +1,5 @@
-"""Core instance types: preference scores, the provider catalog, rankings.
+"""Core instance types: preference scores, the provider catalog, rankings
+and recommendation lists.
 
 An *instance* is a dense non-negative relevance matrix (customers x items)
 plus a catalog assigning every item to exactly one provider. All types are
@@ -12,9 +13,10 @@ afterwards.
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +31,8 @@ from .errors import (
     ValidationError,
 )
 
+
+_INTP = np.iinfo(np.intp)
 
 # scores per argsort call in ``PreferenceMatrix.order`` and
 # ``provider_queues``: each block's temporaries take 0.5 MB, not a copy of
@@ -206,6 +210,130 @@ class RecommendationList:
     @property
     def k(self) -> int:
         return len(self.items)
+
+
+@dataclass(frozen=True, eq=False)
+class RecommendationBlock(Sequence):
+    """Equal-length lists as one block: list i is owned by ``owners[i]``
+    and holds ``items[i]``, in rank order.
+
+    Built from any integer owners (1-d) and items (2-d, one row per owner,
+    at least one column), it is checked once: every entry must be an
+    integer under the integer rule and lie inside intp's range (the first
+    that does not, in list order: UnknownCustomer for an owner,
+    ValidationError naming the owner for an item; owners are checked
+    before items), and no row may repeat an item (InvalidShape). It keeps
+    both as read-only intp arrays. As a ``Sequence[RecommendationList]``,
+    indexing or iterating builds each list from its row when asked, with
+    Python-int ``owner`` and ``items``; a slice is a block of those rows.
+    Two blocks are equal when their owners and items are.
+    """
+
+    owners: np.ndarray
+    items: np.ndarray
+
+    def __post_init__(self):
+        owners = _listed(self.owners)
+        rows = [_listed(row) for row in _listed(self.items)]
+        _check_entries(owners, rows)
+        k = len(rows[0]) if rows else 0
+        if len(rows) != len(owners) or any(len(row) != k for row in rows):
+            raise InvalidShape("a block needs one row of items per owner, all of one length")
+        if k < 1:
+            raise InvalidShape("a recommendation list must hold at least one item")
+        owner_column, bad = _intp_column(owners)
+        if bad is not None:
+            raise UnknownCustomer(f"list for customer {owners[bad]} outside the intp range")
+        flat = list(itertools.chain.from_iterable(rows))
+        item_column, bad = _intp_column(flat)
+        if bad is not None:
+            raise ValidationError(
+                f"list for customer {owners[bad // k]} holds unknown item {flat[bad]}"
+            )
+        items = item_column.reshape(len(owners), k)
+        ordered = np.sort(items, axis=1)
+        repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeats.any():
+            raise InvalidShape(
+                f"duplicate items in recommendation list for customer {owners[repeats.argmax()]}"
+            )
+        object.__setattr__(self, "owners", _readonly(owner_column))
+        object.__setattr__(self, "items", _readonly(items))
+
+    @property
+    def k(self) -> int:
+        return self.items.shape[1]
+
+    def __len__(self) -> int:
+        return self.owners.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _unchecked(
+                RecommendationBlock, owners=self.owners[index], items=self.items[index]
+            )
+        return _unchecked(
+            RecommendationList,
+            owner=int(self.owners[index]),
+            items=tuple(self.items[index].tolist()),
+        )
+
+    def __iter__(self):
+        for u, row in zip(self.owners.tolist(), self.items.tolist()):
+            yield _unchecked(RecommendationList, owner=u, items=tuple(row))
+
+    def __eq__(self, other):
+        if not isinstance(other, RecommendationBlock):
+            return NotImplemented
+        return np.array_equal(self.owners, other.owners) and np.array_equal(
+            self.items, other.items
+        )
+
+    __hash__ = None
+
+
+def _block(owners: np.ndarray, items: np.ndarray) -> RecommendationBlock:
+    """A block that is valid by construction (integer owners, distinct
+    items in every row), built without its check; it keeps ``owners`` and
+    ``items`` as read-only intp arrays."""
+    return _unchecked(
+        RecommendationBlock,
+        owners=_readonly(owners.astype(np.intp, copy=False)),
+        items=_readonly(items.astype(np.intp, copy=False)),
+    )
+
+
+def _listed(values) -> list:
+    """An array's entries as Python values (numpy integers as ints, bools
+    as bools), any other iterable's as they are."""
+    return values.tolist() if isinstance(values, np.ndarray) else list(values)
+
+
+def _check_entries(owners: Sequence, rows: Sequence) -> None:
+    """The integer rule on the entries of lists, given as owners and their
+    rows of items: the first entry in list order that breaks it raises,
+    an owner UnknownCustomer and an item ValidationError naming the owner."""
+    for owner, row in zip(owners, rows):
+        if not _is_integer(owner):
+            raise UnknownCustomer(f"list owner must be an integer, got {owner!r}")
+        for item in row:
+            if not _is_integer(item):
+                raise ValidationError(
+                    f"list for customer {owner}: an item must be an integer, got {item!r}"
+                )
+
+
+def _intp_column(values: list) -> tuple[np.ndarray, int | None]:
+    """Integers as an intp column, each clipped into intp's range, and the
+    index of the first that had to be (None if none). A clipped entry sits
+    at an end of the range, outside every universe of ids, so a range
+    check refuses it; name it by its index into ``values``."""
+    try:
+        return np.array(values, dtype=np.intp), None
+    except OverflowError:
+        clipped = [min(max(value, _INTP.min), _INTP.max) for value in values]
+        bad = next(i for i, (a, b) in enumerate(zip(values, clipped)) if a != b)
+        return np.array(clipped, dtype=np.intp), bad
 
 
 def _check_original(

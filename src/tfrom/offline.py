@@ -50,7 +50,7 @@ Every placement is logged in two m x k columns of the result, at
 ``[u, r - 1]`` for customer u's rank-r slot: ``step``, its 0-based index
 in execution order, and ``exposure_before``, the placed provider's
 exposure just before it. The rest is derived: the item is
-``lists[u].items[r - 1]``, the provider ``catalog.provider_of[item]``, the
+``lists.items[u, r - 1]``, the provider ``catalog.provider_of[item]``, the
 weight ``position_weight(r)``; the phase is 2 exactly for the slots in
 ``skipped``, and a phase-1 placement's budget is
 ``targets.per_provider[provider]``.
@@ -71,7 +71,8 @@ from .model import (
     Catalog,
     PreferenceMatrix,
     RankedList,
-    RecommendationList,
+    RecommendationBlock,
+    _block,
     _check_integer,
     _check_k,
     _check_original,
@@ -85,12 +86,13 @@ BUDGET_SLACK = 1e-12
 class OfflineRun:
     """Full result of one batch re-ranking.
 
-    ``step`` (int64, a permutation of ``0..m·k-1``) and ``exposure_before``
-    (float64) are the m x k placement log described in the module
-    docstring, which also says how to derive the rest of a placement.
+    ``lists`` holds customer u's list in row u. ``step`` (int64, a
+    permutation of ``0..m·k-1``) and ``exposure_before`` (float64) are the
+    m x k placement log described in the module docstring, which also says
+    how to derive the rest of a placement.
     """
 
-    lists: tuple[RecommendationList, ...]
+    lists: RecommendationBlock
     ledger: np.ndarray
     quality: np.ndarray
     skipped: frozenset[tuple[int, int]]
@@ -246,11 +248,8 @@ def tfrom_offline(
         head[u, p] = h
         row[p] = positions[u, h] if h < end[p] else n
 
-    lists = tuple(
-        RecommendationList(owner=u, items=tuple(items)) for u, items in enumerate(slots.tolist())
-    )
     return OfflineRun(
-        lists=lists,
+        lists=_block(np.arange(m), slots),
         ledger=exposure,
         quality=q,
         skipped=frozenset((u, r + 1) for r, u in vacant),

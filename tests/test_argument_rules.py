@@ -175,6 +175,9 @@ def test_mode_must_be_a_fairness_mode(call, mode):
 
 REC = tfrom.RecommendationList
 GOOD = [REC(0, (2, 1)), REC(1, (0, 2))]
+# past int64 (or below it), numpy's conversion of a list entry used to end
+# every consumer in a bare OverflowError
+BIG = 2**70
 
 
 def score(consumer, lists, tmp_path):
@@ -205,8 +208,10 @@ CONSUMERS = ["exposure", "quality", "write_recommendations", "StreamTracker.reco
 @pytest.mark.parametrize(
     "bad, message",
     [(REC(1, (0, -1)), "customer 1 holds unknown item -1"),
-     (REC(1, (3, 0)), "customer 1 holds unknown item 3")],
-    ids=["item-negative", "item-n"],
+     (REC(1, (3, 0)), "customer 1 holds unknown item 3"),
+     (REC(1, (BIG, 0)), f"^list for customer 1 holds unknown item {BIG}$"),
+     (REC(1, (-BIG, 0)), f"^list for customer 1 holds unknown item {-BIG}$")],
+    ids=["item-negative", "item-n", "item-past-int64", "item-below-int64"],
 )
 def test_out_of_range_item_refused(consumer, bad, message, tmp_path):
     with pytest.raises(errors.ValidationError, match=message):
@@ -214,7 +219,7 @@ def test_out_of_range_item_refused(consumer, bad, message, tmp_path):
 
 
 @pytest.mark.parametrize("consumer", CONSUMERS[1:])
-@pytest.mark.parametrize("owner", [2, -1])
+@pytest.mark.parametrize("owner", [2, -1, BIG, -BIG])
 def test_out_of_range_owner_refused(consumer, owner, tmp_path):
     message = f"customer {owner} outside universe of size 2"
     with pytest.raises(errors.UnknownCustomer, match=message):
@@ -315,3 +320,70 @@ def test_narrow_numpy_integer_does_not_wrap(name):
     # back Python ints
     value, call = NARROW[name]
     assert [a.tobytes() for a in call(np.uint8(value))] == [a.tobytes() for a in call(value)]
+
+
+@pytest.mark.parametrize("owner", [BIG, -BIG])
+def test_exposure_refuses_an_owner_outside_intp(owner, tmp_path):
+    # exposure reads no owner's range, but an owner must fit an intp
+    message = f"^list for customer {owner} outside the intp range$"
+    with pytest.raises(errors.UnknownCustomer, match=message):
+        score("exposure", [GOOD[0], REC(owner, (0, 2))], tmp_path)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS[1:])
+def test_owner_past_int64_named_in_list_order(consumer, tmp_path):
+    with pytest.raises(errors.UnknownCustomer, match="^list for customer -1 outside"):
+        score(consumer, [GOOD[0], REC(-1, (0, 2)), REC(BIG, (0, 2))], tmp_path)
+    with pytest.raises(errors.UnknownCustomer, match=f"^list for customer {BIG} outside"):
+        score(consumer, [GOOD[0], REC(BIG, (0, 2)), REC(-1, (0, 2))], tmp_path)
+
+
+def outcome(call):
+    try:
+        call()
+    except errors.TfromError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+NAMED_NON_INTEGERS = list(zip(NON_INTEGER_IDS, NON_INTEGERS))
+BAD_LISTS = {
+    **{f"item-{name}": [GOOD[0], REC(1, (bad, 0))] for name, bad in NAMED_NON_INTEGERS},
+    **{f"owner-{name}": [GOOD[0], REC(bad, (0, 2))] for name, bad in NAMED_NON_INTEGERS},
+    "item-past-int64": [GOOD[0], REC(1, (BIG, 0))],
+    "item-below-int64": [GOOD[0], REC(1, (-BIG, 0))],
+    "owner-past-int64": [GOOD[0], REC(BIG, (0, 2))],
+    "owner-below-int64": [GOOD[0], REC(-BIG, (0, 2))],
+    "first-in-list-order": [GOOD[0], REC(1, (0, 2.5)), REC(0.5, (0, 2))],
+    "owners-before-items": [REC(0, (BIG, 1)), REC(BIG, (0, 2))],
+}
+
+
+@pytest.mark.parametrize("lists", BAD_LISTS.values(), ids=BAD_LISTS.keys())
+def test_block_refuses_entries_as_exposure_does(lists):
+    # exposure, like the block, knows no universe of customers
+    build = lambda: tfrom.RecommendationBlock([r.owner for r in lists], [r.items for r in lists])
+    want = outcome(lambda: tfrom.exposure(lists, CATALOG))
+    assert want is not None
+    assert outcome(build) == want
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+@pytest.mark.parametrize(
+    "owners, items, error, message",
+    [([0, 1], [(2, 1), (3, 0)], errors.ValidationError, "customer 1 holds unknown item 3"),
+     ([0, 1], [(2, 1), (-1, 0)], errors.ValidationError, "customer 1 holds unknown item -1"),
+     ([0, 2], [(2, 1), (0, 1)], errors.UnknownCustomer, "customer 2 outside universe of size 2")],
+    ids=["item-n", "item-negative", "owner-m"],
+)
+def test_out_of_range_block_refused(consumer, owners, items, error, message, tmp_path):
+    block = tfrom.RecommendationBlock(owners, items)
+    if consumer == "exposure" and error is errors.UnknownCustomer:
+        tfrom.exposure(block, CATALOG)  # reads no owner's range
+        return
+    with pytest.raises(error, match=message):
+        if consumer == "write_recommendations":
+            labels = fileio.InstanceLabels(customers=("a", "b"), items=("x", "y", "z"))
+            fileio.write_recommendations(tmp_path / "out.csv", block, MATRIX, CATALOG, labels)
+        else:
+            score(consumer, block, tmp_path)

@@ -146,6 +146,16 @@ class TestAllRandom:
         with pytest.raises(errors.InsufficientItems):
             all_random(originals[0], 2, seed=0)
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_draws_are_those_of_generator_choice(self, k):
+        # the items, in draw order, of rng.choice over the ranking itself;
+        # calls that share one generator continue its stream
+        ranking = RankedList(owner=0, items=np.array([4, 0, 3, 1, 2]))
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(3):
+            want = tuple(int(i) for i in twin.choice(ranking.items, size=k, replace=False))
+            assert all_random(ranking, k, rng).items == want
+
     def test_draws_are_uniform(self):
         # n=4, k=1: each item should appear with frequency 1/4 +- 0.02
         _, _, originals = build([[4.0, 3.0, 2.0, 1.0]], [0, 0, 1, 1])

@@ -258,3 +258,58 @@ class TestRecommendationList:
     def test_empty_rejected(self):
         with pytest.raises(errors.InvalidShape):
             tfrom.RecommendationList(owner=0, items=())
+
+
+class TestRecommendationBlock:
+    Block = tfrom.RecommendationBlock
+
+    def test_rows_as_lists_of_python_ints(self):
+        block = self.Block(np.array([1, 0], dtype=np.uint8), np.array([[2, 0], [1, 2]]))
+        assert len(block) == 2 and block.k == 2
+        assert [(rec.owner, rec.items) for rec in block] == [(1, (2, 0)), (0, (1, 2))]
+        for rec in (*block, block[0], block[-1], block[np.int64(1)]):
+            assert isinstance(rec, tfrom.RecommendationList)
+            assert all(type(v) is int for v in (rec.owner, *rec.items))
+        assert block[-1] == tfrom.RecommendationList(0, (1, 2))
+        with pytest.raises(IndexError):
+            block[2]
+
+    def test_arrays_are_read_only_intp_copies(self):
+        owners, items = np.array([0, 1]), np.array([[2, 0], [1, 2]])
+        block = self.Block(owners, items)
+        items[0, 0] = 1
+        assert block.items.dtype == block.owners.dtype == np.intp
+        assert block.items.tolist() == [[2, 0], [1, 2]]
+        with pytest.raises(ValueError, match="read-only"):
+            block.items[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            block.owners[0] = 1
+
+    def test_slices_and_equality(self):
+        block = self.Block([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
+        tail = block[1:]
+        assert isinstance(tail, self.Block)
+        assert tail == self.Block([1, 2], [(1, 2), (2, 0)])
+        assert tail != self.Block([1, 2], [(1, 2), (0, 2)])
+        assert block != tuple(block)
+        assert list(block[::-1]) == list(reversed(block))
+
+    @pytest.mark.parametrize(
+        "owners, items, message",
+        [
+            ([0, 1], [(0, 1)], "one row of items per owner"),
+            ([0, 1], [(0, 1), (1,)], "one row of items per owner"),
+            ([0], [()], "at least one item"),
+            ([], [], "at least one item"),
+            ([0, 1], [(0, 1), (2, 2)], "^duplicate items in recommendation list for customer 1$"),
+        ],
+        ids=["rows", "ragged", "no-item", "no-list", "duplicate"],
+    )
+    def test_shape_refused(self, owners, items, message):
+        with pytest.raises(errors.InvalidShape, match=message):
+            self.Block(owners, items)
+
+    def test_item_range_left_to_the_consumers(self):
+        # like RecommendationList, a block knows no instance
+        block = self.Block([-1, 7], [(-3, 9), (5, 0)])
+        assert [(rec.owner, rec.items) for rec in block] == [(-1, (-3, 9)), (7, (5, 0))]

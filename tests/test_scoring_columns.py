@@ -1,20 +1,26 @@
 """Differential tests of the column scoring in metrics.py (``exposure``,
 ``quality``, the ``tfrom_offline`` ideal gain and ``StreamTracker``)
 against slot-by-slot reference loops built from ``position_weight`` and
-``dcg``, compared bit for bit with ``tobytes()``."""
+``dcg``, compared bit for bit with ``tobytes()``; and of the lists as one
+``RecommendationBlock`` against the same lists one by one, in the scores,
+the written file and every sweep cell."""
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import tfrom
-from tfrom import errors, metrics
-from tfrom.experiments import StreamTracker
-from tfrom.model import RankedList, RecommendationList
+from conftest import minimum_exposure_loop
+from tfrom import baselines, errors, fileio, metrics
+from tfrom.experiments import ALGORITHMS, ExperimentConfig, StreamTracker, _offline_cell
+from tfrom.model import RankedList, RecommendationBlock, RecommendationList
 
 
 def reference_exposure(lists, catalog):
@@ -220,3 +226,83 @@ def test_ideal_gain_is_cached_per_customer_and_k(monkeypatch):
     for items in [(0, 1), (2, 1), (1,), (0, 2), (2,)]:
         tracker.record(RecommendationList(0, items))
     assert calls == [(0, 2), (0, 1)]
+
+
+def a_block(draw, matrix):
+    """k-item lists over ``matrix``'s items, k = n or any k, with owners in
+    any order and, when drawn, a customer repeated or missing."""
+    m, n = matrix.m, matrix.n
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    owners = draw(st.permutations(range(m)))
+    if draw(st.booleans()):
+        owners = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2 * m))
+    rows = [draw(st.permutations(range(n)))[:k] for _ in owners]
+    return RecommendationBlock(owners, rows)
+
+
+def written(served, matrix, catalog):
+    labels = fileio.InstanceLabels(
+        customers=tuple(f"c{u}" for u in range(matrix.m)),
+        items=tuple(f"i,{i}" for i in range(matrix.n)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "recommendations.csv"
+        fileio.write_recommendations(path, served, matrix, catalog, labels)
+        return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(), st.data())
+def test_block_scores_and_writes_as_its_lists(instance, data):
+    # tied scores, k = n and m = 1 among the draws; a repeated or missing
+    # customer gives quality's error both ways
+    matrix, catalog = instance
+    block = a_block(data.draw, matrix)
+    lists = tuple(block)
+    originals = tfrom.original_rankings(matrix)
+    got, got_error = outcome(lambda: tfrom.quality(block, matrix, originals).per_customer_ndcg)
+    want, want_error = outcome(lambda: tfrom.quality(lists, matrix, originals).per_customer_ndcg)
+    assert got_error == want_error
+    if want_error is None:
+        assert same_bits(got, want)
+    assert same_bits(
+        tfrom.exposure(block, catalog).per_provider, tfrom.exposure(lists, catalog).per_provider
+    )
+    pairs = [(None, rec) for rec in lists]
+    assert written(block, matrix, catalog) == written(pairs, matrix, catalog)
+
+
+def parent_cell(algo, k, config, matrix, catalog, originals):
+    """A sweep cell's lists as m separate lists, one call per customer in
+    id order, as the sweep built them before it built blocks."""
+    m = matrix.m
+    if algo == "tfrom":
+        ref = oracles.offline_oracle(
+            matrix.scores.tolist(), catalog.provider_of.tolist(), k, config.fairness.value,
+            seed=config.seed,
+        )
+        return [RecommendationList(u, tuple(items)) for u, items in enumerate(ref["lists"])]
+    if algo == "topk":
+        return [baselines.top_k(originals[u], k) for u in range(m)]
+    if algo == "random":
+        rng = np.random.default_rng([config.seed, 3, k])
+        draws = [rng.choice(originals[u].items, size=k, replace=False) for u in range(m)]
+        return [RecommendationList(u, tuple(int(i) for i in row)) for u, row in enumerate(draws)]
+    return list(minimum_exposure_loop(matrix, catalog, originals, k)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.data())
+def test_sweep_cells_hold_the_lists_of_the_per_customer_calls(instance, data):
+    matrix, catalog = instance
+    k = data.draw(st.one_of(st.just(matrix.n), st.integers(1, matrix.n)))
+    mode = data.draw(st.sampled_from(list(tfrom.FairnessMode)))
+    config = ExperimentConfig(mode, ALGORITHMS, (k,), seed=data.draw(st.integers(0, 3)))
+    originals = tfrom.original_rankings(matrix)
+    for algo in ALGORITHMS:
+        block = _offline_cell(algo, k, config, matrix, catalog, originals)
+        assert isinstance(block, RecommendationBlock)
+        got = [(rec.owner, rec.items) for rec in block]
+        want = parent_cell(algo, k, config, matrix, catalog, originals)
+        assert got == [(rec.owner, rec.items) for rec in want]
+        assert all(type(v) is int for owner, items in got for v in (owner, *items))
