@@ -6,7 +6,8 @@
 Each mutant changes one spot of one module under ``src/tfrom``:
 ``<=``/``<`` and ``>``/``>=`` swap, ``==`` becomes ``!=``, ``min``/``max``
 and ``argmin``/``argmax`` swap, an index expression gains ``+ 1`` or
-``- 1``, ``+ BUDGET_SLACK`` is dropped, or a ``kind="stable"`` argument is.
+``- 1``, ``+ BUDGET_SLACK`` is dropped, a ``kind="stable"`` argument is, or
+a ``for`` loop visits its iterable in reverse (``for x in reversed(s)``).
 Annotations, which are never evaluated, are left alone. Every mutant runs
 in a temporary copy of ``src/`` and ``tests/`` against the re-ranker tests
 (``TESTS``), with ``-x``, a fixed Hypothesis seed and a timeout; a failing
@@ -98,6 +99,9 @@ def _edits(tree: ast.AST):
                 if kw.arg == "kind" and isinstance(kw.value, ast.Constant) \
                         and kw.value.value == "stable":
                     yield node, 'drop kind="stable"', lambda n, i=i: n.keywords.pop(i)
+        elif isinstance(node, ast.For):
+            yield node, "reversed visit order", lambda n: setattr(
+                n, "iter", ast.Call(ast.Name("reversed", ast.Load()), [n.iter], []))
 
 
 def _index_edits(node: ast.Subscript):
@@ -132,7 +136,11 @@ def mutants(module: str):
     tree = ast.parse(source)
     seen: dict[str, int] = {}
     for node, label, edit in _edits(tree):
-        segment = " ".join(ast.get_source_segment(source, node).split())
+        # a loop is named by its header, not by its whole body
+        part = (f"for {ast.get_source_segment(source, node.target)} in "
+                f"{ast.get_source_segment(source, node.iter)}"
+                if isinstance(node, ast.For) else ast.get_source_segment(source, node))
+        segment = " ".join(part.split())
         base = f"{module}: {segment}: {label}"
         seen[base] = seen.get(base, 0) + 1
         mutant = copy.deepcopy(tree)

@@ -6,14 +6,17 @@ carries a mutable exposure ledger across calls, under the same
 one-request-at-a-time contract as the streaming re-ranker.
 
 The minimum-exposure rule has one home, ``_least_exposed_slots``, which
-picks each slot's provider from the ledger and the queue lengths alone.
-``minimum_exposure`` builds the caller's queues on every call, so any
-ranking works, a partial one included; the sweep's cell
+picks each slot's provider from the ledger and the queue lengths alone,
+through one heap of provider loads that holds only the k x lists least
+loaded open providers. ``minimum_exposure`` builds the caller's queues on
+every call, so any ranking works, a partial one included; the sweep's cell
 (``experiments._offline_cell``) runs the kernel once for all m lists on
 the matrix's own ``provider_queues``.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -96,25 +99,44 @@ def _least_exposed_slots(
     indices ``start[p]`` to ``end[p] - 1``.
 
     Each slot goes to the open provider of least ledger exposure, lowest
-    id on ties (the order of ``argmin``), and takes that provider's next
-    queue entry; a provider whose queue the list has used up stays closed
-    until the list ends. Adds every slot's weight to ``ledger`` in place
-    and returns the lists x k queue indices. Needs ``k <= (end - start).sum()``.
+    id on ties, and takes that provider's next queue entry; a provider
+    whose queue the list has used up stays closed until the list ends.
+    Adds every slot's weight to ``ledger`` in place and returns the
+    lists x k queue indices. Needs ``k <= (end - start).sum()``.
+
+    The open providers wait in one heap of ``(load, id, j)`` tuples, j
+    their place in the seed; ``(load, id)`` is the order of ``argmin``,
+    and -0.0 ties with 0.0 in both. A provider no pick has touched keeps
+    its load, so the touched ones are always a prefix of the open
+    providers in ``(load, id)`` order, and no pick reaches past the first
+    ``k * lists``: only those are seeded. The ledger gets their loads
+    back at the end.
     """
-    closed = start == end
-    start, end = start.tolist(), end.tolist()
+    # the open providers that can be picked, in (load, id) order; a
+    # sorted list is a heap
+    seed = np.flatnonzero(start < end)
+    seed = seed[np.argsort(ledger[seed], kind="stable")[: k * lists]]
+    loads = ledger[seed].tolist()
+    heap = list(zip(loads, seed.tolist(), range(seed.size)))
+    first, stop = start[seed].tolist(), end[seed].tolist()
     weights = slot_weights(k)
     picks = []
     for _ in range(lists):
-        # provider p's next entry is head[p]; the ledger of every provider
-        # with an entry left, inf for the others
-        head = start.copy()
-        open_load = np.where(closed, np.inf, ledger)
+        # seeded provider j's next entry is head[j]; those the list used up
+        # wait in ``out`` until it ends
+        head, out = first.copy(), []
         for w in weights:
-            # k <= (end - start).sum() leaves an entry, so an open provider exists
-            p = int(open_load.argmin())
-            picks.append(head[p])
-            head[p] += 1
-            ledger[p] += w
-            open_load[p] = ledger[p] if head[p] < end[p] else np.inf
+            # the seed holds every open provider or k * lists >= k of them,
+            # each with an entry, so no list empties the heap
+            load, p, j = heap[0]
+            picks.append(head[j])
+            head[j] += 1
+            loads[j] = load = load + w
+            if head[j] < stop[j]:
+                heapq.heapreplace(heap, (load, p, j))
+            else:
+                out.append(heapq.heappop(heap))
+        for _, p, j in out:
+            heapq.heappush(heap, (loads[j], p, j))
+    ledger[seed] = loads
     return np.array(picks, dtype=np.intp).reshape(lists, k)

@@ -6,8 +6,9 @@ seeded request sequence (uniform over customers, with replacement) and
 replays it through every algorithm independently, recording a metric row
 every ``trace_every`` requests. ``StreamTracker`` is the one place where
 stream quality and exposure are accounted: the replay feeds it, and so
-does ``tfrom metrics`` when it re-reads a served stream. Identical seeds
-reproduce byte-identical traces.
+does ``tfrom metrics`` when it re-reads a served stream. A sweep and a
+tracker each compute the providers' relevance once, for all their rows.
+Identical seeds reproduce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -89,10 +90,10 @@ class TraceRow:
         algorithm: str,
         report: metrics.ExposureReport,
         qreport: metrics.QualityReport,
-        matrix: PreferenceMatrix,
-        catalog: Catalog,
+        relevance: np.ndarray,
     ) -> "TraceRow":
-        """The row of a batch: one list per customer."""
+        """The row of a batch: one list per customer. ``relevance`` is the
+        instance's ``metrics.provider_relevance``."""
         ndcg_var = metrics.customer_fairness(qreport)
         return cls(
             step=step,
@@ -101,9 +102,7 @@ class TraceRow:
             ndcg_variance=ndcg_var,
             ndcg_variance_all=ndcg_var,
             exposure_variance=metrics.uniform_provider_fairness(report),
-            qw_ratio_variance=metrics.quality_weighted_provider_fairness(
-                report, matrix, catalog
-            ),
+            qw_ratio_variance=metrics._ratio_variance(report.per_provider, relevance),
         )
 
 
@@ -112,7 +111,8 @@ class StreamTracker:
 
     Exposure adds up slot by slot in request order; each customer's
     quality is the running mean of the NDCG of their requests. A
-    customer's ideal gain at k is computed once per tracker.
+    customer's ideal gain at k, and the providers' relevance, are computed
+    once per tracker.
     """
 
     def __init__(
@@ -123,6 +123,7 @@ class StreamTracker:
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
         self._ideal: dict[tuple[int, int], float] = {}
+        self.relevance = metrics.provider_relevance(matrix, catalog)
         # Python ints index ``per_provider`` faster than numpy scalars do
         self._provider_of = catalog.provider_of.tolist()
 
@@ -151,9 +152,7 @@ class StreamTracker:
             ndcg_variance=float(np.var(self.avg_quality[served])),
             ndcg_variance_all=float(np.var(self.avg_quality)),
             exposure_variance=metrics.uniform_provider_fairness(report),
-            qw_ratio_variance=metrics.quality_weighted_provider_fairness(
-                report, self.matrix, self.catalog
-            ),
+            qw_ratio_variance=metrics._ratio_variance(self.per_provider, self.relevance),
         )
 
 
@@ -204,6 +203,7 @@ def run_offline_sweep(
     """One metric row per (k, algorithm) cell; cells see identical inputs."""
     config.validate(matrix.n)
     originals = original_rankings(matrix)
+    relevance = metrics.provider_relevance(matrix, catalog)
     result = OfflineSweepResult(trace=[])
     for k in config.ks:
         for algo in config.algorithms:
@@ -214,8 +214,7 @@ def run_offline_sweep(
                     algo,
                     metrics.exposure(lists, catalog),
                     metrics.quality(lists, matrix, originals),
-                    matrix,
-                    catalog,
+                    relevance,
                 )
             )
             result.lists[(algo, k)] = lists

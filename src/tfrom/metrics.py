@@ -287,9 +287,15 @@ def quality_weighted_provider_fairness(
     min-max normalized to [0, 1] before the ratio; providers whose
     normalized relevance is ~0 are excluded (the ratio is unbounded there).
     """
-    if catalog.l < 2:
+    return _ratio_variance(report.per_provider, provider_relevance(matrix, catalog))
+
+
+def _ratio_variance(per_provider: np.ndarray, relevance: np.ndarray) -> float:
+    """``quality_weighted_provider_fairness`` from the providers'
+    exposure and their ``provider_relevance``: 0.0 for fewer than two."""
+    if relevance.size < 2:
         return 0.0
-    norm_e = _minmax_unit(report.per_provider)
-    norm_r = _minmax_unit(provider_relevance(matrix, catalog))
+    norm_e = _minmax_unit(per_provider)
+    norm_r = _minmax_unit(relevance)
     include = norm_r > NORMALIZED_RELEVANCE_EPS
     return float(np.var(norm_e[include] / norm_r[include]))

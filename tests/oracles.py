@@ -256,3 +256,27 @@ def minimum_exposure_oracle(ledger, u, scores, providers, k):
         used.add(best)
         ledger[provider] += weights[rank - 1]
     return out
+
+
+def least_exposed_slots_oracle(ledger, start, end, k, lists):
+    """The minimum-exposure pick kernel as one ``argmin`` per slot:
+    ``lists`` consecutive length-k lists on the queues ``start[p]`` to
+    ``end[p] - 1``. Each list opens every provider with an entry; a slot
+    takes the open provider of least load (lowest id on ties, the order of
+    ``argmin``) and its next entry, and adds the slot weight to ``ledger``
+    in place; a provider whose queue the list used up is closed until the
+    list ends. Returns the lists x k queue indices."""
+    closed = start == end
+    start, end = start.tolist(), end.tolist()
+    weights = _weights(k)
+    picks = []
+    for _ in range(lists):
+        head = start.copy()
+        open_load = np.where(closed, np.inf, ledger)
+        for w in weights:
+            p = int(open_load.argmin())
+            picks.append(head[p])
+            head[p] += 1
+            ledger[p] += w
+            open_load[p] = ledger[p] if head[p] < end[p] else np.inf
+    return np.array(picks, dtype=np.intp).reshape(lists, k)

@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import oracles
@@ -13,7 +16,7 @@ from conftest import (
     random_mini_instance,
 )
 from tfrom import errors
-from tfrom.baselines import all_random
+from tfrom.baselines import _least_exposed_slots, all_random
 from tfrom.model import RankedList
 from tfrom.online import OnlineState
 from tfrom.targets import FairnessMode
@@ -270,6 +273,40 @@ class TestMinimumExposureCell:
         rows = np.ceil(3 * rng.random((6, 5)))
         lists, _ = self.both(rows, [4, 2, 0, 3, 1], 5)
         assert all(sorted(items) == [0, 1, 2, 3, 4] for items in lists)
+
+
+# exact ties are common among these loads, -0.0 and 0.0 among them
+LOADS = [0.0, -0.0, 0.5, 1.0, 1.0 / math.log2(3)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """(ledger, start, end, k, lists) of the pick kernel: up to 8 providers
+    with queues of 0 to 4 entries (an empty one included, and most shorter
+    than k), and enough lists that k * lists falls below l and above it."""
+    l = draw(st.integers(1, 8))
+    counts = draw(st.lists(st.integers(0, 4), min_size=l, max_size=l))
+    if sum(counts) == 0:
+        counts[draw(st.integers(0, l - 1))] = 1
+    # queues start anywhere, as in the matrix's rows, with gaps between them
+    gaps = draw(st.lists(st.integers(0, 2), min_size=l, max_size=l))
+    start = np.cumsum(np.array(gaps) + [0, *counts[:-1]])
+    end = start + counts
+    ledger = np.array(draw(st.lists(st.sampled_from(LOADS), min_size=l, max_size=l)))
+    k = draw(st.integers(1, sum(counts)))
+    lists = draw(st.integers(1, 5))
+    return ledger, start, end, k, lists
+
+
+@settings(max_examples=500, deadline=None)
+@given(kernel_cases())
+def test_pick_kernel_matches_the_argmin_loop(case):
+    ledger, start, end, k, lists = case
+    want_ledger = ledger.copy()
+    want = oracles.least_exposed_slots_oracle(want_ledger, start, end, k, lists)
+    got = _least_exposed_slots(ledger, start, end, k, lists)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ledger.tobytes() == want_ledger.tobytes()
 
 
 def _read_only(ledger):

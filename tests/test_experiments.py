@@ -3,8 +3,13 @@ import pytest
 from pytest import approx
 
 import tfrom
-from tfrom import errors
-from tfrom.experiments import ExperimentConfig, run_offline_sweep, run_online_stream
+from tfrom import baselines, errors, metrics, targets
+from tfrom.experiments import (
+    ExperimentConfig,
+    StreamTracker,
+    run_offline_sweep,
+    run_online_stream,
+)
 from tfrom.targets import FairnessMode
 
 
@@ -174,3 +179,81 @@ class TestOnlineStream:
         )
         result = run_online_stream(config, matrix, catalog)
         assert [row.step for row in result.trace] == [3, 6, 9, 12]
+
+
+ALL_FOUR = ("tfrom", "topk", "random", "minexp")
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def one_provider_instance():
+    scores, _ = tfrom.generate_synthetic(6, 15, 3, seed=23)
+    return tfrom.build_instance(scores, np.zeros(15, dtype=int))
+
+
+class TestRatioVariancePin:
+    """Trace rows take the providers' relevance once per sweep or tracker;
+    every row's ratio variance is still the public metric's, bit for bit."""
+
+    @pytest.mark.parametrize("mode", list(FairnessMode))
+    @pytest.mark.parametrize("shape", ["three providers", "one provider"])
+    def test_sweep_rows(self, small_instance, mode, shape):
+        matrix, catalog = small_instance if shape == "three providers" else one_provider_instance()
+        config = offline_config(fairness=mode, algorithms=ALL_FOUR, ks=(2, 5))
+        result = run_offline_sweep(config, matrix, catalog)
+        for row in result.trace:
+            report = tfrom.exposure(result.lists[row.algorithm, row.step], catalog)
+            want = metrics.quality_weighted_provider_fairness(report, matrix, catalog)
+            assert same_float(row.qw_ratio_variance, want)
+            if catalog.l == 1:
+                assert same_float(row.qw_ratio_variance, 0.0)
+
+    @pytest.mark.parametrize("mode", list(FairnessMode))
+    @pytest.mark.parametrize("shape", ["three providers", "one provider"])
+    def test_stream_tracker_rows(self, small_instance, mode, shape):
+        matrix, catalog = small_instance if shape == "three providers" else one_provider_instance()
+        config = offline_config(fairness=mode, algorithms=ALL_FOUR, ks=(3,), stream_multiplier=3)
+        result = run_online_stream(config, matrix, catalog)
+        originals = tfrom.original_rankings(matrix)
+        for algo, served in result.served.items():
+            tracker = StreamTracker(matrix, catalog, originals)
+            for step, (_, rec) in enumerate(served, start=1):
+                tracker.record(rec)
+                report = metrics.ExposureReport(per_provider=tracker.per_provider.copy())
+                want = metrics.quality_weighted_provider_fairness(report, matrix, catalog)
+                assert same_float(tracker.row(step, algo).qw_ratio_variance, want)
+                if catalog.l == 1:
+                    assert same_float(want, 0.0)
+
+    def test_relevance_once_per_uniform_sweep_and_per_tracker(self, small_instance, monkeypatch):
+        matrix, catalog = small_instance
+        calls = []
+        relevance = metrics.provider_relevance
+
+        def spy(*args):
+            calls.append(args)
+            return relevance(*args)
+
+        monkeypatch.setattr(metrics, "provider_relevance", spy)
+        monkeypatch.setattr(targets, "provider_relevance", spy)
+        run_offline_sweep(offline_config(algorithms=ALL_FOUR, ks=(2, 5)), matrix, catalog)
+        assert calls == [(matrix, catalog)]
+        calls.clear()
+        run_online_stream(offline_config(algorithms=ALL_FOUR, ks=(3,)), matrix, catalog)
+        assert calls == [(matrix, catalog)] * len(ALL_FOUR)
+
+
+@pytest.mark.parametrize("k", [1, 4, 15])
+def test_random_cell_is_one_stream_of_all_random_calls(small_instance, k):
+    # m calls in customer order on one generator seeded [seed, 3, k]: the
+    # stream a faster draw must keep
+    matrix, catalog = small_instance
+    config = offline_config(algorithms=("random",), ks=(k,))
+    cell = run_offline_sweep(config, matrix, catalog).lists["random", k]
+    originals = tfrom.original_rankings(matrix)
+    rng = np.random.default_rng([config.seed, 3, k])
+    want = np.array([baselines.all_random(originals[u], k, rng).items for u in range(matrix.m)])
+    assert cell.owners.tobytes() == np.arange(matrix.m).tobytes()
+    assert cell.items.tobytes() == want.astype(np.intp).tobytes()

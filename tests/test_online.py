@@ -482,6 +482,7 @@ class TestStateContract:
         [
             ({"c_num": 0}, "^state snapshot lacks 'exposure'$"),
             ({"exposure": [0.0]}, "^state snapshot lacks 'c_num'$"),
+            ({}, "^state snapshot lacks 'exposure'$"),  # the first key is named
             ({"exposure": ["a"], "c_num": 0}, "^state exposure is not a numeric vector: "),
             ({"exposure": [[0.0]], "c_num": 0},
              r"^state exposure must be a 1-d float64 array, got float64 array of shape \(1, 1\)$"),
@@ -492,7 +493,8 @@ class TestStateContract:
             ({"exposure": [0.0], "c_num": 1.5}, "^state request count must be an integer, got 1.5$"),
             ({"exposure": [0.0], "c_num": -1}, "^state request count must be >= 0, got -1$"),
         ],
-        ids=["no-exposure", "no-c_num", "text", "2d", "scalar", "nan", "float-count", "negative"],
+        ids=["no-exposure", "no-c_num", "empty", "text", "2d", "scalar", "nan", "float-count",
+             "negative"],
     )
     def test_restore_messages(self, payload, message):
         with pytest.raises(errors.ValidationError, match=message):

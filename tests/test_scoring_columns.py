@@ -60,6 +60,9 @@ class ReferenceTracker:
         self.per_provider = np.zeros(catalog.l)
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
+        # read by StreamTracker.row, whose ratio variance is pinned to the
+        # public metric in test_experiments.py
+        self.relevance = metrics.provider_relevance(matrix, catalog)
 
     def record(self, rec):
         for pos, item in enumerate(rec.items):

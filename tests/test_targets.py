@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+import oracles
 import tfrom
 from tfrom import errors
 from tfrom.model import PreferenceMatrix
@@ -21,6 +22,12 @@ class TestTotalExposure:
 
     def test_two_customers_three_slots(self):
         assert tfrom.total_exposure(2, 3) == approx(4.261859507142915, rel=REL)
+
+    def test_slot_weights_summed_in_rank_order(self):
+        # bit for bit the oracles' sum; at k = 6, 9 and 15-21 the sum in
+        # reverse rank order differs in its last bit
+        for k in range(1, 65):
+            assert tfrom.total_exposure(1, k).hex() == oracles.sum_weights(k).hex()
 
     @pytest.mark.parametrize("m,k", [(0, 1), (1, 0), (-2, 3)])
     def test_invalid_dimensions(self, m, k):
