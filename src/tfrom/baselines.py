@@ -12,6 +12,11 @@ loaded open providers. ``minimum_exposure`` builds the caller's queues on
 every call, so any ranking works, a partial one included; the sweep's cell
 (``experiments._offline_cell``) runs the kernel once for all m lists on
 the matrix's own ``provider_queues``.
+
+The random rule has one home too: ``all_random`` is one
+``Generator.choice`` call, and the sweep's cell draws the same stream for
+all m lists with ``_random_positions``, from one ``Generator.integers``
+call where that is faster than one ``choice`` per list.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metrics import slot_weights
-from .model import Catalog, RankedList, RecommendationList, _check_k
+from .model import Catalog, RankedList, RecommendationList, _check_integer, _check_k
 
 
 def top_k(original: RankedList, k: int) -> RecommendationList:
@@ -32,25 +37,62 @@ def top_k(original: RankedList, k: int) -> RecommendationList:
 
 
 def all_random(original: RankedList, k: int, seed) -> RecommendationList:
-    """k distinct items drawn uniformly from the full ranking, in draw order.
+    """k distinct items drawn uniformly from the full ranking, in draw order:
+    the positions ``rng.choice(n, size=k, replace=False)`` draws.
 
-    ``seed`` is anything ``numpy.random.default_rng`` accepts, including an
-    existing generator (useful for drawing many lists from one stream).
+    ``seed`` is a ``numpy.random.Generator``, whose stream the call
+    continues (useful for drawing many lists from one stream), or an
+    integer >= 0 for ``numpy.random.default_rng`` (ValidationError
+    otherwise).
     """
     pool = original.items
     k = _check_k(k, pool.size)
-    (positions,) = _random_positions(np.random.default_rng(seed), pool.size, k, 1)
+    if not isinstance(seed, np.random.Generator):
+        seed = np.random.default_rng(_check_integer("seed", seed, 0))
+    positions = seed.choice(pool.size, size=k, replace=False)
     return RecommendationList(owner=original.owner, items=tuple(pool[positions].tolist()))
 
 
 def _random_positions(rng: np.random.Generator, n: int, k: int, lists: int) -> np.ndarray:
     """The draws of ``lists`` consecutive ``all_random`` lists from rankings
     of n items: row i holds list i's k distinct positions in its ranking,
-    in draw order, from one ``rng.choice`` per list."""
-    drawn = np.empty((lists, k), dtype=np.intp)
-    for row in drawn:
-        row[:] = rng.choice(n, size=k, replace=False)
-    return drawn
+    in draw order, with the values and the stream of one
+    ``rng.choice(n, size=k, replace=False)`` per list.
+
+    ``choice`` picks k values by Floyd's algorithm, the t-th a draw from
+    0..n-k+t, replaced by n-k+t if the list holds it already, then
+    shuffles them from the last slot down, swapping slot i with a draw
+    from 0..i. Each draw is one bounded integer of numpy's, so one
+    ``rng.integers`` call with every list's bounds in turn draws them all,
+    and the picks and swaps are then resolved one slot at a time over all
+    lists. That pays ``choice``'s per-call set-up once a cell, for k*k/2
+    comparisons a list; one ``choice`` per list stays where those cost
+    more, for 8k > lists or k > 100. The bound on k also keeps out
+    ``choice``'s other regime, n > 10000 and k > n // 50 >= 200, where it
+    shuffles a copy of range(n) instead, a stream this does not reproduce.
+    """
+    # arithmetic on a narrow numpy integer would wrap
+    n, k, lists = int(n), int(k), int(lists)
+    if 8 * k > lists or k > 100:
+        drawn = np.empty((lists, k), dtype=np.intp)
+        for row in drawn:
+            row[:] = rng.choice(n, size=k, replace=False)
+        return drawn
+    highs = np.concatenate([np.arange(n - k, n), np.arange(k - 1, 0, -1)])
+    # row c holds every list's c-th draw
+    draws = rng.integers(0, highs, size=(lists, highs.size), endpoint=True, dtype=np.int64).T
+    picks = draws[:k].astype(np.min_scalar_type(n - 1), order="C")
+    for t in range(1, k):
+        pick = picks[t]
+        pick[(picks[:t] == pick).any(axis=0)] = n - k + t
+    # list r's slot j is flat[j * lists + r]
+    flat, base = picks.reshape(-1), np.arange(lists)
+    for i, j in zip(range(k - 1, 0, -1), draws[k:]):
+        at = j * lists + base
+        swap = flat[at]
+        flat[at] = picks[i]
+        picks[i] = swap
+    return np.ascontiguousarray(picks.T, dtype=np.intp)
 
 
 def minimum_exposure(

@@ -178,7 +178,10 @@ def _offline_cell(
 ) -> RecommendationBlock:
     """One sweep cell's lists, customer u's in row u. Each baseline gives
     the lists of m calls in customer order, from ``matrix.order`` (the
-    originals are its rows)."""
+    originals are its rows): the random cell the draws of m ``all_random``
+    calls on one generator seeded ``[seed, 3, k]``, which
+    ``baselines._random_positions`` takes from one ``Generator.integers``
+    call for all m lists where that is faster."""
     if algo == "tfrom":
         return tfrom_offline(matrix, catalog, originals, k, config.fairness, config.seed).lists
     owners, order = np.arange(matrix.m), matrix.order

@@ -60,9 +60,18 @@ class PreferenceMatrix:
     Every row contains at least one strictly positive score; rows that are
     all zero are rejected at construction because a customer without any
     relevant item has an undefined ideal list quality.
+
+    The matrix keeps a read-only copy of a writable ``scores`` array, so
+    writing into the caller's array later cannot leave ``order`` or the
+    provider queues out of date; a read-only array, such as
+    ``build_instance``'s, is kept as it is.
     """
 
     scores: np.ndarray
+
+    def __post_init__(self):
+        if isinstance(self.scores, np.ndarray) and self.scores.flags.writeable:
+            object.__setattr__(self, "scores", _readonly(self.scores.copy()))
 
     @property
     def m(self) -> int:

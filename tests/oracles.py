@@ -1,5 +1,5 @@
-"""Straight-line reference interpreters for the two re-ranking procedures
-and the minimum-exposure baseline.
+"""Straight-line reference interpreters for the two re-ranking procedures,
+the minimum-exposure baseline and the random baseline's draws.
 
 Written before the production implementations and kept deliberately dumb:
 plain Python lists and dicts, no vectorization, no shared code with the
@@ -280,3 +280,13 @@ def least_exposed_slots_oracle(ledger, start, end, k, lists):
             ledger[p] += w
             open_load[p] = ledger[p] if head[p] < end[p] else np.inf
     return np.array(picks, dtype=np.intp).reshape(lists, k)
+
+
+def random_positions_oracle(rng, n, k, lists):
+    """The sweep's random cell as one ``rng.choice`` per list: ``lists``
+    rows of k distinct positions out of n, in draw order, continuing the
+    generator's stream."""
+    drawn = np.empty((lists, k), dtype=np.intp)
+    for row in drawn:
+        row[:] = rng.choice(n, size=k, replace=False)
+    return drawn

@@ -83,6 +83,7 @@ DIM, SHAPE, VALUE = errors.InvalidDimension, errors.InvalidShape, errors.Validat
 ENTRY_POINTS = {
     "top_k k": (2, DIM, lambda v: [lists_array([tfrom.top_k(ORIGINALS[0], v)])]),
     "all_random k": (2, DIM, lambda v: [lists_array([all_random(ORIGINALS[0], v, seed=0)])]),
+    "all_random seed": (3, VALUE, lambda v: [lists_array([all_random(ORIGINALS[0], 2, seed=v)])]),
     "minimum_exposure k": (2, DIM, min_exposure),
     "tfrom_offline k": (2, DIM, offline_run),
     "serve_request k": (2, DIM, served_once),

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -16,7 +17,7 @@ from conftest import (
     random_mini_instance,
 )
 from tfrom import errors
-from tfrom.baselines import _least_exposed_slots, all_random
+from tfrom.baselines import _least_exposed_slots, _random_positions, all_random
 from tfrom.model import RankedList
 from tfrom.online import OnlineState
 from tfrom.targets import FairnessMode
@@ -158,6 +159,25 @@ class TestAllRandom:
         for _ in range(3):
             want = tuple(int(i) for i in twin.choice(ranking.items, size=k, replace=False))
             assert all_random(ranking, k, rng).items == want
+
+    def test_seed_generator_continues_its_stream(self):
+        _, _, originals = build([[1.0, 2.0, 3.0, 4.0]], [0, 0, 1, 1])
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        all_random(originals[0], 2, rng)
+        twin.choice(4, size=2, replace=False)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer"),
+         (None, "seed must be an integer"), (True, "seed must be an integer"),
+         ([1, 2], "seed must be an integer"), (np.random.SeedSequence(1), "must be an integer")],
+        ids=["negative", "float", "None", "bool", "list", "seed-sequence"],
+    )
+    def test_seed_follows_the_integer_rule(self, seed, message):
+        _, _, originals = build([[1.0, 2.0, 3.0]], [0, 0, 1])
+        with pytest.raises(errors.ValidationError, match=message):
+            all_random(originals[0], 2, seed)
 
     def test_draws_are_uniform(self):
         # n=4, k=1: each item should appear with frequency 1/4 +- 0.02
@@ -307,6 +327,76 @@ def test_pick_kernel_matches_the_argmin_loop(case):
     got = _least_exposed_slots(ledger, start, end, k, lists)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert ledger.tobytes() == want_ledger.tobytes()
+
+
+@st.composite
+def random_cases(draw):
+    """(n, k, lists, seed) of the random cell's kernel: n up to 10,100,
+    small more often, so that Floyd's picks collide; k from 1 to n, small
+    more often; and lists 0, 1 or many, for a small k on both sides of
+    8k, where the kernel starts drawing in one call."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(1, 10_100)))
+    k = draw(st.one_of(st.integers(1, min(n, 12)), st.integers(1, n)))
+    many = draw(st.integers(max(2, 8 * k - 8), 8 * k + 16) if k <= 12 else st.integers(2, 3))
+    lists = draw(st.sampled_from([0, 1, many]))
+    return n, k, lists, draw(st.integers(0, 2**64 - 1))
+
+
+def _check_random_positions(n, k, lists, seed=11):
+    # n, k and lists may be numpy integers; the oracle gets plain ints
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = oracles.random_positions_oracle(twin, int(n), int(k), int(lists))
+    got = _random_positions(rng, n, k, lists)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_cases())
+def test_random_kernel_matches_one_choice_per_list(case):
+    _check_random_positions(*case)
+
+
+@pytest.mark.parametrize(
+    "n, k, lists",
+    [
+        # both sides of choice's switch to a tail shuffle (n > 10000 and
+        # k > n // 50), with 8k lists: only the bound on k keeps the
+        # k > 100 cases on one choice per list
+        (10_000, 200, 1600), (10_000, 201, 1608), (10_001, 200, 1600), (10_001, 201, 1608),
+        (2**33, 3, 24),  # draws past 2**32
+        (2000, 100, 800),  # the largest k drawn in one call
+        (5, 5, 40),  # k = n: every pick past the first may collide
+        (np.uint16(300), np.uint16(20), np.uint16(160)),
+        (np.int64(7), np.uint8(2), np.int64(3)),
+    ],
+)
+def test_random_kernel_pinned_cases(n, k, lists):
+    _check_random_positions(n, k, lists)
+
+
+class _CountingGenerator:
+    """A generator that counts the calls of each of its methods."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), collections.Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize(
+    "n, k, lists, batched",
+    [(50, 5, 40, True), (50, 5, 39, False), (2000, 100, 800, True), (2000, 101, 808, False),
+     (10_001, 201, 1608, False), (9, 1, 8, True), (9, 1, 7, False), (9, 2, 0, False)],
+)
+def test_random_kernel_draws_in_one_call_where_cheaper(n, k, lists, batched):
+    rng = _CountingGenerator(5)
+    _random_positions(rng, n, k, lists)
+    want = {"integers": 1} if batched else {"choice": lists}
+    assert rng.calls == collections.Counter(want)  # a missing key counts 0
 
 
 def _read_only(ledger):

@@ -177,6 +177,24 @@ class TestOrder:
         assert matrix.order.dtype == dtype
         assert matrix.order[0].tolist() == list(range(n - 1, -1, -1))
 
+    def test_hand_built_matrix_keeps_its_own_scores(self):
+        # writing the caller's array later, before or after the first use
+        # of order and the queues, changes none of them
+        scores = np.array([[1.0, 2.0], [2.0, 1.0]])
+        _, catalog = tfrom.build_instance(scores, [0, 1])
+        used, unused = model.PreferenceMatrix(scores), model.PreferenceMatrix(scores)
+        queues = used.provider_queues(catalog).positions.tolist()
+        scores[:] = [[2.0, 1.0], [1.0, 2.0]]
+        for matrix in (used, unused):
+            assert matrix.scores.tolist() == [[1.0, 2.0], [2.0, 1.0]]
+            assert not matrix.scores.flags.writeable
+            assert matrix.order.tolist() == [[1, 0], [0, 1]]
+            assert matrix.provider_queues(catalog).positions.tolist() == queues
+
+    def test_read_only_scores_kept_as_they_are(self):
+        matrix, _ = tfrom.build_instance([[1.0, 2.0]], [0, 0])
+        assert model.PreferenceMatrix(matrix.scores).scores is matrix.scores
+
     def test_rankings_are_read_only_views(self):
         rng = np.random.default_rng(8)
         matrix, _ = tfrom.build_instance(1.0 - rng.random((4, 5)), [0, 1, 0, 1, 2])
