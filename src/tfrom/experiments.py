@@ -29,6 +29,7 @@ from .model import (
     _block,
     _check_integer,
     _check_k,
+    _entry_columns,
     original_rankings,
 )
 from .offline import tfrom_offline
@@ -129,9 +130,9 @@ class StreamTracker:
 
     def record(self, rec: RecommendationList) -> None:
         u, k, m, n = rec.owner, rec.k, self.matrix.m, self.matrix.n
-        if not (type(u) is int and metrics._plain_ints(rec.items)
+        if not (type(u) is int and set(map(type, rec.items)) <= {int}
                 and 0 <= u < m and 0 <= min(rec.items) and max(rec.items) < n):
-            metrics._slot_columns((rec,), n, m)  # raises, naming the bad entry
+            _entry_columns((u,), (rec.items,), m, n)  # raises on a bad entry, naming it
         for w, item in zip(metrics.slot_weights(k), rec.items):
             self.per_provider[self._provider_of[item]] += w
         ideal = self._ideal.get((u, k))

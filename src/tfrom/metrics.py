@@ -13,9 +13,11 @@ normalized by the gain of the customer's own top-k prefix, so 1.0 means
 ``position_weight`` and ``dcg`` are the reference definitions, one slot
 at a time. ``exposure`` and ``quality`` score whole collections of lists
 as per-slot columns instead: each slot's owner, item and 0-based rank,
-list by list and in rank order within a list (``_slot_columns``); a
-``RecommendationBlock`` hands over its arrays as those columns. Each
-sum is one ``np.bincount`` over those columns, which adds in input order
+list by list and in rank order within a list (``_slot_columns``). The
+entries pass one rule on the way, ``model._entry_columns``, which the
+block constructor and ``StreamTracker.record`` share; a
+``RecommendationBlock`` hands over its arrays as those columns after the
+rule's range half. Each sum is one ``np.bincount`` over those columns, which adds in input order
 from 0.0, so every customer's gain and every item's exposure has the bits
 of the slot-by-slot loop. (``np.sum``, ``ufunc.reduce`` and ``@`` sum
 pairwise and would not.)
@@ -26,26 +28,23 @@ customer sets are complete populations, not samples.
 
 from __future__ import annotations
 
-import array
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidRank, UnknownCustomer, ValidationError, ZeroIdealQuality
+from .errors import InvalidRank, ValidationError, ZeroIdealQuality
 from .model import (
-    _INTP,
     Catalog,
     PreferenceMatrix,
     RankedList,
     RecommendationBlock,
     RecommendationList,
-    _check_entries,
     _check_integer,
-    _intp_column,
+    _check_range,
+    _entry_columns,
 )
 
 # Providers whose normalized relevance mass is at or below this threshold are
@@ -107,65 +106,26 @@ def dcg(u: int, items: Sequence[int], matrix: PreferenceMatrix) -> float:
     return total
 
 
-def _plain_ints(values) -> bool:
-    """Whether every one of ``values`` is a plain Python int: the fast path
-    of the integer rule on list entries."""
-    return set(map(type, values)) <= {int}
-
-
-def _int_column(values: list) -> np.ndarray | None:
-    """``values`` as an intp column, or None if one of them may break the
-    integer rule. ``array("q")`` refuses floats, strings and None, but reads
-    a bool as 0 or 1, so only the entries at 0 or 1 have their type looked
-    at; a look at every entry would cost as much as the conversion."""
-    try:
-        column = np.frombuffer(array.array("q", values), dtype=np.int64)
-    except (TypeError, OverflowError):
-        return None
-    if not _plain_ints(map(values.__getitem__, np.flatnonzero(column <= 1).tolist())):
-        return None
-    return column.astype(np.intp, copy=False)
-
-
 def _slot_columns(
     lists: Iterable[RecommendationList], n: int, m: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Any collection of lists as three per-slot columns: owner, item and
-    0-based rank, list by list and in rank order within a list. A
-    ``RecommendationBlock`` gives its columns as they are. Owners and
-    items must be integers under the integer rule (the first that is not,
-    in list order: UnknownCustomer for an owner, ValidationError naming
-    the owner for an item); items must lie in 0..n-1 (ValidationError)
-    and owners, given m, in 0..m-1, else strictly inside intp's range
-    (UnknownCustomer). An out-of-range entry is named by its value, one
-    past intp's range included."""
+    0-based rank, list by list and in rank order within a list. Lists are
+    held to the rule of ``model._entry_columns``: owners and items must be
+    integers under the integer rule, items must lie in 0..n-1 and owners,
+    given m, in 0..m-1, else strictly inside intp's range. A
+    ``RecommendationBlock``, whose entries are intp integers already, gives
+    its columns as they are, after the range half of the rule."""
     if isinstance(lists, RecommendationBlock):
         owners, items = lists.owners, lists.items.ravel()
         lengths = np.full(owners.size, lists.k)
-        named_owners, named_items = owners, items
+        _check_range(owners, items, lengths, m, n)
     else:
         lists = tuple(lists)
-        named_owners = [rec.owner for rec in lists]
-        rows = [rec.items for rec in lists]
-        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        named_items = list(itertools.chain.from_iterable(rows))
-        owners, items = _int_column(named_owners), _int_column(named_items)
-        if owners is None or items is None:
-            _check_entries(named_owners, rows)
-            # every entry is an integer: numpy integers and those past
-            # intp come this way, the latter clipped to its ends
-            owners, items = _intp_column(named_owners)[0], _intp_column(named_items)[0]
-    low, high, universe = (
-        (0, m, f"universe of size {m}") if m is not None
-        else (_INTP.min + 1, _INTP.max, "the intp range")
-    )
-    if owners.size and not (low <= owners.min() and owners.max() < high):
-        u = named_owners[((owners < low) | (owners >= high)).argmax()]
-        raise UnknownCustomer(f"list for customer {u} outside {universe}")
+        owners, items, lengths = _entry_columns(
+            [rec.owner for rec in lists], [rec.items for rec in lists], m, n
+        )
     owners = np.repeat(owners, lengths)
-    if items.size and not (0 <= items.min() and items.max() < n):
-        i = ((items < 0) | (items >= n)).argmax()
-        raise ValidationError(f"list for customer {owners[i]} holds unknown item {named_items[i]}")
     ranks = np.arange(items.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     return owners, items, ranks
 

@@ -12,6 +12,7 @@ afterwards.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import numbers
@@ -209,9 +210,13 @@ class RecommendationList:
     items: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.items) < 1:
+        try:
+            k = len(self.items)
+        except TypeError:
+            raise InvalidShape(f"a list's items must be a sequence, got {self.items!r}") from None
+        if k < 1:
             raise InvalidShape("a recommendation list must hold at least one item")
-        if len(set(self.items)) != len(self.items):
+        if len(set(self.items)) != k:
             raise InvalidShape(
                 f"duplicate items in recommendation list for customer {self.owner}"
             )
@@ -227,38 +232,36 @@ class RecommendationBlock(Sequence):
     and holds ``items[i]``, in rank order.
 
     Built from any integer owners (1-d) and items (2-d, one row per owner,
-    at least one column), it is checked once: every entry must be an
-    integer under the integer rule and lie inside intp's range (the first
-    that does not, in list order: UnknownCustomer for an owner,
+    at least one column; InvalidShape if they are no sequences or the rows
+    miscount), it is checked once by the rule of the list consumers,
+    ``_entry_columns``, without an instance: every entry must be an
+    integer under the integer rule and lie strictly inside intp's range
+    (the first that does not, in list order: UnknownCustomer for an owner,
     ValidationError naming the owner for an item; owners are checked
-    before items), and no row may repeat an item (InvalidShape). It keeps
-    both as read-only intp arrays. As a ``Sequence[RecommendationList]``,
-    indexing or iterating builds each list from its row when asked, with
-    Python-int ``owner`` and ``items``; a slice is a block of those rows.
-    Two blocks are equal when their owners and items are.
+    before items). No row may repeat an item (InvalidShape). It keeps
+    both as read-only intp arrays. As a
+    ``Sequence[RecommendationList]``, indexing or iterating builds each
+    list from its row when asked, with Python-int ``owner`` and ``items``;
+    a slice is a block of those rows. Two blocks are equal when their
+    owners and items are.
     """
 
     owners: np.ndarray
     items: np.ndarray
 
     def __post_init__(self):
-        owners = _listed(self.owners)
-        rows = [_listed(row) for row in _listed(self.items)]
-        _check_entries(owners, rows)
-        k = len(rows[0]) if rows else 0
-        if len(rows) != len(owners) or any(len(row) != k for row in rows):
+        try:
+            owners = _listed(self.owners)
+            rows = [_listed(row) for row in _listed(self.items)]
+            k = len(rows[0]) if rows else 0
+            shaped = len(rows) == len(owners) and all(len(row) == k for row in rows)
+        except TypeError:  # owners or a row of items that is no sequence
+            shaped = False
+        if not shaped:
             raise InvalidShape("a block needs one row of items per owner, all of one length")
         if k < 1:
             raise InvalidShape("a recommendation list must hold at least one item")
-        owner_column, bad = _intp_column(owners)
-        if bad is not None:
-            raise UnknownCustomer(f"list for customer {owners[bad]} outside the intp range")
-        flat = list(itertools.chain.from_iterable(rows))
-        item_column, bad = _intp_column(flat)
-        if bad is not None:
-            raise ValidationError(
-                f"list for customer {owners[bad // k]} holds unknown item {flat[bad]}"
-            )
+        owner_column, item_column, _ = _entry_columns(owners, rows)
         items = item_column.reshape(len(owners), k)
         ordered = np.sort(items, axis=1)
         repeats = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
@@ -318,31 +321,65 @@ def _listed(values) -> list:
     return values.tolist() if isinstance(values, np.ndarray) else list(values)
 
 
-def _check_entries(owners: Sequence, rows: Sequence) -> None:
-    """The integer rule on the entries of lists, given as owners and their
-    rows of items: the first entry in list order that breaks it raises,
-    an owner UnknownCustomer and an item ValidationError naming the owner."""
-    for owner, row in zip(owners, rows):
-        if not _is_integer(owner):
-            raise UnknownCustomer(f"list owner must be an integer, got {owner!r}")
-        for item in row:
-            if not _is_integer(item):
-                raise ValidationError(
-                    f"list for customer {owner}: an item must be an integer, got {item!r}"
-                )
-
-
-def _intp_column(values: list) -> tuple[np.ndarray, int | None]:
-    """Integers as an intp column, each clipped into intp's range, and the
-    index of the first that had to be (None if none). A clipped entry sits
-    at an end of the range, outside every universe of ids, so a range
-    check refuses it; name it by its index into ``values``."""
+def _entry_columns(owners: Sequence, rows: Sequence, m: int | None = None, n: int | None = None):
+    """The rule on the entries of lists, given as owners and their rows of
+    items (of any lengths). Every entry must be an integer under the
+    integer rule: the first in list order that is not raises, an owner
+    UnknownCustomer and an item ValidationError naming the owner; then
+    ``_check_range``. Returns the owners and the items, row after row, as
+    intp columns, and the row lengths."""
+    items = list(itertools.chain.from_iterable(rows))
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     try:
-        return np.array(values, dtype=np.intp), None
+        # array("q") refuses floats, strings and None, but reads a bool as 0
+        # or 1, so only the entries at 0 or 1 have their type looked at; a
+        # look at every entry would cost as much as the conversion
+        columns = [np.asarray(array.array("q", values), np.intp) for values in (owners, items)]
+        small = [values[i] for values, column in zip((owners, items), columns)
+                 for i in np.flatnonzero(column <= 1).tolist()]
+        plain = set(map(type, small)) <= {int}
+    except (TypeError, OverflowError):
+        plain = False
+    if not plain:
+        for owner, row in zip(owners, rows):
+            if not _is_integer(owner):
+                raise UnknownCustomer(f"list owner must be an integer, got {owner!r}")
+            for item in row:
+                if not _is_integer(item):
+                    raise ValidationError(
+                        f"list for customer {owner}: an item must be an integer, got {item!r}"
+                    )
+        # numpy integers and integers past intp come this way; the latter
+        # are clipped to intp's ends, which lie outside every range
+        columns = [_clipped(values) for values in (owners, items)]
+    _check_range(*columns, lengths, m, n, names=(owners, items))
+    return (*columns, lengths)
+
+
+def _clipped(values: list) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.intp)
     except OverflowError:
-        clipped = [min(max(value, _INTP.min), _INTP.max) for value in values]
-        bad = next(i for i, (a, b) in enumerate(zip(values, clipped)) if a != b)
-        return np.array(clipped, dtype=np.intp), bad
+        return np.array([min(max(value, _INTP.min), _INTP.max) for value in values], np.intp)
+
+
+def _check_range(owners, items, lengths, m=None, n=None, names=None) -> None:
+    """The range half of the rule on list entries, on intp columns and row
+    lengths: owners must lie in 0..m-1 and items in 0..n-1 where m and n
+    are given, else strictly inside intp's range. The first owner outside
+    raises UnknownCustomer, else the first item ValidationError naming its
+    owner; each is named by its value in ``names`` (owners, items as
+    given), by default in the columns."""
+    owner_names, item_names = names or (owners, items)
+    for column, size in (owners, m), (items, n):
+        low, high = (_INTP.min + 1, _INTP.max) if size is None else (0, size)
+        if column.size and not (low <= column.min() and column.max() < high):
+            bad = ((column < low) | (column >= high)).argmax()
+            if column is owners:
+                universe = "the intp range" if m is None else f"universe of size {m}"
+                raise UnknownCustomer(f"list for customer {owner_names[bad]} outside {universe}")
+            owner = np.repeat(owners, lengths)[bad]
+            raise ValidationError(f"list for customer {owner} holds unknown item {item_names[bad]}")
 
 
 def _check_original(

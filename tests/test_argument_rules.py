@@ -227,6 +227,13 @@ def test_out_of_range_owner_refused(consumer, owner, tmp_path):
         score(consumer, [GOOD[0], REC(owner, (0, 2))], tmp_path)
 
 
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_owner_range_checked_before_item_range(consumer, tmp_path):
+    owner = BIG if consumer == "exposure" else -1  # exposure reads no owner's range
+    with pytest.raises(errors.UnknownCustomer, match=f"^list for customer {owner} outside"):
+        score(consumer, [GOOD[0], REC(owner, (3, 0))], tmp_path)
+
+
 @pytest.mark.parametrize("consumer", CONSUMERS[1:])
 def test_first_out_of_range_owner_named(consumer, tmp_path):
     with pytest.raises(errors.UnknownCustomer, match="customer -1 outside"):
@@ -264,6 +271,12 @@ def test_first_non_integer_named(consumer, tmp_path):
     lists = [GOOD[0], REC(1, (0, 2.5)), REC(0.5, (0, 2))]
     with pytest.raises(errors.ValidationError, match="got 2.5"):
         score(consumer, lists, tmp_path)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_first_non_integer_in_a_row_named(consumer, tmp_path):
+    with pytest.raises(errors.ValidationError, match="got 1.5$"):
+        score(consumer, [GOOD[0], REC(1, (1.5, "x"))], tmp_path)
 
 
 @pytest.mark.parametrize("kind", [np.int64, np.uint16])
@@ -356,7 +369,15 @@ BAD_LISTS = {
     "owner-past-int64": [GOOD[0], REC(BIG, (0, 2))],
     "owner-below-int64": [GOOD[0], REC(-BIG, (0, 2))],
     "first-in-list-order": [GOOD[0], REC(1, (0, 2.5)), REC(0.5, (0, 2))],
+    "first-in-a-row": [GOOD[0], REC(1, (1.5, "x"))],
+    # the column reads True as 1, and only the entries at 0 or 1 have their type looked at
+    "item-bool-after-a-larger-id": [GOOD[0], REC(1, (2, True))],
     "owners-before-items": [REC(0, (BIG, 1)), REC(BIG, (0, 2))],
+    # intp's ends: the columns clip entries past intp to them
+    "item-intp-max": [GOOD[0], REC(1, (2**63 - 1, 0))],
+    "item-intp-min": [GOOD[0], REC(1, (-2**63, 0))],
+    "owner-intp-max": [GOOD[0], REC(2**63 - 1, (0, 2))],
+    "owner-intp-min": [GOOD[0], REC(-2**63, (0, 2))],
 }
 
 

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -37,6 +38,29 @@ class TestBuildInstance:
     def test_assignment_length_mismatch(self):
         with pytest.raises(errors.InvalidShape):
             tfrom.build_instance([[1, 2]], [0])
+
+    @pytest.mark.parametrize(
+        "grid, error, message",
+        [
+            ([[1, 1], [np.nan, 1], [1, np.inf]], errors.NonFiniteScore,
+             r"^score at \(customer 1, item 0\) is not finite$"),
+            # the zero before the first negative is no negative
+            ([[1, 0], [-1, 1], [1, -2]], errors.NegativeScore,
+             r"^score at \(customer 1, item 0\) is negative$"),
+            ([[1, 1], [0, 0], [0, 0]], errors.EmptyRow,
+             "^customer 1 has no positive relevance score$"),
+        ],
+        ids=["non-finite", "negative", "empty-row"],
+    )
+    def test_first_bad_cell_named(self, grid, error, message):
+        with pytest.raises(error, match=message):
+            tfrom.build_instance(grid, [0, 0])
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (3,)])
+    def test_empty_or_flat_grid_rejected(self, shape):
+        message = re.escape(f"non-empty 2-d score grid, got shape {shape}")
+        with pytest.raises(errors.InvalidShape, match=message):
+            tfrom.build_instance(np.ones(shape), [0] * shape[-1])
 
     def test_provider_compaction_keeps_labels(self):
         # gap in the external ids disappears; labels preserved in
@@ -277,6 +301,10 @@ class TestRecommendationList:
         with pytest.raises(errors.InvalidShape):
             tfrom.RecommendationList(owner=0, items=())
 
+    def test_items_not_a_sequence_rejected(self):
+        with pytest.raises(errors.InvalidShape, match="items must be a sequence, got 5"):
+            tfrom.RecommendationList(owner=0, items=5)
+
 
 class TestRecommendationBlock:
     Block = tfrom.RecommendationBlock
@@ -320,8 +348,12 @@ class TestRecommendationBlock:
             ([0], [()], "at least one item"),
             ([], [], "at least one item"),
             ([0, 1], [(0, 1), (2, 2)], "^duplicate items in recommendation list for customer 1$"),
+            ([0], [1, 2], "one row of items per owner"),
+            (5, [[1, 2]], "one row of items per owner"),
+            (np.array(5), np.array([[1, 2]]), "one row of items per owner"),
         ],
-        ids=["rows", "ragged", "no-item", "no-list", "duplicate"],
+        ids=["rows", "ragged", "no-item", "no-list", "duplicate", "items-1d", "owner-scalar",
+             "owner-0d"],
     )
     def test_shape_refused(self, owners, items, message):
         with pytest.raises(errors.InvalidShape, match=message):
