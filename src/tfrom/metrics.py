@@ -112,7 +112,7 @@ def _slot_columns(
     """Any collection of lists as three per-slot columns: owner, item and
     0-based rank, list by list and in rank order within a list. Lists are
     held to the rule of ``model._entry_columns``: owners and items must be
-    integers under the integer rule, items must lie in 0..n-1 and owners,
+    integers under ``model._is_index``, items must lie in 0..n-1 and owners,
     given m, in 0..m-1, else strictly inside intp's range. A
     ``RecommendationBlock``, whose entries are intp integers already, gives
     its columns as they are, after the range half of the rule."""

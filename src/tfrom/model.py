@@ -16,6 +16,7 @@ import array
 import functools
 import itertools
 import numbers
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .errors import (
 
 _INTP = np.iinfo(np.intp)
 
-# scores per argsort call in ``PreferenceMatrix.order`` and
+# scores per sort call in ``PreferenceMatrix.order`` and
 # ``provider_queues``: each block's temporaries take 0.5 MB, not a copy of
 # the matrix
 _ORDER_BLOCK = 1 << 16
@@ -44,6 +45,12 @@ _ORDER_BLOCK = 1 << 16
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _stable_order(block: np.ndarray) -> np.ndarray:
+    """Rows of scores by descending score, ascending id on ties and NaN
+    last, as int64: the stable argsort of the negated scores."""
+    return np.argsort(-block, axis=1, kind="stable")
 
 
 def _unchecked(cls, **fields):
@@ -86,13 +93,49 @@ class PreferenceMatrix:
     def order(self) -> np.ndarray:
         """Every customer's original preference order, one read-only m x n
         array of the smallest unsigned type that holds n - 1: row u lists
-        the items by descending score, ascending id on ties."""
+        the items by descending score, ascending id on ties.
+
+        Each row is ``_stable_order`` of it, the stable argsort of the
+        negated scores, to the bit, but most rows get there by one plain
+        sort of unique keys. A float64 score of at least 0, plus 0.0 (so
+        -0.0 reads as 0.0), orders as its bits do; the key is those bits
+        inverted, with the low s = (n - 1).bit_length() bits replaced by
+        the item id, so ascending keys give descending scores and
+        ascending ids within a tie. The keys are unique, so any sort
+        orders them alike. A check then reads each row's scores in key
+        order: they must never rise. It fails only for a row with NaN, a
+        negative score or two scores equal above their low s bits, and
+        that row alone is sorted again by ``_stable_order``. A block whose
+        first row holds fewer than one nonzero score in eight, such as a
+        sparse ratings row, goes to ``_stable_order`` whole, since the
+        stable sort is adaptive and places runs of equal zeros faster; so
+        does every block of a matrix whose scores are not float64."""
         m, n = self.scores.shape
         order = np.empty((m, n), dtype=np.min_scalar_type(n - 1))
         rows = max(1, _ORDER_BLOCK // n)
+        low = np.uint64((1 << (n - 1).bit_length()) - 1)
+        flipped_ids = ~np.arange(n, dtype=np.uint64)
+        row_starts = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
+        keyed = self.scores.dtype == np.float64
         for lo in range(0, m, rows):
-            block = self.scores[lo : lo + rows]
-            order[lo : lo + rows] = np.argsort(-block, axis=1, kind="stable")
+            block, out = self.scores[lo : lo + rows], order[lo : lo + rows]
+            if not keyed or 8 * np.count_nonzero(block[0]) < n:
+                out[...] = _stable_order(block)
+                continue
+            keys = np.add(block, 0.0).view(np.uint64)
+            keys |= low
+            keys ^= flipped_ids  # ~(bits | low) | id
+            keys.sort(axis=1)
+            keys &= low
+            out[...] = keys
+            ids = keys.view(np.int64)
+            ids += row_starts[: len(block)]
+            ranked = block.ravel().take(ids)
+            # scores that never rise are in the stable order: equal scores
+            # have equal keys above the low bits, so their ids ascend
+            wrong = np.flatnonzero(~(ranked[:, :-1] >= ranked[:, 1:]).all(axis=1))
+            if wrong.size:
+                out[wrong] = _stable_order(block[wrong])
         return _readonly(order)
 
     @functools.cached_property
@@ -235,7 +278,8 @@ class RecommendationBlock(Sequence):
     at least one column; InvalidShape if they are no sequences or the rows
     miscount), it is checked once by the rule of the list consumers,
     ``_entry_columns``, without an instance: every entry must be an
-    integer under the integer rule and lie strictly inside intp's range
+    integer under ``_is_index`` (bools excluded, any other value with
+    ``__index__`` read as one) and lie strictly inside intp's range
     (the first that does not, in list order: UnknownCustomer for an owner,
     ValidationError naming the owner for an item; owners are checked
     before items). No row may repeat an item (InvalidShape). It keeps
@@ -323,8 +367,8 @@ def _listed(values) -> list:
 
 def _entry_columns(owners: Sequence, rows: Sequence, m: int | None = None, n: int | None = None):
     """The rule on the entries of lists, given as owners and their rows of
-    items (of any lengths). Every entry must be an integer under the
-    integer rule: the first in list order that is not raises, an owner
+    items (of any lengths). Every entry must be an integer under
+    ``_is_index``: the first in list order that is not raises, an owner
     UnknownCustomer and an item ValidationError naming the owner; then
     ``_check_range``. Returns the owners and the items, row after row, as
     intp columns, and the row lengths."""
@@ -337,20 +381,20 @@ def _entry_columns(owners: Sequence, rows: Sequence, m: int | None = None, n: in
         columns = [np.asarray(array.array("q", values), np.intp) for values in (owners, items)]
         small = [values[i] for values, column in zip((owners, items), columns)
                  for i in np.flatnonzero(column <= 1).tolist()]
-        plain = set(map(type, small)) <= {int}
+        plain = all(map(_is_index, small))
     except (TypeError, OverflowError):
         plain = False
     if not plain:
         for owner, row in zip(owners, rows):
-            if not _is_integer(owner):
+            if not _is_index(owner):
                 raise UnknownCustomer(f"list owner must be an integer, got {owner!r}")
             for item in row:
-                if not _is_integer(item):
+                if not _is_index(item):
                     raise ValidationError(
                         f"list for customer {owner}: an item must be an integer, got {item!r}"
                     )
-        # numpy integers and integers past intp come this way; the latter
-        # are clipped to intp's ends, which lie outside every range
+        # integers past intp come this way, clipped to intp's ends, which lie
+        # outside every range
         columns = [_clipped(values) for values in (owners, items)]
     _check_range(*columns, lengths, m, n, names=(owners, items))
     return (*columns, lengths)
@@ -360,7 +404,9 @@ def _clipped(values: list) -> np.ndarray:
     try:
         return np.array(values, dtype=np.intp)
     except OverflowError:
-        return np.array([min(max(value, _INTP.min), _INTP.max) for value in values], np.intp)
+        return np.array(
+            [min(max(operator.index(value), _INTP.min), _INTP.max) for value in values], np.intp
+        )
 
 
 def _check_range(owners, items, lengths, m=None, n=None, names=None) -> None:
@@ -399,6 +445,14 @@ def _check_original(
         raise ValidationError(f"original ranking{where} holds {len(items)} items, not {matrix.n}")
     if not np.array_equal(items, matrix.order[u]):
         raise ValidationError(f"original ranking{where} is not customer {u}'s preference order")
+
+
+def _is_index(value) -> bool:
+    """The type half of the rule on list entries: a value with
+    ``__index__``, which ``array("q")`` and numpy's indexing read as an
+    integer (ints, numpy integers and other index types), but no bool."""
+    kind = type(value)
+    return kind is int or (kind is not bool and kind is not np.bool_ and hasattr(kind, "__index__"))
 
 
 def _is_integer(value) -> bool:

@@ -1,5 +1,6 @@
 """Straight-line reference interpreters for the two re-ranking procedures,
-the minimum-exposure baseline and the random baseline's draws.
+the minimum-exposure baseline, the random baseline's draws and the
+preference order.
 
 Written before the production implementations and kept deliberately dumb:
 plain Python lists and dicts, no vectorization, no shared code with the
@@ -290,3 +291,15 @@ def random_positions_oracle(rng, n, k, lists):
     for row in drawn:
         row[:] = rng.choice(n, size=k, replace=False)
     return drawn
+
+
+def stable_order(scores, block=1 << 16):
+    """Every row's preference order as ``PreferenceMatrix.order`` computed
+    it before its keyed sort: one stable argsort of the negated scores per
+    block of rows, in the smallest unsigned type that holds n - 1."""
+    m, n = scores.shape
+    order = np.empty((m, n), dtype=np.min_scalar_type(n - 1))
+    rows = max(1, block // n)
+    for lo in range(0, m, rows):
+        order[lo : lo + rows] = np.argsort(-scores[lo : lo + rows], axis=1, kind="stable")
+    return order

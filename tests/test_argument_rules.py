@@ -295,6 +295,58 @@ def test_numpy_integer_entries_score_alike(kind):
     assert tracker.avg_quality.tobytes() == plain.avg_quality.tobytes()
 
 
+class Index:
+    """An index type that is no ``numbers.Integral``: it has ``__index__`` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+def entry_outcome(consumer, lists):
+    """What ``consumer`` makes of ``lists``: its output bytes, or the type
+    and message of the error it raised."""
+    try:
+        if consumer == "RecommendationBlock":
+            block = tfrom.RecommendationBlock([r.owner for r in lists], [r.items for r in lists])
+            return block.owners.tobytes() + block.items.tobytes()
+        if consumer == "exposure":
+            return tfrom.exposure(lists, CATALOG).per_provider.tobytes()
+        if consumer == "quality":
+            return tfrom.quality(lists, MATRIX, ORIGINALS).per_customer_ndcg.tobytes()
+        tracker = StreamTracker(MATRIX, CATALOG, ORIGINALS)
+        for rec in lists:
+            tracker.record(rec)
+        return tracker.per_provider.tobytes() + tracker.avg_quality.tobytes()
+    except errors.TfromError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("consumer", ["RecommendationBlock", "exposure", "quality",
+                                      "StreamTracker.record"])
+@pytest.mark.parametrize("value", [0, 1, 2])
+@pytest.mark.parametrize("where", ["owner", "item"])
+def test_index_type_entry_reads_as_its_integer(where, value, consumer):
+    # array("q") reads any __index__, and only the entries at 0 or 1 have
+    # their type looked at, for bools: such an entry used to be refused
+    # there and accepted above
+    def lists(entry):
+        if where == "owner":  # customer 2 lies outside the instance
+            return [REC(entry, (2, 1)), REC(1 if value == 0 else 0, (0, 2))]
+        return [REC(0, (entry, (value + 1) % 3)), REC(1, (0, 2))]
+
+    plain = entry_outcome(consumer, lists(value))
+    index = entry_outcome(consumer, lists(Index(value)))
+    if isinstance(plain, tuple):
+        index = (index[0], index[1].replace(repr(Index(value)), str(value)))
+    assert index == plain
+
+
 
 WIDE_MATRIX, WIDE_CATALOG = tfrom.build_instance(
     1.0 - np.random.default_rng(0).random((2, 256)), [i % 2 for i in range(256)]

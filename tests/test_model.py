@@ -166,7 +166,106 @@ def tie_heavy_grids(draw):
     return scores, draw(st.integers(1, m * n))
 
 
+SCORE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 2.0]),
+    st.floats(0, 4),  # subnormals included
+    st.floats(0, 4, width=32).map(float),
+)
+HAND_BUILT_CELLS = st.one_of(
+    SCORE_CELLS, st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.5, -5e-324, -2.0])
+)
+
+
+@st.composite
+def order_grids(draw, cells=SCORE_CELLS):
+    """(scores, block size): up to 4 rows of n in {1, 2, 3, 17, 256, 257}
+    cells, each row a drawn head of cells repeated to length n (exact ties)
+    with a few cells moved one ulp up (near ties, which share their key's
+    high bits); with ``SCORE_CELLS`` every row holds a positive score."""
+    n = draw(st.sampled_from([1, 2, 3, 17, 256, 257]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = np.resize(np.array(draw(st.lists(cells, min_size=1, max_size=12))), n)
+        nudged = draw(st.lists(st.integers(0, n - 1), max_size=4))
+        row[nudged] = np.nextafter(row[nudged], np.inf)
+        if cells is SCORE_CELLS and not (row > 0).any():
+            row[draw(st.integers(0, n - 1))] = 1.0
+        rows.append(row)
+    return np.array(rows), draw(st.sampled_from([1, n, 2 * n + 1, 1 << 16]))
+
+
+def assert_stable_order(matrix, scores, block):
+    with mock.patch.object(model, "_ORDER_BLOCK", block):
+        order = matrix.order
+    expected = oracles.stable_order(scores, block)
+    assert order.dtype == expected.dtype
+    assert order.tobytes() == expected.tobytes()
+
+
 class TestOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(order_grids())
+    @example((np.array([[1.0, 1.0 + 2**-52]]), 1 << 16))  # a near tie, smaller id first
+    @example((np.array([[0.0, -0.0, 0.0, 5e-324]]), 1 << 16))
+    def test_bit_identical_to_the_stable_argsort(self, grid):
+        scores, block = grid
+        matrix, _ = tfrom.build_instance(scores, [0] * scores.shape[1])
+        assert_stable_order(matrix, scores, block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(order_grids(HAND_BUILT_CELLS))
+    @example((np.array([[np.nan, 1.0, 2.0], [-1.0, 0.0, -0.0], [np.inf, -np.inf, np.inf]]), 6))
+    def test_hand_built_nan_inf_and_negative_scores(self, grid):
+        # a hand-built matrix is not validated; such rows fail the keyed
+        # sort's check and take the stable argsort
+        scores, block = grid
+        assert_stable_order(model.PreferenceMatrix(scores), scores, block)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8, ">f8"])
+    def test_scores_that_are_not_float64_take_the_stable_argsort(self, dtype):
+        scores = np.array([[3, 1, 0, 2], [0, 2, 2, 1], [1, 1, 1, 3]], dtype=dtype)
+        with mock.patch.object(model, "_stable_order", wraps=model._stable_order) as stable:
+            assert_stable_order(model.PreferenceMatrix(scores), scores, 8)
+        assert stable.call_count == 2  # one call per block of two rows
+
+    def test_which_rows_take_the_stable_argsort(self):
+        near = 1.0 + 2**-52  # 1.0 in every bit above the two low ones
+        scores = np.array([
+            [0.3, 0.2, 0.1, 0.4],
+            [1.0, near, 0.5, 0.2],  # near tie, smaller score at the smaller id
+            [np.nan, 1.0, 0.5, 0.2],
+            [-1.0, 1.0, 0.5, 0.2],
+            [1.0, 1.0, 1.0, 0.2],  # exact ties
+            [near, 1.0, 0.5, -0.0],  # near tie in order, and -0.0
+        ])
+        with mock.patch.object(model, "_stable_order", wraps=model._stable_order) as stable:
+            assert_stable_order(model.PreferenceMatrix(scores), scores, 1 << 16)
+        (rows,), _ = stable.call_args
+        assert stable.call_count == 1
+        assert rows.tobytes() == scores[1:4].tobytes()
+
+    def test_a_block_whose_first_row_is_sparse_takes_the_stable_argsort(self):
+        # blocks of two rows of 16: a first row with fewer than 2 nonzero
+        # scores in 16 sends its block to the stable argsort whole
+        scores = np.tile(np.arange(16.0), (6, 1))
+        scores[0] = scores[2] = 0.0
+        scores[0, 5] = 1.0  # 1 in 16: stable
+        scores[2, [5, 9]] = 1.0  # 2 in 16: keyed
+        scores[5, 3] = -1.0  # fails the check
+        with mock.patch.object(model, "_stable_order", wraps=model._stable_order) as stable:
+            assert_stable_order(model.PreferenceMatrix(scores), scores, 32)
+        called = [rows.tobytes() for (rows,), _ in stable.call_args_list]
+        assert called == [scores[0:2].tobytes(), scores[5:6].tobytes()]
+
+    @pytest.mark.parametrize("row", [
+        [-1.0] + [1.0] * 39,  # fails the check
+        [0.0] * 39 + [1.0],  # sparse
+    ])
+    def test_stable_rows_keep_long_ties_in_id_order(self, row):
+        # past numpy's small-sort cutoff an unstable argsort reorders ties
+        scores = np.array([row, np.arange(40.0)])
+        assert_stable_order(model.PreferenceMatrix(scores), scores, 1 << 16)
+
     @settings(max_examples=150, deadline=None)
     @given(tie_heavy_grids())
     @example((np.array([[0.0, 2.0, 0.0, 2.0]]), 1))  # m=1, zero columns, ties
