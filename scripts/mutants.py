@@ -1,6 +1,6 @@
 """Single-point mutation check of the re-rankers against their tests.
 
-    python scripts/mutants.py                      # all six modules
+    python scripts/mutants.py                      # all seven modules
     python scripts/mutants.py baselines.py --list  # the mutants, not run
 
 Each mutant changes one spot of one module under ``src/tfrom``:
@@ -37,7 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tfrom"
-MODULES = ("baselines.py", "offline.py", "online.py", "targets.py", "metrics.py", "model.py")
+MODULES = ("baselines.py", "offline.py", "online.py", "targets.py", "metrics.py", "model.py",
+           "experiments.py")
 TESTS = (
     "test_offline.py",
     "test_online.py",
@@ -49,6 +50,7 @@ TESTS = (
     "test_scoring_columns.py",
     "test_argument_rules.py",
     "test_model.py",
+    "test_experiments.py",
 )
 BASELINE = ROOT / "scripts" / "mutants_baseline.json"
 MAX_WORKERS = 2

@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import fileio, metrics
+from . import fileio
 from .errors import InputFormatError, ValidationError
 from .experiments import (
     ALGORITHMS,
@@ -196,7 +196,8 @@ def _cmd_metrics(args) -> int:
             "",
             exposure(lists, catalog),
             quality(lists, matrix, originals),
-            metrics.provider_relevance(matrix, catalog),
+            matrix,
+            catalog,
         )
         head = {"mode": "offline", "k": row.step}
     results = {**asdict(row), **head}

@@ -6,9 +6,10 @@ seeded request sequence (uniform over customers, with replacement) and
 replays it through every algorithm independently, recording a metric row
 every ``trace_every`` requests. ``StreamTracker`` is the one place where
 stream quality and exposure are accounted: the replay feeds it, and so
-does ``tfrom metrics`` when it re-reads a served stream. A sweep and a
-tracker each compute the providers' relevance once, for all their rows.
-Identical seeds reproduce byte-identical traces.
+does ``tfrom metrics`` when it re-reads a served stream. Both read the
+providers' relevance and the customers' ideal gains from the instance's
+memos, through ``metrics.quality_weighted_provider_fairness`` and
+``metrics._top_k_dcg``. Identical seeds reproduce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .model import (
     RecommendationBlock,
     RecommendationList,
     _block,
+    _check_catalog,
     _check_integer,
     _check_k,
     _entry_columns,
@@ -91,10 +93,11 @@ class TraceRow:
         algorithm: str,
         report: metrics.ExposureReport,
         qreport: metrics.QualityReport,
-        relevance: np.ndarray,
+        matrix: PreferenceMatrix,
+        catalog: Catalog,
     ) -> "TraceRow":
-        """The row of a batch: one list per customer. ``relevance`` is the
-        instance's ``metrics.provider_relevance``."""
+        """The row of a batch on ``matrix`` and ``catalog``: one list per
+        customer."""
         ndcg_var = metrics.customer_fairness(qreport)
         return cls(
             step=step,
@@ -103,7 +106,7 @@ class TraceRow:
             ndcg_variance=ndcg_var,
             ndcg_variance_all=ndcg_var,
             exposure_variance=metrics.uniform_provider_fairness(report),
-            qw_ratio_variance=metrics._ratio_variance(report.per_provider, relevance),
+            qw_ratio_variance=metrics.quality_weighted_provider_fairness(report, matrix, catalog),
         )
 
 
@@ -111,9 +114,9 @@ class StreamTracker:
     """Cumulative accounting of one served stream, fed from its lists only.
 
     Exposure adds up slot by slot in request order; each customer's
-    quality is the running mean of the NDCG of their requests. A
-    customer's ideal gain at k, and the providers' relevance, are computed
-    once per tracker.
+    quality is the running mean of the NDCG of their requests. A request's
+    ideal gain is read from the matrix's memo when its customer's original
+    is the matrix's own row, and computed per request otherwise.
     """
 
     def __init__(
@@ -123,8 +126,7 @@ class StreamTracker:
         self.per_provider = np.zeros(catalog.l)
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
-        self._ideal: dict[tuple[int, int], float] = {}
-        self.relevance = metrics.provider_relevance(matrix, catalog)
+        _check_catalog(matrix, catalog)
         # Python ints index ``per_provider`` faster than numpy scalars do
         self._provider_of = catalog.provider_of.tolist()
 
@@ -135,9 +137,9 @@ class StreamTracker:
             _entry_columns((u,), (rec.items,), m, n)  # raises on a bad entry, naming it
         for w, item in zip(metrics.slot_weights(k), rec.items):
             self.per_provider[self._provider_of[item]] += w
-        ideal = self._ideal.get((u, k))
-        if ideal is None:
-            ideal = self._ideal[u, k] = metrics._ideal_dcg(u, k, self.matrix, self.originals[u])
+        ideal = metrics._top_k_dcg(self.matrix, k)[u]
+        if not (ideal > 0.0 and self.originals[u].items is self.matrix.rows[u]):
+            ideal = metrics._ideal_dcg(u, k, self.matrix, self.originals[u])
         request_ndcg = metrics.dcg(u, rec.items, self.matrix) / ideal
         t = int(self.rec_time[u])
         self.avg_quality[u] = (self.avg_quality[u] * t + request_ndcg) / (t + 1)
@@ -153,7 +155,9 @@ class StreamTracker:
             ndcg_variance=float(np.var(self.avg_quality[served])),
             ndcg_variance_all=float(np.var(self.avg_quality)),
             exposure_variance=metrics.uniform_provider_fairness(report),
-            qw_ratio_variance=metrics._ratio_variance(self.per_provider, self.relevance),
+            qw_ratio_variance=metrics.quality_weighted_provider_fairness(
+                report, self.matrix, self.catalog
+            ),
         )
 
 
@@ -206,8 +210,8 @@ def run_offline_sweep(
 ) -> OfflineSweepResult:
     """One metric row per (k, algorithm) cell; cells see identical inputs."""
     config.validate(matrix.n)
+    _check_catalog(matrix, catalog)
     originals = original_rankings(matrix)
-    relevance = metrics.provider_relevance(matrix, catalog)
     result = OfflineSweepResult(trace=[])
     for k in config.ks:
         for algo in config.algorithms:
@@ -218,7 +222,8 @@ def run_offline_sweep(
                     algo,
                     metrics.exposure(lists, catalog),
                     metrics.quality(lists, matrix, originals),
-                    relevance,
+                    matrix,
+                    catalog,
                 )
             )
             result.lists[(algo, k)] = lists

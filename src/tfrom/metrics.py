@@ -42,9 +42,11 @@ from .model import (
     RankedList,
     RecommendationBlock,
     RecommendationList,
+    _check_catalog,
     _check_integer,
     _check_range,
     _entry_columns,
+    _readonly,
 )
 
 # Providers whose normalized relevance mass is at or below this threshold are
@@ -141,11 +143,15 @@ def _dcg_sums(
 
 
 def _top_k_dcg(matrix: PreferenceMatrix, k: int) -> np.ndarray:
-    """Every customer's ideal gain at k: the ``dcg`` of ``matrix.order[u, :k]``."""
-    m = matrix.m
-    return _dcg_sums(
-        matrix, np.repeat(np.arange(m), k), matrix.order[:, :k].ravel(), np.tile(np.arange(k), m)
-    )
+    """Every customer's ideal gain at k, the ``dcg`` of ``matrix.order[u, :k]``:
+    one read-only m-vector, computed once per matrix and k."""
+    gains = matrix._ideal_gains.get(k)
+    if gains is None:
+        m = matrix.m
+        owners, ranks = np.repeat(np.arange(m), k), np.tile(np.arange(k), m)
+        gains = _dcg_sums(matrix, owners, matrix.order[:, :k].ravel(), ranks)
+        matrix._ideal_gains[k] = _readonly(gains)
+    return gains
 
 
 def ndcg(
@@ -192,14 +198,21 @@ def quality(
     listed[list_owners] = True
     if not listed.all():
         raise ValidationError(f"no list for customer {int(listed.argmin())}")
-    # the ideal list of each list: its owner's own prefix of the same length
-    lengths = np.diff(starts, append=ranks.size).tolist()
-    ideal_items = np.concatenate(
-        [originals[u].items[:k] for u, k in zip(list_owners.tolist(), lengths)]
-    )
-    if ideal_items.size != items.size:
-        raise ValidationError("an original ranking holds fewer items than its customer's list")
-    idcgs = _dcg_sums(matrix, owners, ideal_items, ranks)
+    # the ideal list of each list: its owner's own prefix of the same length,
+    # whose gains the matrix keeps when every list has one length k and
+    # every original is the matrix's own row
+    lengths = np.diff(starts, append=ranks.size)
+    k = lengths.max(initial=0)
+    if (k <= matrix.n and ranks.size == matrix.m * k and len(originals) == matrix.m
+            and all(ranked.items is row for ranked, row in zip(originals, matrix.rows))):
+        idcgs = _top_k_dcg(matrix, int(k))
+    else:
+        ideal_items = np.concatenate(
+            [originals[u].items[:size] for u, size in zip(list_owners.tolist(), lengths.tolist())]
+        )
+        if ideal_items.size != items.size:
+            raise ValidationError("an original ranking holds fewer items than its customer's list")
+        idcgs = _dcg_sums(matrix, owners, ideal_items, ranks)
     if (idcgs <= 0).any():
         raise ZeroIdealQuality("a customer has zero ideal gain")
     with np.errstate(over="ignore"):
@@ -224,6 +237,7 @@ def uniform_provider_fairness(report: ExposureReport) -> float:
 
 def provider_relevance(matrix: PreferenceMatrix, catalog: Catalog) -> np.ndarray:
     """Total relevance mass of each provider's items over all customers."""
+    _check_catalog(matrix, catalog)
     item_totals = matrix.scores.sum(axis=0)
     return np.array([item_totals[catalog.provider_of == p].sum() for p in range(catalog.l)])
 
@@ -241,21 +255,21 @@ def _minmax_unit(values: np.ndarray) -> np.ndarray:
 def quality_weighted_provider_fairness(
     report: ExposureReport, matrix: PreferenceMatrix, catalog: Catalog
 ) -> float:
-    """Variance of the exposure-to-relevance ratio across providers.
+    """Variance of the exposure-to-relevance ratio across providers: 0.0
+    for fewer than two.
 
     Exposure and relevance mass live on very different scales, so both are
     min-max normalized to [0, 1] before the ratio; providers whose
     normalized relevance is ~0 are excluded (the ratio is unbounded there).
+    The relevance, ``provider_relevance``, is built once per memo of the
+    matrix and catalog (``model._Derived``) and kept read-only.
     """
-    return _ratio_variance(report.per_provider, provider_relevance(matrix, catalog))
-
-
-def _ratio_variance(per_provider: np.ndarray, relevance: np.ndarray) -> float:
-    """``quality_weighted_provider_fairness`` from the providers'
-    exposure and their ``provider_relevance``: 0.0 for fewer than two."""
-    if relevance.size < 2:
+    memo = matrix._derived(catalog)
+    if memo.relevance is None:
+        memo.relevance = _readonly(provider_relevance(matrix, catalog))
+    if memo.relevance.size < 2:
         return 0.0
-    norm_e = _minmax_unit(per_provider)
-    norm_r = _minmax_unit(relevance)
+    norm_e = _minmax_unit(report.per_provider)
+    norm_r = _minmax_unit(memo.relevance)
     include = norm_r > NORMALIZED_RELEVANCE_EPS
     return float(np.var(norm_e[include] / norm_r[include]))

@@ -5,9 +5,10 @@ An *instance* is a dense non-negative relevance matrix (customers x items)
 plus a catalog assigning every item to exactly one provider. All types are
 immutable after construction and safe to share across threads; the
 re-rankers and metrics build on them without further validation. Arrays
-derived from an instance, such as ``PreferenceMatrix.order`` and the
-provider queues, are computed once, on first use, and never change
-afterwards.
+derived from an instance are computed once, on first use, and never
+change afterwards: ``PreferenceMatrix.order`` and every customer's ideal
+gain at k on the matrix, the provider queues and the providers' relevance
+in one memo per matrix and catalog (``PreferenceMatrix._derived``).
 """
 
 from __future__ import annotations
@@ -144,20 +145,32 @@ class PreferenceMatrix:
         ``items`` of every ranking ``original_ranking(s)`` returns."""
         return tuple(self.order)
 
+    @functools.cached_property
+    def _ideal_gains(self) -> dict:
+        """Every customer's ideal gain, one m-vector per k, kept by
+        ``metrics._top_k_dcg``."""
+        return {}
+
+    def _derived(self, catalog: "Catalog") -> "_Derived":
+        """The memo of what the matrix derives with ``catalog``. The matrix
+        keeps the memo of the catalog it was last asked about, so a memo
+        never answers for another catalog; another catalog gets a new memo
+        (InvalidShape from ``_check_catalog``), kept in its place."""
+        memo = self.__dict__.get("_memo")
+        if memo is None or memo.catalog is not catalog:
+            _check_catalog(self, catalog)
+            memo = self.__dict__["_memo"] = _Derived(catalog)
+        return memo
+
     def provider_queues(self, catalog: "Catalog") -> "ProviderQueues":
         """Every customer's preference order split into one queue per
-        provider of ``catalog``, built on first use.
-
-        The matrix keeps the queues of the catalog it was last asked about,
-        together with that catalog, so asking about another catalog builds
-        them anew and a memo can never answer for the wrong one. Callers
-        keep the object this returns, so threads that ask about different
-        catalogs each use their own. ValidationError if a provider owns no
-        item or ``catalog.sizes`` miscounts ``catalog.provider_of``.
+        provider of ``catalog``, built on first use and kept in the memo
+        for ``catalog`` (``_derived``). ValidationError if a provider owns
+        no item or ``catalog.sizes`` miscounts ``catalog.provider_of``.
         """
-        memo = self.__dict__.get("_queues")
-        if memo is not None and memo.catalog is catalog:
-            return memo
+        memo = self._derived(catalog)
+        if memo.queues is not None:
+            return memo.queues
         m, n = self.scores.shape
         counts = np.bincount(catalog.provider_of, minlength=catalog.l)
         if not (np.array_equal(counts, catalog.sizes) and (counts > 0).all()):
@@ -172,9 +185,9 @@ class PreferenceMatrix:
             positions[lo : lo + per_block] = np.argsort(block, axis=1, kind="stable")
         end = np.cumsum(catalog.sizes)
         start = end - catalog.sizes
-        memo = ProviderQueues(catalog, _readonly(positions), _readonly(start), _readonly(end))
-        self.__dict__["_queues"] = memo
-        return memo
+        queues = ProviderQueues(catalog, _readonly(positions), _readonly(start), _readonly(end))
+        memo.queues = queues
+        return queues
 
 
 @dataclass(frozen=True)
@@ -229,6 +242,19 @@ class ProviderQueues:
     positions: np.ndarray
     start: np.ndarray
     end: np.ndarray
+
+
+@dataclass
+class _Derived:
+    """What a matrix derives with one catalog, each field None until its one
+    reader builds it: ``queues`` (``PreferenceMatrix.provider_queues``) and
+    ``relevance`` (``metrics.quality_weighted_provider_fairness``). A reader
+    keeps the memo it got while it fills and reads it, so threads that use
+    different catalogs each read their own."""
+
+    catalog: Catalog
+    queues: ProviderQueues | None = None
+    relevance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -445,6 +471,13 @@ def _check_original(
         raise ValidationError(f"original ranking{where} holds {len(items)} items, not {matrix.n}")
     if not np.array_equal(items, matrix.order[u]):
         raise ValidationError(f"original ranking{where} is not customer {u}'s preference order")
+
+
+def _check_catalog(matrix: PreferenceMatrix, catalog: Catalog) -> None:
+    """The instance check of a matrix and a catalog: the catalog must assign
+    the matrix's n items (InvalidShape otherwise)."""
+    if catalog.n != matrix.n:
+        raise InvalidShape(f"{catalog.n} provider assignments for {matrix.n} items")
 
 
 def _is_index(value) -> bool:

@@ -159,7 +159,7 @@ def tfrom_offline(
     front = positions[:, queues.start]
     order, scores = matrix.order, matrix.scores
 
-    ideal = _top_k_dcg(matrix, k)  # the originals are matrix.order's rows
+    ideal = _top_k_dcg(matrix, k)  # the matrix's memo: the originals are its rows
     exposure = np.zeros(l)
     q = np.zeros(m)
     # customer u's rank-r slot is entry [u, r - 1]; -1 marks an open slot

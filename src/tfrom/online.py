@@ -19,10 +19,11 @@ provider queues (``ProviderQueues``), and only among the c providers that
 fit the lightest slot. A request costs one O(l) vectorized pass, an
 O(c·k) one over those c providers, and O(k log k) steps in Python.
 
-The queues are built once per matrix and catalog, on the first request
-unless the caller builds them first: ``matrix.provider_queues(catalog)``
-before a stream moves that cost (tens of milliseconds at 2000 x 2000)
-out of the first request, which then reuses them.
+The queues are built once per matrix and catalog, into their memo
+(``PreferenceMatrix._derived``), on the first request unless the caller
+builds them first: ``matrix.provider_queues(catalog)`` before a stream
+moves that cost (tens of milliseconds at 2000 x 2000) out of the first
+request, which then reuses them.
 
 A state value is never mutated: its exposure is a read-only array, and
 serving returns a fresh state, so snapshots can be kept, checkpointed, or

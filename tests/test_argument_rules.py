@@ -1,5 +1,6 @@
 """Argument rules shared by every entry point: the integer rule for counts,
-indices and seeds, the fairness-mode check, and the range of list entries.
+indices and seeds, the fairness-mode check, the range of list entries, and
+a catalog's item count against the matrix.
 
 The instance has m = 2 customers, n = 3 items and l = 2 providers. The
 seed of ``tfrom_offline`` and the customer id of ``original_ranking`` and
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import tfrom
-from tfrom import errors, fileio
+from tfrom import errors, fileio, metrics
 from tfrom.baselines import all_random
 from tfrom.experiments import (
     ExperimentConfig,
@@ -172,6 +173,35 @@ def test_mode_must_be_a_fairness_mode(call, mode):
     # "uniform" used to be read as quality-weighted: [0.27, 2.73], not [1, 2]
     with pytest.raises(errors.ValidationError, match="fairness mode must be a FairnessMode"):
         call(mode)
+
+
+# catalogs of 2 and 4 items, each with MATRIX's l = 2 providers: with 2 the
+# calls below used to end in a bare IndexError, and with 4 some returned
+# results, a provider's queue running past the row
+OTHER_CATALOGS = {
+    n: tfrom.build_instance(np.ones((1, n)), [0, 1] * (n // 2))[1] for n in (2, 4)
+}
+QUALITY = FairnessMode.QUALITY_WEIGHTED
+CATALOG_USERS = {
+    "provider_relevance": lambda catalog: metrics.provider_relevance(MATRIX, catalog),
+    "fair_targets": lambda catalog: tfrom.fair_targets(QUALITY, 3.0, catalog, MATRIX),
+    "provider_queues": lambda catalog: MATRIX.provider_queues(catalog),
+    "serve_request": lambda catalog: tfrom.serve_request(
+        OnlineState.fresh(2, 2), 0, MATRIX, catalog, ORIGINALS[0], 2, UNIFORM
+    ),
+    "tfrom_offline": lambda catalog: tfrom.tfrom_offline(
+        MATRIX, catalog, ORIGINALS, 2, UNIFORM, seed=0
+    ),
+    "run_offline_sweep": lambda catalog: run_offline_sweep(config(), MATRIX, catalog),
+    "run_online_stream": lambda catalog: run_online_stream(config(), MATRIX, catalog),
+}
+
+
+@pytest.mark.parametrize("n", list(OTHER_CATALOGS))
+@pytest.mark.parametrize("name", list(CATALOG_USERS))
+def test_catalog_of_another_item_count_refused(name, n):
+    with pytest.raises(errors.InvalidShape, match=f"^{n} provider assignments for 3 items$"):
+        CATALOG_USERS[name](OTHER_CATALOGS[n])
 
 
 REC = tfrom.RecommendationList

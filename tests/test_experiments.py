@@ -3,10 +3,11 @@ import pytest
 from pytest import approx
 
 import tfrom
-from tfrom import baselines, errors, metrics, targets
+from tfrom import baselines, errors, experiments, metrics, targets
 from tfrom.experiments import (
     ExperimentConfig,
     StreamTracker,
+    request_stream,
     run_offline_sweep,
     run_online_stream,
 )
@@ -42,6 +43,13 @@ class TestConfigValidation:
         with pytest.raises(errors.ValidationError):
             run_offline_sweep(offline_config(algorithms=("pagerank",)), matrix, catalog)
 
+    def test_first_bad_entry_named(self, small_instance):
+        matrix, catalog = small_instance
+        with pytest.raises(errors.ValidationError, match="unknown algorithm 'pagerank'"):
+            run_offline_sweep(offline_config(algorithms=("pagerank", "hits")), matrix, catalog)
+        with pytest.raises(errors.InvalidDimension, match="list length must be >= 1"):
+            run_offline_sweep(offline_config(ks=(0, 99)), matrix, catalog)
+
     def test_k_above_n(self, small_instance):
         matrix, catalog = small_instance
         with pytest.raises(errors.ValidationError):
@@ -63,12 +71,12 @@ class TestConfigValidation:
 class TestOfflineSweep:
     def test_one_row_per_cell(self, small_instance):
         matrix, catalog = small_instance
-        config = offline_config(algorithms=("tfrom", "topk", "random", "minexp"), ks=(2, 4, 6))
+        config = offline_config(algorithms=("tfrom", "topk", "random", "minexp"), ks=(4, 2, 6))
         result = run_offline_sweep(config, matrix, catalog)
-        assert len(result.trace) == 12
-        assert {(row.algorithm, row.step) for row in result.trace} == {
-            (algo, k) for algo in config.algorithms for k in config.ks
-        }
+        # in config order: k after k, and the algorithms within each k
+        cells = [(algo, k) for k in config.ks for algo in config.algorithms]
+        assert [(row.algorithm, row.step) for row in result.trace] == cells
+        assert list(result.lists) == cells
 
     def test_topk_rows_have_maximal_quality(self, small_instance):
         matrix, catalog = small_instance
@@ -121,10 +129,29 @@ class TestOnlineStream:
             ks=(3,), algorithms=("tfrom", "topk"), stream_multiplier=4
         )
         result = run_online_stream(config, matrix, catalog)
-        per_algo = {}
-        for row in result.trace:
-            per_algo.setdefault(row.algorithm, []).append(row.step)
-        assert per_algo["tfrom"] == per_algo["topk"] == [6, 12, 18, 24]
+        # one algorithm after another, in config order
+        assert [(row.algorithm, row.step) for row in result.trace] == [
+            (algo, step) for algo in config.algorithms for step in (6, 12, 18, 24)
+        ]
+        assert list(result.served) == list(config.algorithms)
+
+    def test_each_baseline_serves_its_own_calls(self, small_instance):
+        # request by request: the random lists continue one generator seeded
+        # [seed, 3], and the minimum-exposure lists share one ledger
+        matrix, catalog = small_instance
+        config = offline_config(ks=(3,), algorithms=("random", "minexp"), stream_multiplier=2)
+        result = run_online_stream(config, matrix, catalog)
+        originals = tfrom.original_rankings(matrix)
+        stream = request_stream(config.seed, matrix.m, 2 * matrix.m).tolist()
+        rng, ledger = np.random.default_rng([config.seed, 3]), np.zeros(catalog.l)
+        want = {
+            "random": [baselines.all_random(originals[u], 3, rng) for u in stream],
+            "minexp": [
+                baselines.minimum_exposure(originals[u], catalog, ledger, 3) for u in stream
+            ],
+        }
+        for algo, lists in want.items():
+            assert result.served[algo] == list(enumerate(lists))
 
     def test_topk_quality_grows_one_per_request(self, small_instance):
         matrix, catalog = small_instance
@@ -193,6 +220,36 @@ def one_provider_instance():
     return tfrom.build_instance(scores, np.zeros(15, dtype=int))
 
 
+class TestStreamTracker:
+    def test_unserved_customers_count_in_the_all_variance_only(self, small_instance):
+        matrix, catalog = small_instance
+        originals = tfrom.original_rankings(matrix)
+        tracker = StreamTracker(matrix, catalog, originals)
+        tracker.record(tfrom.top_k(originals[0], 3))
+        row = tracker.row(1, "topk")
+        assert row.ndcg_variance == 0.0  # one served customer, at NDCG 1
+        want = np.var([1.0] + [0.0] * (matrix.m - 1))
+        assert row.ndcg_variance_all == approx(want, rel=1e-12) and want > 0
+
+    def test_plain_lists_skip_the_entry_rule(self, small_instance, monkeypatch):
+        # Python-int lists in range pass the tracker's own guard, the ends of
+        # both ranges included; anything else goes to _entry_columns, which
+        # raises on a bad entry
+        matrix, catalog = small_instance
+        tracker = StreamTracker(matrix, catalog, tfrom.original_rankings(matrix))
+        calls = []
+        rule = experiments._entry_columns
+        monkeypatch.setattr(
+            experiments, "_entry_columns", lambda *args: calls.append(args) or rule(*args)
+        )
+        m, n = matrix.m, matrix.n
+        for u, items in [(0, (0, n - 1)), (m - 1, (n - 1, 0)), (2, (5,))]:
+            tracker.record(tfrom.RecommendationList(u, items))
+        assert calls == []
+        tracker.record(tfrom.RecommendationList(1, (np.int64(3), 4)))
+        assert len(calls) == 1
+
+
 class TestRatioVariancePin:
     """Trace rows take the providers' relevance once per sweep or tracker;
     every row's ratio variance is still the public metric's, bit for bit."""
@@ -227,22 +284,26 @@ class TestRatioVariancePin:
                 if catalog.l == 1:
                     assert same_float(want, 0.0)
 
-    def test_relevance_once_per_uniform_sweep_and_per_tracker(self, small_instance, monkeypatch):
-        matrix, catalog = small_instance
-        calls = []
+    def test_relevance_once_per_matrix_and_catalog(self, monkeypatch):
+        # a sweep and a four-algorithm stream on one (matrix, catalog) share
+        # one relevance vector; quality-weighted fair_targets computes its
+        # own on every call
+        scores, assignments = tfrom.generate_synthetic(6, 15, 3, seed=23)
+        matrix, catalog = tfrom.build_instance(scores, assignments)
+        calls, targets_calls = [], []
         relevance = metrics.provider_relevance
 
-        def spy(*args):
-            calls.append(args)
-            return relevance(*args)
+        def spy(into):
+            return lambda *args: into.append(args) or relevance(*args)
 
-        monkeypatch.setattr(metrics, "provider_relevance", spy)
-        monkeypatch.setattr(targets, "provider_relevance", spy)
+        monkeypatch.setattr(metrics, "provider_relevance", spy(calls))
+        monkeypatch.setattr(targets, "provider_relevance", spy(targets_calls))
         run_offline_sweep(offline_config(algorithms=ALL_FOUR, ks=(2, 5)), matrix, catalog)
-        assert calls == [(matrix, catalog)]
-        calls.clear()
         run_online_stream(offline_config(algorithms=ALL_FOUR, ks=(3,)), matrix, catalog)
-        assert calls == [(matrix, catalog)] * len(ALL_FOUR)
+        assert calls == [(matrix, catalog)] and targets_calls == []
+        for _ in range(3):
+            tfrom.fair_targets(FairnessMode.QUALITY_WEIGHTED, 1.0, catalog, matrix)
+        assert targets_calls == [(matrix, catalog)] * 3 and len(calls) == 1
 
 
 @pytest.mark.parametrize("k", [1, 4, 15])

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import tfrom
-from tfrom import errors, model
+from tfrom import errors, metrics, model
 
 
 class TestBuildInstance:
@@ -356,19 +358,86 @@ class TestProviderQueues:
                     assert [providers[order[pos]] for pos in group] == [p] * catalog.sizes[p]
             assert not queues.positions.flags.writeable
 
+    @staticmethod
+    def relevance(matrix, catalog):
+        """The memo's relevance, which the quality-weighted metric fills."""
+        report = metrics.ExposureReport(np.zeros(catalog.l))
+        metrics.quality_weighted_provider_fairness(report, matrix, catalog)
+        return matrix._derived(catalog).relevance
+
     def test_memo_follows_the_catalog(self):
         scores, assignments = self.instance(3)
         matrix, first = tfrom.build_instance(scores, assignments)
         _, second = tfrom.build_instance(scores, assignments[::-1])
         queues = matrix.provider_queues(first)
+        relevance = self.relevance(matrix, first)
         assert matrix.provider_queues(first) is queues
+        assert self.relevance(matrix, first) is relevance
+        assert relevance.tolist() == metrics.provider_relevance(matrix, first).tolist()
+        assert not relevance.flags.writeable
         other = matrix.provider_queues(second)
         assert other.catalog is second
         assert other.positions.tolist() != queues.positions.tolist()
+        other_relevance = self.relevance(matrix, second)
+        assert other_relevance.tolist() == metrics.provider_relevance(matrix, second).tolist()
+        assert other_relevance.tolist() != relevance.tolist()
         again = matrix.provider_queues(first)
         assert again.catalog is first
         assert again.positions.tolist() == queues.positions.tolist()
+        assert self.relevance(matrix, first).tolist() == relevance.tolist()
 
+    def test_relevance_builds_no_queues_and_fair_targets_neither(self):
+        scores, assignments = self.instance(4)
+        matrix, catalog = tfrom.build_instance(scores, assignments)
+        for mode in tfrom.FairnessMode:
+            tfrom.fair_targets(mode, 1.0, catalog, matrix)
+        assert "_memo" not in vars(matrix)
+        with mock.patch.object(model, "ProviderQueues", side_effect=AssertionError("built")):
+            self.relevance(matrix, catalog)
+        assert matrix._derived(catalog).queues is None
+
+    def test_threads_on_two_catalogs_read_their_own_fields(self):
+        # four threads on two cores, two per catalog, swap the matrix's one
+        # memo back and forth; every read must still be its own catalog's:
+        # the queues, and the ratio variance that reads the relevance
+        scores, assignments = self.instance(5, m=40, n=30, l=4)
+        matrix, first = tfrom.build_instance(scores, assignments)
+        _, second = tfrom.build_instance(scores, assignments[::-1])
+        report = metrics.ExposureReport(np.arange(4.0))
+
+        def fields(matrix, catalog):
+            return (
+                matrix.provider_queues(catalog).positions.tobytes(),
+                metrics.quality_weighted_provider_fairness(report, matrix, catalog),
+            )
+
+        want = {id(c): fields(model.PreferenceMatrix(scores), c) for c in (first, second)}
+        assert want[id(first)] != want[id(second)]
+        wrong = []
+        start = threading.Barrier(4)
+
+        def read(catalog):
+            try:
+                start.wait(timeout=60)
+                for _ in range(200):
+                    if matrix.provider_queues(catalog).catalog is not catalog \
+                            or fields(matrix, catalog) != want[id(catalog)]:
+                        wrong.append(catalog)
+            except Exception as exc:  # an error in a thread would only warn
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(c,)) for c in (first, second) * 2]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     @pytest.mark.parametrize("l, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
     def test_provider_keys_are_the_ids_in_the_smallest_type(self, l, dtype):

@@ -20,7 +20,7 @@ import tfrom
 from conftest import minimum_exposure_loop
 from tfrom import baselines, errors, fileio, metrics
 from tfrom.experiments import ALGORITHMS, ExperimentConfig, StreamTracker, _offline_cell
-from tfrom.model import RankedList, RecommendationBlock, RecommendationList
+from tfrom.model import PreferenceMatrix, RankedList, RecommendationBlock, RecommendationList
 
 
 def reference_exposure(lists, catalog):
@@ -56,13 +56,12 @@ class ReferenceTracker:
     """StreamTracker's accounting, slot by slot and without the cache."""
 
     def __init__(self, matrix, catalog, originals):
+        # StreamTracker.row reads matrix and catalog too: its ratio variance
+        # is pinned to the public metric in test_experiments.py
         self.matrix, self.catalog, self.originals = matrix, catalog, originals
         self.per_provider = np.zeros(catalog.l)
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
-        # read by StreamTracker.row, whose ratio variance is pinned to the
-        # public metric in test_experiments.py
-        self.relevance = metrics.provider_relevance(matrix, catalog)
 
     def record(self, rec):
         for pos, item in enumerate(rec.items):
@@ -86,13 +85,20 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# scores with many ties, 1-5 ratings and subnormals, each mixed with zeros
+TIES = st.sampled_from([0.0, 1.0, 2.0])
+RATINGS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+SUBNORMALS = st.sampled_from([0.0, 5e-324, 1e-310, 2e-308, 1.0])
+
+
 @st.composite
-def instances(draw):
+def instances(draw, cells=(TIES, st.floats(0.0, 1.0))):
     """(matrix, catalog): up to 5 customers and 10 items, scores drawn from
-    {0, 1, 2} or [0, 1], every row with a positive score."""
+    one of ``cells`` ({0, 1, 2} or [0, 1] by default), every row with a
+    positive score."""
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 10))
-    cell = st.sampled_from([0.0, 1.0, 2.0]) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    cell = draw(st.sampled_from(cells))
     scores = np.array(
         draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=m, max_size=m))
     )
@@ -138,22 +144,32 @@ def test_quality_and_exposure_match_the_slot_loops(instance, data):
     )
 
 
-@settings(max_examples=30, deadline=None)
-@given(instances(), st.data())
+@settings(max_examples=60, deadline=None)
+@given(instances(cells=(TIES, RATINGS, SUBNORMALS, st.floats(0.0, 1.0))), st.data())
 def test_top_k_dcg_matches_dcg(instance, data):
+    # the matrix keeps the vector, and it has the bits of every customer's
+    # own ideal gain, as ``_ideal_dcg`` computes it from a copy of the row
     matrix, _ = instance
     k = data.draw(st.integers(1, matrix.n))
     want = np.array([tfrom.dcg(u, matrix.order[u, :k], matrix) for u in range(matrix.m)])
-    assert same_bits(metrics._top_k_dcg(matrix, k), want)
+    gains = metrics._top_k_dcg(matrix, k)
+    assert same_bits(gains, want)
+    copies = [RankedList(u, matrix.order[u].copy()) for u in range(matrix.m)]
+    ideal = [metrics._ideal_dcg(u, k, matrix, copies[u]) for u in range(matrix.m)]
+    assert same_bits(gains, np.array(ideal))
+    assert metrics._top_k_dcg(matrix, k) is gains and not gains.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
 @given(instances(), st.data())
 def test_stream_tracker_matches_the_uncached_reference(instance, data):
     # requests revisit customers, and k varies between requests, so the
-    # cache must answer per (customer, k)
+    # memo must answer per (customer, k); equal originals that are not the
+    # matrix's rows are scored per request
     matrix, catalog = instance
     originals = tfrom.original_rankings(matrix)
+    if data.draw(st.booleans()):
+        originals = [RankedList(u, ranked.items.copy()) for u, ranked in enumerate(originals)]
     tracker = StreamTracker(matrix, catalog, originals)
     reference = ReferenceTracker(matrix, catalog, originals)
     owners = data.draw(st.lists(st.integers(0, matrix.m - 1), min_size=1, max_size=16))
@@ -216,19 +232,70 @@ def test_error_messages():
     tracker = StreamTracker(matrix, catalog, bogus)
     with pytest.raises(errors.ZeroIdealQuality, match="^customer 1 has zero ideal gain at k=1$"):
         tracker.record(one[1])
+    # a hand-built matrix may hold a row of zeros: its own row gives a zero
+    # ideal gain at the first request of that customer, not before
+    zeros = PreferenceMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+    tracker = StreamTracker(zeros, catalog, tfrom.original_rankings(zeros))
+    tracker.record(one[0])
+    with pytest.raises(errors.ZeroIdealQuality, match="^customer 1 has zero ideal gain at k=1$"):
+        tracker.record(one[1])
 
 
-def test_ideal_gain_is_cached_per_customer_and_k(monkeypatch):
-    matrix, catalog = tfrom.build_instance([[1.0, 2.0, 3.0]], [0, 0, 1])
-    tracker = StreamTracker(matrix, catalog, tfrom.original_rankings(matrix))
-    calls = []
-    ideal = metrics._ideal_dcg
-    monkeypatch.setattr(
-        metrics, "_ideal_dcg", lambda u, k, *rest: calls.append((u, k)) or ideal(u, k, *rest)
-    )
-    for items in [(0, 1), (2, 1), (1,), (0, 2), (2,)]:
-        tracker.record(RecommendationList(0, items))
-    assert calls == [(0, 2), (0, 1)]
+def spy(monkeypatch, name, calls, label):
+    """Record ``label(*args)`` of every call of ``metrics.<name>``."""
+    real = getattr(metrics, name)
+    monkeypatch.setattr(metrics, name, lambda *args: calls.append(label(*args)) or real(*args))
+
+
+def test_ideal_gain_is_computed_once_per_matrix_and_k(monkeypatch):
+    # every tracker on the matrix, quality and tfrom_offline read the one
+    # vector per k; a tracker computes a customer's gain itself only for
+    # an original that is not the matrix's own row
+    matrix, catalog = tfrom.build_instance([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 0, 1])
+    originals = tfrom.original_rankings(matrix)
+    sums, ideals = [], []
+    spy(monkeypatch, "_dcg_sums", sums, lambda matrix, owners, items, ranks: int(ranks.max()) + 1)
+    spy(monkeypatch, "_ideal_dcg", ideals, lambda u, k, *rest: (u, k))
+    requests = [(0, (0, 1)), (1, (2, 1)), (0, (1,)), (1, (0, 2)), (0, (2,))]
+    for _ in range(2):
+        tracker = StreamTracker(matrix, catalog, originals)
+        for u, items in requests:
+            tracker.record(RecommendationList(u, items))
+    assert sums == [2, 1] and ideals == []
+    sums.clear()
+    tfrom.quality(RecommendationBlock([0, 1], [[1, 0], [2, 1]]), matrix, originals)
+    tfrom.tfrom_offline(matrix, catalog, originals, 1, tfrom.FairnessMode.UNIFORM, seed=0)
+    assert sums == [2]  # the lists' own gains
+    copies = list(originals)
+    copies[1] = RankedList(1, originals[1].items.copy())
+    tracker = StreamTracker(matrix, catalog, copies)
+    for u, items in requests:
+        tracker.record(RecommendationList(u, items))
+    assert ideals == [(1, 2), (1, 2)] and sums == [2]
+
+
+def test_quality_reads_the_ideal_gains_only_for_the_matrix_rows(monkeypatch):
+    # one length k <= n for all lists and every original the matrix's own
+    # row; anything else rescores the ideal lists, one more _dcg_sums call
+    # than the lists' own (the memo holds k = 1 and k = n already)
+    matrix, _ = tfrom.build_instance([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 0, 1])
+    originals = tfrom.original_rankings(matrix)
+    copies = [RankedList(u, ranked.items.copy()) for u, ranked in enumerate(originals)]
+    metrics._top_k_dcg(matrix, 1), metrics._top_k_dcg(matrix, 3)
+    sums = []
+    spy(monkeypatch, "_dcg_sums", sums, lambda *args: None)
+    cases = [
+        (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), originals, 1),
+        (RecommendationBlock([1, 0], [[2], [0]]), originals, 1),
+        (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), copies, 2),
+        (RecommendationBlock([1, 0], [[2], [0]]), originals + originals[:1], 2),
+        ([RecommendationList(0, (2,)), RecommendationList(1, (0, 2))], originals, 2),
+    ]
+    for lists, given, calls in cases:
+        sums.clear()
+        got = tfrom.quality(lists, matrix, given).per_customer_ndcg
+        assert len(sums) == calls
+        assert same_bits(got, reference_quality(lists, matrix, originals))
 
 
 def a_block(draw, matrix):
@@ -263,11 +330,14 @@ def test_block_scores_and_writes_as_its_lists(instance, data):
     block = a_block(data.draw, matrix)
     lists = tuple(block)
     originals = tfrom.original_rankings(matrix)
+    # equal originals that are not the matrix's rows take quality's other path
+    copies = [RankedList(u, ranked.items.copy()) for u, ranked in enumerate(originals)]
     got, got_error = outcome(lambda: tfrom.quality(block, matrix, originals).per_customer_ndcg)
-    want, want_error = outcome(lambda: tfrom.quality(lists, matrix, originals).per_customer_ndcg)
-    assert got_error == want_error
-    if want_error is None:
-        assert same_bits(got, want)
+    for given in (originals, copies):
+        want, want_error = outcome(lambda: tfrom.quality(lists, matrix, given).per_customer_ndcg)
+        assert got_error == want_error
+        if want_error is None:
+            assert same_bits(got, want)
     assert same_bits(
         tfrom.exposure(block, catalog).per_provider, tfrom.exposure(lists, catalog).per_provider
     )
