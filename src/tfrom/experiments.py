@@ -116,13 +116,15 @@ class StreamTracker:
     Exposure adds up slot by slot in request order; each customer's
     quality is the running mean of the NDCG of their requests. A request's
     ideal gain is read from the matrix's memo when its customer's original
-    is the matrix's own row, and computed per request otherwise.
+    is the matrix's own ranking, and computed per request otherwise.
     """
 
     def __init__(
         self, matrix: PreferenceMatrix, catalog: Catalog, originals: Sequence[RankedList]
     ):
         self.matrix, self.catalog, self.originals = matrix, catalog, originals
+        # every original of the matrix's own sequence is its own ranking
+        self._own = originals is matrix._rankings
         self.per_provider = np.zeros(catalog.l)
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
@@ -138,7 +140,8 @@ class StreamTracker:
         for w, item in zip(metrics.slot_weights(k), rec.items):
             self.per_provider[self._provider_of[item]] += w
         ideal = metrics._top_k_dcg(self.matrix, k)[u]
-        if not (ideal > 0.0 and self.originals[u].items is self.matrix.rows[u]):
+        own = self._own or self.originals[u].items is self.matrix._rankings[u].items
+        if not (ideal > 0.0 and own):
             ideal = metrics._ideal_dcg(u, k, self.matrix, self.originals[u])
         request_ndcg = metrics.dcg(u, rec.items, self.matrix) / ideal
         t = int(self.rec_time[u])

@@ -199,12 +199,11 @@ def quality(
     if not listed.all():
         raise ValidationError(f"no list for customer {int(listed.argmin())}")
     # the ideal list of each list: its owner's own prefix of the same length,
-    # whose gains the matrix keeps when every list has one length k and
-    # every original is the matrix's own row
+    # whose gains the matrix keeps when every list has one length k and the
+    # originals are the matrix's own rankings
     lengths = np.diff(starts, append=ranks.size)
     k = lengths.max(initial=0)
-    if (k <= matrix.n and ranks.size == matrix.m * k and len(originals) == matrix.m
-            and all(ranked.items is row for ranked, row in zip(originals, matrix.rows))):
+    if originals is matrix._rankings and k <= matrix.n and ranks.size == matrix.m * k:
         idcgs = _top_k_dcg(matrix, int(k))
     else:
         ideal_items = np.concatenate(

@@ -6,9 +6,10 @@ plus a catalog assigning every item to exactly one provider. All types are
 immutable after construction and safe to share across threads; the
 re-rankers and metrics build on them without further validation. Arrays
 derived from an instance are computed once, on first use, and never
-change afterwards: ``PreferenceMatrix.order`` and every customer's ideal
-gain at k on the matrix, the provider queues and the providers' relevance
-in one memo per matrix and catalog (``PreferenceMatrix._derived``).
+change afterwards: ``PreferenceMatrix.order``, every customer's ideal
+gain at k and each customer's ``RankedList`` (``OriginalRankings``) on
+the matrix, the provider queues and the providers' relevance in one memo
+per matrix and catalog (``PreferenceMatrix._derived``).
 """
 
 from __future__ import annotations
@@ -66,21 +67,26 @@ def _unchecked(cls, **fields):
 class PreferenceMatrix:
     """Dense m x n grid of finite, non-negative relevance scores.
 
-    Every row contains at least one strictly positive score; rows that are
-    all zero are rejected at construction because a customer without any
-    relevant item has an undefined ideal list quality.
+    Every row should contain at least one strictly positive score, since a
+    customer without any relevant item has an undefined ideal list quality.
+    ``build_instance`` rejects such rows, and the other violations of the
+    grid; a matrix built by hand is not checked.
 
-    The matrix keeps a read-only copy of a writable ``scores`` array, so
+    The matrix keeps a read-only float64 copy of a ``scores`` array that is
+    writable or of another dtype (integers above 2**53 lose precision), so
     writing into the caller's array later cannot leave ``order`` or the
-    provider queues out of date; a read-only array, such as
+    provider queues out of date; a read-only float64 array, such as
     ``build_instance``'s, is kept as it is.
     """
 
     scores: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.scores, np.ndarray) and self.scores.flags.writeable:
-            object.__setattr__(self, "scores", _readonly(self.scores.copy()))
+        scores = self.scores
+        if isinstance(scores, np.ndarray) and (
+            scores.flags.writeable or scores.dtype != np.float64
+        ):
+            object.__setattr__(self, "scores", _readonly(scores.astype(np.float64)))
 
     @property
     def m(self) -> int:
@@ -109,18 +115,16 @@ class PreferenceMatrix:
         that row alone is sorted again by ``_stable_order``. A block whose
         first row holds fewer than one nonzero score in eight, such as a
         sparse ratings row, goes to ``_stable_order`` whole, since the
-        stable sort is adaptive and places runs of equal zeros faster; so
-        does every block of a matrix whose scores are not float64."""
+        stable sort is adaptive and places runs of equal zeros faster."""
         m, n = self.scores.shape
         order = np.empty((m, n), dtype=np.min_scalar_type(n - 1))
         rows = max(1, _ORDER_BLOCK // n)
         low = np.uint64((1 << (n - 1).bit_length()) - 1)
         flipped_ids = ~np.arange(n, dtype=np.uint64)
         row_starts = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
-        keyed = self.scores.dtype == np.float64
         for lo in range(0, m, rows):
             block, out = self.scores[lo : lo + rows], order[lo : lo + rows]
-            if not keyed or 8 * np.count_nonzero(block[0]) < n:
+            if 8 * np.count_nonzero(block[0]) < n:
                 out[...] = _stable_order(block)
                 continue
             keys = np.add(block, 0.0).view(np.uint64)
@@ -140,10 +144,10 @@ class PreferenceMatrix:
         return _readonly(order)
 
     @functools.cached_property
-    def rows(self) -> tuple[np.ndarray, ...]:
-        """The rows of ``order`` as views, one object per customer: the
-        ``items`` of every ranking ``original_ranking(s)`` returns."""
-        return tuple(self.order)
+    def _rankings(self) -> "OriginalRankings":
+        """Every customer's original ranking, built on demand: the sequence
+        ``original_rankings`` returns."""
+        return OriginalRankings(self.order)
 
     @functools.cached_property
     def _ideal_gains(self) -> dict:
@@ -269,6 +273,41 @@ class RankedList:
 
     owner: int
     items: np.ndarray
+
+
+class OriginalRankings(Sequence):
+    """Every customer's original ranking for one matrix, a read-only
+    ``Sequence[RankedList]`` indexed by customer id (``original_rankings``).
+
+    Customer u's ranking, with row u of ``order`` as its items, is built
+    the first time u is indexed and kept, so every later index returns
+    that one object, whichever thread asks; a slice is a list of them. A
+    stream that serves few customers thus builds few rankings.
+    """
+
+    __slots__ = ("_order", "_built")
+
+    def __init__(self, order: np.ndarray):
+        self._order = order
+        self._built: dict[int, RankedList] = {}
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __getitem__(self, u):
+        if isinstance(u, slice):
+            return [self[i] for i in range(*u.indices(len(self._order)))]
+        m = len(self._order)
+        v = operator.index(u)
+        if v < 0:
+            v += m
+        ranked = self._built.get(v)
+        if ranked is None:
+            if not 0 <= v < m:
+                raise IndexError(f"customer {u} outside universe of size {m}")
+            # setdefault keeps the first of two rankings built at once
+            ranked = self._built.setdefault(v, RankedList(owner=v, items=self._order[v]))
+        return ranked
 
 
 @dataclass(frozen=True)
@@ -465,7 +504,8 @@ def _check_original(
     if original.owner != u:
         raise ValidationError(f"original ranking{where} owned by {original.owner}, not {u}")
     items = original.items
-    if items is matrix.rows[u]:
+    own = matrix._rankings._built.get(u)  # a kept ranking, none built
+    if own is not None and items is own.items:
         return
     if len(items) != matrix.n:
         raise ValidationError(f"original ranking{where} holds {len(items)} items, not {matrix.n}")
@@ -570,15 +610,17 @@ def original_ranking(matrix: PreferenceMatrix, u: int) -> RankedList:
     """Full descending-score permutation for one customer.
 
     Ties are broken by ascending item id, so the result is deterministic
-    for identical inputs. ``items`` is ``matrix.rows[u]``, a read-only row
-    view of ``matrix.order``.
+    for identical inputs. It is ``original_rankings(matrix)[u]``, the same
+    object on every call; its ``items`` are a read-only row view of
+    ``matrix.order``.
     """
     _check_customer(u, matrix.m)
-    return RankedList(owner=u, items=matrix.rows[u])
+    return matrix._rankings[u]
 
 
-def original_rankings(matrix: PreferenceMatrix) -> list[RankedList]:
-    """Original ranking for every customer, indexed by customer id; their
-    items are ``matrix.rows``, the row views of the one ``matrix.order``
-    array."""
-    return [RankedList(owner=u, items=row) for u, row in enumerate(matrix.rows)]
+def original_rankings(matrix: PreferenceMatrix) -> OriginalRankings:
+    """Original ranking for every customer, indexed by customer id: the
+    matrix's one ``OriginalRankings``, which builds a customer's ranking
+    when it is first indexed. ``matrix.order`` is computed here, so the
+    sort is paid now and no ranking is built."""
+    return matrix._rankings

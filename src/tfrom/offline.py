@@ -142,8 +142,9 @@ def tfrom_offline(
     k = _check_k(k, n)
     if len(originals) != m:
         raise ValidationError(f"expected {m} original rankings, got {len(originals)}")
-    for u, ranked in enumerate(originals):
-        _check_original(matrix, ranked, u, where=f" at index {u}")
+    if originals is not matrix._rankings:  # whose rankings are the rows of order
+        for u, ranked in enumerate(originals):
+            _check_original(matrix, ranked, u, where=f" at index {u}")
 
     budget = fair_targets(mode, total_exposure(m, k), catalog, matrix)
     limit = budget.per_provider + BUDGET_SLACK

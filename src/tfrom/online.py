@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,15 +92,28 @@ class OnlineState:
         return {"exposure": self.exposure.tolist(), "c_num": int(self.c_num)}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "OnlineState":
-        """Restore a snapshot, rejecting anything ``to_dict`` cannot produce."""
+    def from_dict(cls, payload: Mapping) -> "OnlineState":
+        """Restore a snapshot, rejecting anything ``to_dict`` cannot produce
+        (ValidationError): a payload that is no mapping, and an exposure
+        entry that is not an int or a float, bools included."""
+        if not isinstance(payload, Mapping):
+            raise ValidationError(f"state snapshot must be a mapping, got {type(payload).__name__}")
         for key in ("exposure", "c_num"):
             if key not in payload:
                 raise ValidationError(f"state snapshot lacks {key!r}")
+        entries = payload["exposure"]
         try:
-            exposure = np.array(payload["exposure"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+            exposure = np.array(entries, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"state exposure is not a numeric vector: {exc}")
+        # a 1-d array came from a sequence of scalars, which numpy reads
+        # whether they are numbers, numeric text or bools
+        if exposure.ndim == 1:
+            odd = next((kind for kind in map(type, entries) if kind not in (float, int)), None)
+            if odd is not None:
+                raise ValidationError(
+                    f"state exposure entries must be ints or floats, got {odd.__name__}"
+                )
         return cls(exposure=exposure, c_num=payload["c_num"])
 
 
@@ -212,7 +226,7 @@ def serve_request(
             pos += 1
         chosen[rank] = pos
         pos += 1
-    items = matrix.rows[u][chosen]  # equal to ``original.items``, which may be a list
+    items = matrix.order[u][chosen]  # equal to ``original.items``, which may be a list
     if vacant:
         owners = catalog.provider_of[items].tolist()
         for rank in vacant:

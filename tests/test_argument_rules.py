@@ -491,3 +491,19 @@ def test_out_of_range_block_refused(consumer, owners, items, error, message, tmp
             fileio.write_recommendations(tmp_path / "out.csv", block, MATRIX, CATALOG, labels)
         else:
             score(consumer, block, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [(None, "^state snapshot must be a mapping, got NoneType$"),
+     ("exposure c_num", "^state snapshot must be a mapping, got str$"),
+     ({"exposure": [10**400], "c_num": 0}, "^state exposure is not a numeric vector: "),
+     ({"exposure": [1, "2"], "c_num": 0}, "^state exposure entries must be ints or floats, got str$"),
+     ({"exposure": [True], "c_num": 0}, "^state exposure entries must be ints or floats, got bool$")],
+    ids=["None", "text", "past-float", "numeric-text", "bool"],
+)
+def test_state_snapshot_refused(payload, message):
+    # what to_dict cannot produce: a bare TypeError or OverflowError used to
+    # answer the first three, and the last two loaded as numbers
+    with pytest.raises(errors.ValidationError, match=message):
+        OnlineState.from_dict(payload)

@@ -76,7 +76,7 @@ def test_wrong_length_caller_rankings_rejected(name, length):
         lambda matrix: np.array([0, 0, 1]),
         lambda matrix: np.array([0, 1, 2]),
         lambda matrix: matrix.order[1],
-        lambda matrix: matrix.rows[1],
+        lambda matrix: tfrom.original_ranking(matrix, 1).items,
     ],
     ids=["repeated-item", "other-permutation", "other-row-view", "other-row"],
 )
@@ -91,7 +91,8 @@ def test_caller_ranking_not_the_preference_order_rejected(name, items):
 @pytest.mark.parametrize("name", ["tfrom_offline", "serve_request"])
 def test_caller_copies_of_the_preference_order_accepted(name):
     matrix, catalog, originals = build([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 1, 0])
-    assert tfrom.original_ranking(matrix, 1).items is originals[1].items is matrix.rows[1]
+    own = tfrom.original_ranking(matrix, 1).items
+    assert own is originals[1].items is tfrom.original_ranking(matrix, 1).items
 
     def lists(rankings):
         served = RERANKERS[name](matrix, catalog, rankings, 2)

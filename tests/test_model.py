@@ -1,6 +1,7 @@
 import re
 import sys
 import threading
+from collections.abc import Sequence
 from unittest import mock
 
 import numpy as np
@@ -148,6 +149,92 @@ class TestOriginalRanking:
         assert list(first.items) == list(second.items)
 
 
+class TestOriginalRankings:
+    """One read-only sequence per matrix, which builds a customer's ranking
+    when it is first indexed and keeps it."""
+
+    def instance(self, m=5):
+        rng = np.random.default_rng(3)
+        return tfrom.build_instance(1.0 - rng.random((m, 4)), [0, 1, 0, 1])
+
+    def test_no_ranking_built_until_indexed(self, monkeypatch):
+        built = []
+        real = model.RankedList
+        monkeypatch.setattr(
+            model, "RankedList", lambda **fields: built.append(fields["owner"]) or real(**fields)
+        )
+        matrix, catalog = self.instance()
+        rankings = tfrom.original_rankings(matrix)
+        assert built == [] and "order" in vars(matrix)
+        rankings[3], rankings[3], rankings[1]
+        assert built == [3, 1]
+        # the re-rankers and quality take the matrix's own sequence whole
+        run = tfrom.tfrom_offline(matrix, catalog, rankings, 2, tfrom.FairnessMode.UNIFORM, seed=0)
+        tfrom.quality(run.lists, matrix, rankings)
+        state = tfrom.OnlineState.fresh(matrix.m, catalog.l)
+        tfrom.serve_request(state, 3, matrix, catalog, rankings[3], 2, tfrom.FairnessMode.UNIFORM)
+        assert built == [3, 1]
+
+    def test_one_kept_object_per_customer(self):
+        matrix, _ = self.instance()
+        rankings = tfrom.original_rankings(matrix)
+        assert tfrom.original_rankings(matrix) is rankings
+        first = rankings[2]
+        assert rankings[2] is first is tfrom.original_ranking(matrix, 2)
+        assert first.owner == 2 and first.items.tobytes() == matrix.order[2].tobytes()
+
+    def test_sequence_rules(self):
+        matrix, _ = self.instance()
+        rankings = tfrom.original_rankings(matrix)
+        assert isinstance(rankings, Sequence) and not isinstance(rankings, list)
+        assert rankings[-1] is rankings[4] and rankings[-1].owner == 4
+        assert rankings[np.int64(-5)] is rankings[0]
+        for u in (5, -6):
+            with pytest.raises(IndexError, match=f"^customer {u} outside universe of size 5$"):
+                rankings[u]
+        with pytest.raises(TypeError):
+            rankings[1.0]
+        with pytest.raises(TypeError):
+            rankings[0] = rankings[1]
+        part = rankings[1:4:2]
+        assert type(part) is list and [r.owner for r in part] == [1, 3]
+        assert part[0] is rankings[1]
+        assert len(rankings) == 5
+        assert [r.owner for r in rankings] == list(range(5))
+        assert all(a is b for a, b in zip(rankings, rankings[:]))
+
+    def test_threads_indexing_the_same_customers_get_rankings_that_pass(self):
+        matrix, _ = self.instance(m=300)
+        rankings = tfrom.original_rankings(matrix)
+        got, wrong = [[] for _ in range(4)], []
+        start = threading.Barrier(4)
+
+        def read(out):
+            try:
+                start.wait(timeout=60)
+                out.extend(rankings[u] for u in range(matrix.m))
+            except Exception as exc:  # an error in a thread would only warn
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        for out in got:
+            assert len(out) == matrix.m
+            for u, ranked in enumerate(out):
+                model._check_original(matrix, ranked, u)
+                assert ranked is rankings[u]
+
+
 @st.composite
 def tie_heavy_grids(draw):
     """Scores in {0, 1, 2}, whole columns zero, at least one positive score
@@ -225,10 +312,17 @@ class TestOrder:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8, ">f8"])
     def test_scores_that_are_not_float64_take_the_stable_argsort(self, dtype):
+        # scores of another dtype, read-only or not, are kept as a read-only
+        # float64 copy and order as those floats do: negated uint8 scores
+        # used to wrap, which ranked the zero-score item first
         scores = np.array([[3, 1, 0, 2], [0, 2, 2, 1], [1, 1, 1, 3]], dtype=dtype)
+        scores.setflags(write=False)
+        matrix = model.PreferenceMatrix(scores)
+        assert matrix.scores.dtype == np.float64 and not matrix.scores.flags.writeable
         with mock.patch.object(model, "_stable_order", wraps=model._stable_order) as stable:
-            assert_stable_order(model.PreferenceMatrix(scores), scores, 8)
-        assert stable.call_count == 2  # one call per block of two rows
+            assert_stable_order(matrix, scores.astype(np.float64), 8)
+        assert stable.call_count == 0  # both blocks of two rows take the keyed sort
+        assert matrix.order.tolist() == [[0, 3, 1, 2], [1, 2, 3, 0], [3, 0, 1, 2]]
 
     def test_which_rows_take_the_stable_argsort(self):
         near = 1.0 + 2**-52  # 1.0 in every bit above the two low ones

@@ -189,7 +189,7 @@ def test_subnormal_ideal_gain_gives_a_quiet_inf():
     # used to warn, which CI's -W error::RuntimeWarning made a failure of
     # the Hypothesis test above
     matrix, _ = tfrom.build_instance([[2.2e-309, 1.0], [1.0, 0.0], [1.0, 0.0]], [0, 0])
-    originals = tfrom.original_rankings(matrix)
+    originals = list(tfrom.original_rankings(matrix))
     originals[0] = RankedList(owner=0, items=np.array([0, 1]))
     lists = [RecommendationList(u, items) for u, items in enumerate([(1,), (0,), (0,)])]
     with warnings.catch_warnings():
@@ -288,7 +288,7 @@ def test_quality_reads_the_ideal_gains_only_for_the_matrix_rows(monkeypatch):
         (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), originals, 1),
         (RecommendationBlock([1, 0], [[2], [0]]), originals, 1),
         (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), copies, 2),
-        (RecommendationBlock([1, 0], [[2], [0]]), originals + originals[:1], 2),
+        (RecommendationBlock([1, 0], [[2], [0]]), list(originals) + originals[:1], 2),
         ([RecommendationList(0, (2,)), RecommendationList(1, (0, 2))], originals, 2),
     ]
     for lists, given, calls in cases:
