@@ -1,6 +1,6 @@
-"""Single-point mutation check of the re-rankers against their tests.
+"""Single-point mutation check of the package's modules against their tests.
 
-    python scripts/mutants.py                      # all seven modules
+    python scripts/mutants.py                      # all eight modules
     python scripts/mutants.py baselines.py --list  # the mutants, not run
 
 Each mutant changes one spot of one module under ``src/tfrom``:
@@ -9,7 +9,7 @@ and ``argmin``/``argmax`` swap, an index expression gains ``+ 1`` or
 ``- 1``, ``+ BUDGET_SLACK`` is dropped, a ``kind="stable"`` argument is, or
 a ``for`` loop visits its iterable in reverse (``for x in reversed(s)``).
 Annotations, which are never evaluated, are left alone. Every mutant runs
-in a temporary copy of ``src/`` and ``tests/`` against the re-ranker tests
+in a temporary copy of ``src/`` and ``tests/`` against the tests
 (``TESTS``), with ``-x``, a fixed Hypothesis seed and a timeout; a failing
 run, an import error or a timeout kills it.
 
@@ -38,7 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tfrom"
 MODULES = ("baselines.py", "offline.py", "online.py", "targets.py", "metrics.py", "model.py",
-           "experiments.py")
+           "experiments.py", "fileio.py")
 TESTS = (
     "test_offline.py",
     "test_online.py",
@@ -51,6 +51,8 @@ TESTS = (
     "test_argument_rules.py",
     "test_model.py",
     "test_experiments.py",
+    "test_fileio.py",
+    "test_cli.py",
 )
 BASELINE = ROOT / "scripts" / "mutants_baseline.json"
 MAX_WORKERS = 2

@@ -1,4 +1,5 @@
-"""Time ``PreferenceMatrix.order`` against the stable argsort it replaced.
+"""Time ``PreferenceMatrix.order`` against the stable argsort it replaced,
+and on all cores against one.
 
     PYTHONPATH=src python scripts/time_order.py            # JSON on stdout
     PYTHONPATH=src python scripts/time_order.py --repeats 9
@@ -6,10 +7,13 @@
 The replaced code is ``stable_order`` in ``tests/oracles.py``: one stable
 argsort of the negated scores per block of rows. For each workload shape
 of the benchmark (m x n = 1000 x 1000, 2000 x 2000 and 50000 x 50) and
-each kind of scores below, both are timed in alternation, in one process,
-with ``time.perf_counter``, the order of the two swapped every repeat; a
-fresh matrix each time, since ``order`` is computed once per matrix. The
-two results must be equal to the bit, or the script exits with status 1.
+each kind of scores below, three sides are timed in alternation, in one
+process, with ``time.perf_counter``, their order reversed every repeat: the
+stable argsort, ``order`` as it runs (its blocks on every core of the
+process's affinity, ``model._cores``) and ``order`` with ``model._cores``
+patched to 1 (``serial_ms``); a fresh matrix each time, since ``order`` is
+computed once per matrix. The three results must be equal to the bit, or
+the script exits with status 1.
 
 Scores: ``continuous`` as ``generate_synthetic`` draws them; ``ratings``,
 ``ceil(5 * s)``; ``float32``, the continuous scores cast to float32 and
@@ -17,8 +21,8 @@ back; ``zeros50``/``85``/``95``, that share of the continuous cells set
 to 0 (a row left with no positive score keeps one); ``identity``, one
 1.0 per row; ``near_tie``, continuous with item 1 one ulp above item 0 in
 every row, so every row fails the keyed sort's check and is sorted again.
-Prints one JSON object: per shape and kind, the median milliseconds of
-each side and their ratio.
+Prints one JSON object with the core count: per shape and kind, the median
+milliseconds of each side, keyed over stable and threaded (keyed) over serial.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -64,22 +69,29 @@ def scores_of(kind: str, m: int, n: int, seed: int) -> np.ndarray:
     return scores
 
 
+def serial_order(scores: np.ndarray) -> np.ndarray:
+    with mock.patch.object(model, "_cores", lambda: 1):
+        return model.PreferenceMatrix(scores).order
+
+
 def time_kind(scores: np.ndarray, repeats: int) -> dict:
-    times = {"stable_ms": [], "keyed_ms": []}
     sides = {
         "stable_ms": lambda: oracles.stable_order(scores),
         "keyed_ms": lambda: model.PreferenceMatrix(scores).order,
+        "serial_ms": lambda: serial_order(scores),
     }
+    times = {name: [] for name in sides}
     results = {}
     for rep in range(repeats):
         for name in sorted(sides, reverse=rep % 2 == 1):
             start = time.perf_counter()
             results[name] = sides[name]()
             times[name].append((time.perf_counter() - start) * 1e3)
-    if results["stable_ms"].tobytes() != results["keyed_ms"].tobytes():
-        raise SystemExit("order differs from the stable argsort")
+    if len({order.tobytes() for order in results.values()}) != 1:
+        raise SystemExit("order differs from the stable argsort or from one core's")
     medians = {name: round(statistics.median(values), 2) for name, values in times.items()}
     medians["keyed_over_stable"] = round(medians["keyed_ms"] / medians["stable_ms"], 3)
+    medians["threaded_over_serial"] = round(medians["keyed_ms"] / medians["serial_ms"], 3)
     return medians
 
 
@@ -91,7 +103,7 @@ def main(argv=None) -> int:
     report = {
         "method": f"one process, median of {args.repeats} alternating runs, seed {args.seed}",
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
-                    "platform": platform.platform()},
+                    "platform": platform.platform(), "cores": model._cores()},
         "shapes": {},
     }
     for workload, (m, n) in SHAPES.items():

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import operator
 import warnings
 from dataclasses import dataclass, fields
@@ -49,6 +50,7 @@ from .model import (
     PreferenceMatrix,
     RecommendationBlock,
     RecommendationList,
+    _check_integer,
     build_instance,
 )
 
@@ -350,13 +352,23 @@ def write_recommendations(
     ``served`` yields (request_index, list) pairs; a request index of None
     means a batch result, and the request column is omitted entirely. A
     ``RecommendationBlock`` is a batch result, written from its columns.
+    When any index is not None, every index must be an integer under the
+    integer rule (``bool`` excluded) and the indices must rise from one
+    list to the next, as ``read_recommendations`` reads them: the first
+    that does not raises ValidationError, before the file is opened.
     """
     if isinstance(served, RecommendationBlock):
         served, lists = (), served
     else:
         served = list(served)
         lists = (rec for _, rec in served)
-    online = any(req is not None for req, _ in served)
+    requests = [req for req, _ in served]
+    online = any(req is not None for req in requests)
+    if online:
+        low = -math.inf
+        for i, req in enumerate(requests):
+            requests[i] = _check_integer(f"request index of list {i}", req, low)
+            low = requests[i] + 1
     owners, items, ranks = _slot_columns(lists, catalog.n, matrix.m)
     columns = [
         ("s", _label_cells(labels.customers)[owners]),
@@ -366,7 +378,7 @@ def write_recommendations(
         (_FLOAT, matrix.scores[owners, items]),
     ]
     if online:
-        requests = np.repeat([req for req, _ in served], [rec.k for _, rec in served])
+        requests = np.repeat(requests, [rec.k for _, rec in served])
         columns.insert(0, ("d", requests))
     header = ["request"] * online + ["customer", "rank", "item", "provider", "score"]
     _write_table(path, header, columns)

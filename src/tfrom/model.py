@@ -19,6 +19,8 @@ import functools
 import itertools
 import numbers
 import operator
+import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,6 +44,44 @@ _INTP = np.iinfo(np.intp)
 # ``provider_queues``: each block's temporaries take 0.5 MB, not a copy of
 # the matrix
 _ORDER_BLOCK = 1 << 16
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_blocks(count: int, work) -> None:
+    """Call ``work(b)`` once for every block b in range(count): of c =
+    ``_cores()`` threads, thread t takes blocks t, t + c, ... in turn, the
+    calling thread being thread 0, and numpy sorts without the GIL. Every
+    thread is joined before the first exception, in thread order, is
+    raised here. One core or one block starts no thread. ``work`` must not
+    read a ``functools.cached_property``: on Python 3.11 the caller may
+    hold that property's lock, which every instance of the class shares."""
+    cores = _cores()
+    # min(cores, count) slices, none empty, capped by a slice, not by min()
+    head, *rest = [range(first, count, cores) for first in range(count)[:cores]] or [range(0)]
+    failed = []  # (first block of a slice, the exception that ended it)
+
+    def run(blocks):
+        try:
+            for b in blocks:
+                work(b)
+        except BaseException as exc:  # raised in the calling thread
+            failed.append((blocks.start, exc))
+
+    threads = [threading.Thread(target=run, args=(blocks,)) for blocks in rest]
+    for thread in threads:
+        thread.start()
+    run(head)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise min(failed)[1]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -72,8 +112,9 @@ class PreferenceMatrix:
     ``build_instance`` rejects such rows, and the other violations of the
     grid; a matrix built by hand is not checked.
 
-    The matrix keeps a read-only float64 copy of a ``scores`` array that is
-    writable or of another dtype (integers above 2**53 lose precision), so
+    The matrix keeps a read-only float64 copy of any ``scores`` that is not
+    a read-only float64 array: a writable array, one of another dtype
+    (integers above 2**53 lose precision), or rows as lists or tuples. So
     writing into the caller's array later cannot leave ``order`` or the
     provider queues out of date; a read-only float64 array, such as
     ``build_instance``'s, is kept as it is.
@@ -83,10 +124,12 @@ class PreferenceMatrix:
 
     def __post_init__(self):
         scores = self.scores
-        if isinstance(scores, np.ndarray) and (
-            scores.flags.writeable or scores.dtype != np.float64
+        if not (
+            isinstance(scores, np.ndarray)
+            and scores.dtype == np.float64
+            and not scores.flags.writeable
         ):
-            object.__setattr__(self, "scores", _readonly(scores.astype(np.float64)))
+            object.__setattr__(self, "scores", _readonly(np.array(scores, dtype=np.float64)))
 
     @property
     def m(self) -> int:
@@ -115,18 +158,28 @@ class PreferenceMatrix:
         that row alone is sorted again by ``_stable_order``. A block whose
         first row holds fewer than one nonzero score in eight, such as a
         sparse ratings row, goes to ``_stable_order`` whole, since the
-        stable sort is adaptive and places runs of equal zeros faster."""
+        stable sort is adaptive and places runs of equal zeros faster.
+
+        The keyed pass runs its blocks on all available cores
+        (``_run_blocks``); every ``_stable_order`` call then runs in the
+        calling thread, block by block. The bits, and which rows take
+        ``_stable_order``, do not depend on the core count, and there is
+        no setting for it."""
         m, n = self.scores.shape
         order = np.empty((m, n), dtype=np.min_scalar_type(n - 1))
         rows = max(1, _ORDER_BLOCK // n)
         low = np.uint64((1 << (n - 1).bit_length()) - 1)
         flipped_ids = ~np.arange(n, dtype=np.uint64)
         row_starts = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
-        for lo in range(0, m, rows):
+        blocks = range(0, m, rows)
+        redo = [None] * len(blocks)  # per block, the rows for _stable_order
+
+        def keyed(b):
+            lo = blocks[b]
             block, out = self.scores[lo : lo + rows], order[lo : lo + rows]
             if 8 * np.count_nonzero(block[0]) < n:
-                out[...] = _stable_order(block)
-                continue
+                redo[b] = slice(None)
+                return
             keys = np.add(block, 0.0).view(np.uint64)
             keys |= low
             keys ^= flipped_ids  # ~(bits | low) | id
@@ -140,7 +193,12 @@ class PreferenceMatrix:
             # have equal keys above the low bits, so their ids ascend
             wrong = np.flatnonzero(~(ranked[:, :-1] >= ranked[:, 1:]).all(axis=1))
             if wrong.size:
-                out[wrong] = _stable_order(block[wrong])
+                redo[b] = wrong
+
+        _run_blocks(len(blocks), keyed)
+        for lo, wrong in zip(blocks, redo):
+            if wrong is not None:
+                order[lo : lo + rows][wrong] = _stable_order(self.scores[lo : lo + rows][wrong])
         return _readonly(order)
 
     @functools.cached_property
@@ -171,6 +229,9 @@ class PreferenceMatrix:
         provider of ``catalog``, built on first use and kept in the memo
         for ``catalog`` (``_derived``). ValidationError if a provider owns
         no item or ``catalog.sizes`` miscounts ``catalog.provider_of``.
+        Its blocks of rows are sorted on all available cores
+        (``_run_blocks``); the bits do not depend on the core count, and
+        there is no setting for it.
         """
         memo = self._derived(catalog)
         if memo.queues is not None:
@@ -179,14 +240,19 @@ class PreferenceMatrix:
         counts = np.bincount(catalog.provider_of, minlength=catalog.l)
         if not (np.array_equal(counts, catalog.sizes) and (counts > 0).all()):
             raise ValidationError("catalog sizes must count each provider's items, one or more")
-        order = self.order
+        # read before any thread starts: a cached property may hold its lock
+        order, keys = self.order, catalog.provider_keys
         # the smallest position type holds n, the mark of an empty queue
-        keys = catalog.provider_keys
         positions = np.empty((m, n), dtype=np.min_scalar_type(n))
         per_block = max(1, _ORDER_BLOCK // n)
-        for lo in range(0, m, per_block):
+        blocks = range(0, m, per_block)
+
+        def group(b):
+            lo = blocks[b]
             block = keys[order[lo : lo + per_block]]
             positions[lo : lo + per_block] = np.argsort(block, axis=1, kind="stable")
+
+        _run_blocks(len(blocks), group)
         end = np.cumsum(catalog.sizes)
         start = end - catalog.sizes
         queues = ProviderQueues(catalog, _readonly(positions), _readonly(start), _readonly(end))

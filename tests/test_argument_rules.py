@@ -507,3 +507,25 @@ def test_state_snapshot_refused(payload, message):
     # answer the first three, and the last two loaded as numbers
     with pytest.raises(errors.ValidationError, match=message):
         OnlineState.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "requests, message",
+    [((0.5, 1.7), "^request index of list 0 must be an integer, got 0.5$"),
+     ((1, 0), "^request index of list 1 must be >= 2, got 0$"),
+     ((0, 0), "^request index of list 1 must be >= 1, got 0$"),
+     ((True, 2), "^request index of list 0 must be an integer, got True$"),
+     ((0, None), "^request index of list 1 must be an integer, got None$"),
+     (("0", "1"), "^request index of list 0 must be an integer, got '0'$")],
+    ids=["fraction", "falling", "repeated", "bool", "None-after-int", "text"],
+)
+def test_request_index_refused(requests, message, tmp_path):
+    # what read_recommendations misreads or refuses: 0.5 and 1.7 used to be
+    # written as 0 and 1 and True as 1, a falling or repeated index was
+    # written and then refused on reading, None and text ended in a bare
+    # TypeError
+    labels = fileio.InstanceLabels(customers=("a", "b"), items=("x", "y", "z"))
+    path = tmp_path / "out.csv"
+    with pytest.raises(errors.ValidationError, match=message):
+        fileio.write_recommendations(path, list(zip(requests, GOOD)), MATRIX, CATALOG, labels)
+    assert not path.exists()

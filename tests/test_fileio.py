@@ -693,3 +693,90 @@ class TestWriteTable:
         ours, reference = self.both(tmp_path, ["int", "float", "label"], rows)
         assert ours == reference
 
+
+class TestBoundaries:
+    """The exact limits and first-of-several rules of the readers and
+    writers."""
+
+    @pytest.mark.parametrize("limit, plain", [(20, True), (19, False)])
+    def test_a_line_as_long_as_the_field_limit_is_plain(self, tmp_path, limit, plain):
+        # header and data line are 20 bytes each, their LF included
+        preferences = tmp_path / "p.csv"
+        preferences.write_bytes(b"customer,item,score\nu,i,0.1234567890123\n")
+        old = csv.field_size_limit(limit)
+        try:
+            read = fileio._plain_preferences(preferences)
+        finally:
+            csv.field_size_limit(old)
+        assert (read is not None) == plain
+        if plain:
+            assert read[:2] == (("u",), ("i",)) and read[4].tolist() == [0.1234567890123]
+
+    @pytest.mark.parametrize("limit, plain", [(22, True), (21, False)])
+    def test_a_header_as_long_as_the_field_limit_is_plain(self, tmp_path, limit, plain):
+        # a 22-byte header, its LF included, and a short line
+        preferences = tmp_path / "p.csv"
+        preferences.write_bytes(b"customer,item,score,x\nu,i,1,n\n")
+        old = csv.field_size_limit(limit)
+        try:
+            assert (fileio._plain_preferences(preferences) is not None) == plain
+        finally:
+            csv.field_size_limit(old)
+
+    def test_repeated_pairs_warn_in_file_order(self, tmp_path):
+        preferences = write(
+            tmp_path / "p.csv", "customer,item,score\nu0,i0,1\nu1,i1,1\nu0,i0,2\nu1,i1,2\n"
+        )
+        providers = write(tmp_path / "q.csv", "item,provider\ni0,a\ni1,a\n")
+        for plain in (True, False):
+            with mock.patch.object(fileio, "_plain_preferences", fileio._plain_preferences
+                                   if plain else (lambda path: None)):
+                (_, scores, *_), caught = load_outcome(preferences, providers)
+            assert [message for _, message in caught] == [
+                "duplicate rating for customer 'u0', item 'i0'; keeping the last value",
+                "duplicate rating for customer 'u1', item 'i1'; keeping the last value",
+            ]
+            assert np.frombuffer(scores).tolist() == [2.0, 0.0, 0.0, 2.0]
+
+    def test_a_file_of_one_repeated_pair_warns(self, tmp_path):
+        preferences = write(tmp_path / "p.csv", "customer,item,score\nu0,i0,1\nu0,i0,2\n")
+        providers = write(tmp_path / "q.csv", "item,provider\ni0,a\n")
+        (_, scores, *_), caught = load_outcome(preferences, providers)
+        assert [message for _, message in caught] == [
+            "duplicate rating for customer 'u0', item 'i0'; keeping the last value"
+        ]
+        assert np.frombuffer(scores).tolist() == [2.0]
+
+    def test_first_missing_column_named(self, tmp_path):
+        preferences = write(tmp_path / "p.csv", "customer,note\nu1,n\n")
+        providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
+        with pytest.raises(errors.ParseError, match="missing required column 'item'"):
+            fileio.load_instance(preferences, providers)
+
+    def test_first_repeated_column_named(self, tmp_path):
+        preferences = write(tmp_path / "p.csv", "customer,item,score,score,item\nu1,i1,1,1,i1\n")
+        providers = write(tmp_path / "q.csv", "item,provider\ni1,a\n")
+        with pytest.raises(errors.ParseError, match="column 'item' occurs more than once"):
+            fileio.load_instance(preferences, providers)
+
+    def test_an_unrated_item_is_written_once_for_customer_0(self, tmp_path):
+        scores = np.array([[1.0, 0.0, 0.5], [2.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+        preferences, _ = fileio.write_instance_files(scores, ["a", "b", "a"], tmp_path)
+        assert preferences.read_text().splitlines() == [
+            "customer,item,score", "0,0,1", "0,1,0", "0,2,0.5", "1,0,2", "2,2,3",
+        ]
+
+    def test_first_item_without_a_provider_named(self, tmp_path):
+        preferences = write(tmp_path / "p.csv", "customer,item,score\nu,i0,1\nu,i1,1\nu,i2,1\n")
+        providers = write(tmp_path / "q.csv", "item,provider\ni0,a\n")
+        with pytest.raises(errors.MissingProviderForItem, match="item 'i1' has no provider"):
+            fileio.load_instance(preferences, providers)
+
+    def test_falling_request_names_both_customers(self, tmp_path):
+        matrix, catalog = tfrom.build_instance([[1.0, 2.0], [2.0, 1.0]], ["a", "b"])
+        path = write(tmp_path / "r.csv", "request,customer,rank,item\n3,c0,1,i0\n2,c1,1,i1\n")
+        labels = fileio.InstanceLabels(customers=("c0", "c1"), items=("i0", "i1"))
+        with pytest.raises(errors.ParseError) as info:
+            fileio.read_recommendations(path, matrix, catalog, labels)
+        assert "request 2 for customer 'c1' after request 3 for customer 'c0'" in str(info.value)
+        assert info.value.line == 3

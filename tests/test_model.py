@@ -1,6 +1,8 @@
+import os
 import re
 import sys
 import threading
+import time
 from collections.abc import Sequence
 from unittest import mock
 
@@ -414,6 +416,22 @@ class TestOrder:
         matrix, _ = tfrom.build_instance([[1.0, 2.0]], [0, 0])
         assert model.PreferenceMatrix(matrix.scores).scores is matrix.scores
 
+    @pytest.mark.parametrize("rows", [list, tuple])
+    def test_rows_as_lists_or_tuples_kept_as_an_array(self, rows):
+        # nested lists used to be kept as they were, so m and order ended
+        # in a bare AttributeError
+        grid = [[1.0, 3.0, 2.0], [2.0, 2.0, 0.0]]
+        scores = rows(rows(row) for row in grid)
+        matrix, array = model.PreferenceMatrix(scores), model.PreferenceMatrix(np.array(grid))
+        assert isinstance(matrix.scores, np.ndarray) and not matrix.scores.flags.writeable
+        assert matrix.scores.dtype == np.float64
+        assert matrix.scores.tobytes() == array.scores.tobytes()
+        assert (matrix.m, matrix.n) == (2, 3)
+        assert matrix.order.tobytes() == array.order.tobytes()
+        assert [ranked.items.tolist() for ranked in tfrom.original_rankings(matrix)] == [
+            ranked.items.tolist() for ranked in tfrom.original_rankings(array)
+        ]
+
     def test_rankings_are_read_only_views(self):
         rng = np.random.default_rng(8)
         matrix, _ = tfrom.build_instance(1.0 - rng.random((4, 5)), [0, 1, 0, 1, 2])
@@ -552,6 +570,178 @@ class TestProviderQueues:
         catalog = model.Catalog(np.array(provider_of), np.array(sizes), tuple(range(len(sizes))))
         with pytest.raises(errors.ValidationError, match="catalog sizes"):
             matrix.provider_queues(catalog)
+
+
+def on_cores(monkeypatch, cores):
+    monkeypatch.setattr(model, "_cores", lambda: cores)
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 7])
+    def test_blocks_interleave_over_the_cores(self, monkeypatch, cores, count):
+        # thread t of c takes blocks t, t + c, ... in turn, the caller
+        # thread 0; one thread per slice, none left running
+        on_cores(monkeypatch, cores)
+        seen = []
+        before = threading.active_count()
+        model._run_blocks(count, lambda b: seen.append((threading.current_thread(), b)))
+        assert threading.active_count() == before
+        by_thread = {}
+        for thread, b in seen:
+            by_thread.setdefault(thread, []).append(b)
+        slices = [list(range(t, count, cores)) for t in range(min(cores, count))]
+        assert sorted(by_thread.values()) == slices
+        if count:
+            assert by_thread[threading.current_thread()] == slices[0]
+
+    def test_first_exception_in_thread_order_after_every_join(self, monkeypatch):
+        # slices [0, 3], [1, 4] and [2, 5]: thread 2 raises first in time,
+        # thread 1 first in thread order; thread 0's slow block still ends
+        on_cores(monkeypatch, 3)
+        done = []
+
+        def work(b):
+            if b == 0:
+                time.sleep(0.05)
+            if b == 2:
+                raise KeyError(b)
+            if b == 4:
+                time.sleep(0.02)
+                raise OSError(b)
+            done.append(b)
+
+        before = threading.active_count()
+        with pytest.raises(OSError, match="4"):
+            model._run_blocks(6, work)
+        assert threading.active_count() == before
+        assert sorted(done) == [0, 1, 3]
+
+    def test_a_last_thread_exception_is_raised(self, monkeypatch):
+        on_cores(monkeypatch, 2)
+
+        def work(b):
+            if b == 3:
+                raise KeyError(b)
+
+        with pytest.raises(KeyError):
+            model._run_blocks(4, work)
+
+    def test_cores_are_the_affinity_else_the_cpu_count(self, monkeypatch):
+        assert model._cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert model._cores() == (os.cpu_count() or 1)
+
+
+@st.composite
+def blocked_grids(draw):
+    """(scores, block size, provider of each item) of 3 to 7 blocks of one
+    or two rows: hand-built cells (NaN, negative), near-tie rows, that
+    fail the keyed sort's check, and sparse rows, whose blocks take the
+    stable argsort whole."""
+    n = draw(st.sampled_from([1, 2, 3, 17, 40]))
+    per_block = draw(st.integers(1, 2))
+    rows = []
+    for _ in range(per_block * draw(st.integers(3, 7))):
+        kind = draw(st.sampled_from(["cells", "near-tie", "sparse"]))
+        if kind == "sparse":
+            row = np.zeros(n)
+            row[draw(st.integers(0, n - 1))] = draw(HAND_BUILT_CELLS)
+        else:
+            row = np.resize(np.array(draw(st.lists(HAND_BUILT_CELLS, min_size=1, max_size=6))), n)
+            if kind == "near-tie":
+                row[0] = np.nextafter(row[-1], np.inf)
+        rows.append(row)
+    providers = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return np.array(rows), per_block * n, providers
+
+
+class TestOrderOnEveryCore:
+    @settings(max_examples=60, deadline=None)
+    @given(blocked_grids())
+    @example((np.array([[np.nan, 1.0], [0.0, 0.0], [1.0, 1.0 + 2**-52], [2.0, 1.0]]), 2, [0, 1]))
+    def test_bytes_and_fallback_do_not_depend_on_the_core_count(self, grid):
+        scores, block, providers = grid
+        _, catalog = tfrom.build_instance(np.ones((1, len(providers))), providers)
+        expected = oracles.stable_order(scores, block).tobytes()
+        got = set()
+        for cores in (1, 2, 3):
+            matrix = model.PreferenceMatrix(scores)
+            with mock.patch.object(model, "_cores", lambda: cores), \
+                    mock.patch.object(model, "_ORDER_BLOCK", block), \
+                    mock.patch.object(model, "_stable_order", wraps=model._stable_order) as stable:
+                order = matrix.order.tobytes()
+                queues = matrix.provider_queues(catalog).positions.tobytes()
+            assert order == expected
+            fallback = tuple(rows.tobytes() for (rows,), _ in stable.call_args_list)
+            got.add((order, queues, fallback))
+        assert len(got) == 1
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_worker_exception_leaves_nothing_cached(self, monkeypatch, cores):
+        # four blocks of one row; block 1 runs in a worker thread
+        on_cores(monkeypatch, cores)
+        monkeypatch.setattr(model, "_ORDER_BLOCK", 3)
+        scores, assignments = TestProviderQueues().instance(6, m=4, n=3, l=2)
+        matrix, catalog = tfrom.build_instance(scores, assignments)
+        run_blocks, raised_in = model._run_blocks, []
+
+        def failing(count, work):
+            def block(b):
+                if b == 1:
+                    raised_in.append(threading.current_thread())
+                    raise KeyError("block")
+                work(b)
+            run_blocks(count, block)
+
+        before = threading.active_count()
+        monkeypatch.setattr(model, "_run_blocks", failing)
+        with pytest.raises(KeyError, match="block"):
+            matrix.order
+        assert "order" not in vars(matrix)
+        monkeypatch.setattr(model, "_run_blocks", run_blocks)
+        order = matrix.order
+        monkeypatch.setattr(model, "_run_blocks", failing)
+        with pytest.raises(KeyError, match="block"):
+            matrix.provider_queues(catalog)
+        assert matrix._derived(catalog).queues is None
+        assert matrix.order is order
+        assert threading.active_count() == before
+        assert threading.current_thread() not in raised_in and len(raised_in) == 2
+        monkeypatch.setattr(model, "_run_blocks", run_blocks)
+        assert order.tobytes() == oracles.stable_order(scores, 3).tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_no_thread_outlives_order_or_the_queues(self, monkeypatch, cores):
+        on_cores(monkeypatch, cores)
+        monkeypatch.setattr(model, "_ORDER_BLOCK", 18)
+        scores, assignments = TestProviderQueues().instance(7, m=20, n=9, l=3)
+        matrix, catalog = tfrom.build_instance(scores, assignments)
+        before = threading.active_count()
+        matrix.provider_queues(catalog)
+        assert threading.active_count() == before
+
+    def test_more_threads_than_cores_switching_often(self, monkeypatch):
+        # 8 threads over 40 blocks of one row, every third row a near tie
+        # that a worker marks for _stable_order: a lost mark or a row
+        # written twice would change the bytes
+        monkeypatch.setattr(model, "_ORDER_BLOCK", 30)
+        scores, assignments = TestProviderQueues().instance(9, m=40, n=30, l=4)
+        scores[::3, 1] = np.nextafter(scores[::3, 0], np.inf)
+        matrix, catalog = tfrom.build_instance(scores, assignments)
+        serial = model.PreferenceMatrix(scores)
+        on_cores(monkeypatch, 1)
+        serial_queues = serial.provider_queues(catalog).positions
+        on_cores(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            queues = matrix.provider_queues(catalog).positions
+        finally:
+            sys.setswitchinterval(interval)
+        assert matrix.order.tobytes() == oracles.stable_order(scores, 30).tobytes()
+        assert matrix.order.tobytes() == serial.order.tobytes()
+        assert queues.tobytes() == serial_queues.tobytes()
 
 
 class TestRecommendationList:
