@@ -9,7 +9,8 @@ labels in ``Catalog.provider_labels``. ``_table`` holds the rules all three
 input files share (header, blank and short rows, encoding) and reads every
 input table but one kind: a plain preferences file (bare ASCII cells, the
 same number on every line, see ``_plain_preferences``) is read block by
-block, in columns, to the same result. Both preference readers return the
+block, in columns, to the same result, on every core: one forked reader per
+extra core reads a range of its lines. Both preference readers return the
 labels and three file-order columns (customer index, item index, score);
 ``_grid`` alone turns them into the dense grid, where a repeated (customer,
 item) pair keeps its last score and warns. Every output table is written by
@@ -26,9 +27,14 @@ to the instance's.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import operator
+import os
+import signal
+import struct
+import threading
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial
@@ -51,6 +57,7 @@ from .model import (
     RecommendationBlock,
     RecommendationList,
     _check_integer,
+    _cores,
     build_instance,
 )
 
@@ -153,8 +160,8 @@ def _preferences(path):
 
 
 def _plain_preferences(path):
-    """What ``_preferences(path)`` returns, read block by block, or None
-    unless the file is plain.
+    """What ``_preferences(path)`` returns, read block by block on every
+    core, or None unless the file is plain.
 
     Plain means: every line, the header's too, is the header's number of
     cells of ``_CELL_BYTES`` separated by ``,`` and ended by the header's LF
@@ -163,6 +170,17 @@ def _plain_preferences(path):
     there is a data row; and every score is a ``float``. ``_table`` would
     then strip nothing, skip no row and raise no error, so both readers
     agree. A file that cannot be read twice, such as a pipe, is not plain.
+
+    The data rows are cut into ``_ranges`` of whole lines. This process
+    reads the first range; a forked child reads each other one from its own
+    handle on the file and sends what it read through a pipe (``_send``)
+    into the columns this process allocates for the whole file. A range
+    that is not plain makes the file not plain; the range of a child that
+    fails any other way is read here. The ranges merge in order, each
+    range's labels taking the next ids in order of first appearance, so the
+    result is the bytes of one read of the whole file. Every child is
+    reaped, and killed first unless it sent its range, before this returns
+    or raises.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as handle:
@@ -177,25 +195,180 @@ def _plain_preferences(path):
         if len(set(names)) < len(names) or not set(_TRIPLET) <= set(names):
             return None
         positions = [names.index(name) for name in _TRIPLET]
-        customer_ids: dict[bytes, int] = {}
-        item_ids: dict[bytes, int] = {}
-        u, i, scores = [], [], []
-        for block in iter(partial(handle.read, _BLOCK), b""):
+        read = partial(_plain_range, eol=eol, row=row, limit=limit, positions=positions)
+        ranges = _ranges(handle, limit)
+        pipes = {}  # pid: pipe, of every child not yet reaped
+        try:
+            # per later range, its child's pid, 0 if the fork failed
+            pids = [_fork_reader(path, handle, read, bounds, pipes) for bounds in ranges[1:]]
+            first = read(handle, *ranges[0])
+            if first is None:
+                return None
+            streams, heads = [], []  # per later range: what ``_send`` wrote for it
+            for pid, bounds in zip(pids, ranges[1:]):
+                stream = pipes.get(pid)
+                head = stream.read(_HEAD.size) if stream else b""
+                if len(head) < _HEAD.size:  # no child, or one that ended first
+                    stream = _sent(read(handle, *bounds))
+                    head = stream.read(_HEAD.size)
+                streams.append(stream)
+                heads.append(_HEAD.unpack(head))
+                if heads[-1][0] == -1:
+                    return None
+            customer_ids, item_ids, u0, i0, scores0 = first
+            ends = np.cumsum([len(u0), *(rows for rows, *_ in heads)])
+            u, i = np.empty(ends[-1], np.intp), np.empty(ends[-1], np.intp)
+            scores = np.empty(ends[-1])
+            u[: ends[0]], i[: ends[0]] = u0, i0
+            np.concatenate(scores0, out=scores[: ends[0]])
+            for r, (pid, stream, head) in enumerate(zip(pids, streams, heads), 1):
+                rows = slice(ends[r - 1], ends[r])
+                labels = _receive(stream, head, u[rows], i[rows], scores[rows])
+                if labels is None:  # the child ended part way: read its range here
+                    stream = _sent(read(handle, *ranges[r]))
+                    if _HEAD.unpack(stream.read(_HEAD.size)) != head:
+                        return None
+                    labels = _receive(stream, head, u[rows], i[rows], scores[rows])
+                if pid in pipes:
+                    pipes.pop(pid).close()
+                    os.waitpid(pid, 0)
+                # the range's own ids, in its order of first appearance, to the file's
+                for ids, column, new in zip((customer_ids, item_ids), (u, i), labels):
+                    remap = np.array([ids.setdefault(label, len(ids)) for label in new], np.intp)
+                    np.take(remap, column[rows], out=column[rows])
+        finally:
+            for pid, pipe in pipes.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    customers, items = (tuple(label.decode() for label in ids) for ids in (customer_ids, item_ids))
+    return customers, items, u, i, scores
+
+
+def _readers(size: int) -> int:
+    """How many ranges, one reader each, the ``size`` bytes of a plain
+    file's data rows are cut into: one per core of the process's affinity
+    (``_cores``), but none under one ``_BLOCK``. One, with no child, without
+    ``os.fork`` or ``os.sched_getaffinity``, or while a second Python thread
+    runs: a lock it holds would stay held in a forked child."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(_cores(), size // _BLOCK))
+
+
+def _ranges(handle, limit: int) -> list:
+    """``(start, stop)`` of each of ``_readers`` byte ranges of whole lines
+    that cover a plain file from ``handle``'s position to its end, the last
+    stop None: range r > 0 starts after the first line end at or past r
+    parts of the bytes left, unless that is the end of the file. A line
+    over ``limit`` may merge ranges; the range reader finds it."""
+    start = handle.tell()
+    end = os.fstat(handle.fileno()).st_size
+    count = _readers(end - start)
+    cuts = [start]
+    for r in range(1, count):
+        handle.seek(start + (end - start) * r // count)
+        if handle.readline(limit + 1).endswith(b"\n") and cuts[-1] < handle.tell() < end:
+            cuts.append(handle.tell())
+    return list(zip(cuts, [*cuts[1:], None]))
+
+
+def _plain_range(handle, start: int, stop, eol: bytes, row: bytes, limit: int, positions):
+    """``(customer_ids, item_ids, u, i, scores)`` of the lines of a plain file
+    from byte ``start`` of ``handle`` to byte ``stop`` (None: to the end),
+    read block by block: the customer and item labels, as bytes, each with
+    its id in order of first appearance; per row, the customer's and the
+    item's id, as lists; the scores, as a list of arrays. None if a line is
+    not plain, or there is none."""
+    stop = math.inf if stop is None else stop
+    handle.seek(start)
+    customer_ids: dict[bytes, int] = {}
+    item_ids: dict[bytes, int] = {}
+    u, i, scores = [], [], []
+    while handle.tell() < stop and (block := handle.read(min(_BLOCK, stop - handle.tell()))):
+        if handle.tell() < stop:
             # end on a line end: read on to the next one, up to past the limit
             block += handle.readline(limit + 1)
-            if not block.endswith(b"\n"):  # the last line, or one over the limit
-                block += eol
-            part = _plain_block(block, eol, row, limit, positions)
-            if part is None:
-                return None
-            customer, item, score = part
-            u += [customer_ids.setdefault(label, len(customer_ids)) for label in customer]
-            i += [item_ids.setdefault(label, len(item_ids)) for label in item]
-            scores.append(score)
-    if not scores:
+        if not block.endswith(b"\n"):  # the last line, or one over the limit
+            block += eol
+        part = _plain_block(block, eol, row, limit, positions)
+        if part is None:
+            return None
+        customer, item, score = part
+        u += [customer_ids.setdefault(label, len(customer_ids)) for label in customer]
+        i += [item_ids.setdefault(label, len(item_ids)) for label in item]
+        scores.append(score)
+    return (customer_ids, item_ids, u, i, scores) if scores else None
+
+
+# what ``_send`` writes first: the row count (-1 if the range is not plain)
+# and the byte lengths of the customer and of the item labels
+_HEAD = struct.Struct("=3q")
+
+
+def _send(pipe, part) -> None:
+    """Write ``part``, what ``_plain_range`` read, to ``pipe``: ``_HEAD``,
+    the customer and the item labels each joined by LF (no plain cell holds
+    one), then the two id columns as intp and the scores as float64."""
+    if part is None:
+        pipe.write(_HEAD.pack(-1, 0, 0))
+        return
+    customer_ids, item_ids, u, i, scores = part
+    labels = b"\n".join(customer_ids), b"\n".join(item_ids)
+    pipe.write(_HEAD.pack(len(u), *map(len, labels)))
+    for data in (*labels, np.array(u, np.intp), np.array(i, np.intp), *scores):
+        pipe.write(data)
+
+
+def _sent(part) -> io.BytesIO:
+    """What ``_send`` writes for ``part``, ready to read."""
+    stream = io.BytesIO()
+    _send(stream, part)
+    stream.seek(0)
+    return stream
+
+
+def _receive(stream, head, u, i, scores):
+    """Read what ``_send`` wrote after ``head`` from ``stream``: the columns
+    into ``u``, ``i`` and ``scores``, which hold ``head``'s row count; the
+    customer and the item labels, in order of their ids, or None if the
+    stream ends short."""
+    labels = [stream.read(size) for size in head[1:]]
+    if [len(text) for text in labels] != list(head[1:]):
         return None
-    customers, items = (tuple(label.decode() for label in ids) for ids in (customer_ids, item_ids))
-    return customers, items, np.array(u, np.intp), np.array(i, np.intp), np.concatenate(scores)
+    if any(stream.readinto(column) < column.nbytes for column in (u, i, scores)):
+        return None
+    return [text.split(b"\n") for text in labels]
+
+
+def _fork_reader(path, handle, read, bounds, pipes: dict) -> int:
+    """The pid of a forked child that reads the range ``bounds`` of the
+    file open in ``handle`` with ``read``, from a handle of its own on
+    ``path`` that must be the same file, sends it (``_send``) through a
+    pipe, kept in ``pipes`` under its pid, and ends in ``os._exit``; 0, with
+    no child, if the fork fails."""
+    into, out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # such as no process to spare: the caller reads the range
+        os.close(into)
+        os.close(out)
+        return 0
+    if pid == 0:  # the child
+        code = 1
+        try:
+            os.close(into)
+            with open(out, "wb") as pipe, open(os.fspath(path), "rb") as own:
+                if os.path.samestat(os.fstat(own.fileno()), os.fstat(handle.fileno())):
+                    _send(pipe, read(own, *bounds))
+                    code = 0
+        finally:
+            os._exit(code)
+    os.close(out)
+    pipes[pid] = open(into, "rb")
+    return pid
 
 
 def _plain_block(block: bytes, eol: bytes, row: bytes, limit: int, positions):

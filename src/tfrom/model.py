@@ -161,10 +161,11 @@ class PreferenceMatrix:
         stable sort is adaptive and places runs of equal zeros faster.
 
         The keyed pass runs its blocks on all available cores
-        (``_run_blocks``); every ``_stable_order`` call then runs in the
-        calling thread, block by block. The bits, and which rows take
-        ``_stable_order``, do not depend on the core count, and there is
-        no setting for it."""
+        (``_run_blocks``), so a matrix whose blocks all go to
+        ``_stable_order`` whole starts no thread; every ``_stable_order``
+        call then runs in the calling thread, block by block. The bits, and
+        which rows take ``_stable_order``, do not depend on the core count,
+        and there is no setting for it."""
         m, n = self.scores.shape
         order = np.empty((m, n), dtype=np.min_scalar_type(n - 1))
         rows = max(1, _ORDER_BLOCK // n)
@@ -172,14 +173,14 @@ class PreferenceMatrix:
         flipped_ids = ~np.arange(n, dtype=np.uint64)
         row_starts = np.arange(0, rows * n, n, dtype=np.int64)[:, None]
         blocks = range(0, m, rows)
-        redo = [None] * len(blocks)  # per block, the rows for _stable_order
+        # per block, the rows for _stable_order: all of a block whose first row is sparse
+        redo = [slice(None) if 8 * np.count_nonzero(self.scores[lo]) < n else None for lo in blocks]
+        keyed_blocks = [b for b in range(len(blocks)) if redo[b] is None]
 
-        def keyed(b):
+        def keyed(j):
+            b = keyed_blocks[j]
             lo = blocks[b]
             block, out = self.scores[lo : lo + rows], order[lo : lo + rows]
-            if 8 * np.count_nonzero(block[0]) < n:
-                redo[b] = slice(None)
-                return
             keys = np.add(block, 0.0).view(np.uint64)
             keys |= low
             keys ^= flipped_ids  # ~(bits | low) | id
@@ -195,7 +196,7 @@ class PreferenceMatrix:
             if wrong.size:
                 redo[b] = wrong
 
-        _run_blocks(len(blocks), keyed)
+        _run_blocks(len(keyed_blocks), keyed)
         for lo, wrong in zip(blocks, redo):
             if wrong is not None:
                 order[lo : lo + rows][wrong] = _stable_order(self.scores[lo : lo + rows][wrong])

@@ -1,9 +1,14 @@
 import csv
 import dataclasses
+import io
 import math
 import os
+import signal
 import struct
+import subprocess
+import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -403,19 +408,26 @@ class TestPlainPreferences:
     the row reader ``_preferences`` does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(preference_files(), st.one_of(st.integers(1, 80), st.just(1 << 20)))
-    @example((b"customer,item,score," + b"h" * 41 + b"\nu0,i0,1,n\n", b"item,provider\ni0,a\n", False), 64)
-    @example((b"customer,item,score\n" + b"7" * 41 + b",i0,1\n", b"item,provider\ni0,a\n", False), 64)
-    @example((b"customer,item,score\nu0,i0,1,w\n", b"item,provider\ni0,a\n", False), 1 << 20)
-    @example((b"customer,item,score,note\nu0,i0,1\n", b"item,provider\ni0,a\n", False), 1 << 20)
-    @example((b"customer,item,score\nu0,i0,1\nu0,i0,2\n", b"item,provider\ni0,a\n", True), 1 << 20)
-    @example((b'customer,item,score\n"u0",i0,1\n', b"item,provider\ni0,a\n", False), 1 << 20)
-    @example((b"customer,item,score\r\nu0,i0,1\r\nu1,i0,2", b"item,provider\ni0,a\n", True), 4)
-    def test_agrees_with_the_row_reader(self, files, block):
+    @given(
+        preference_files(), st.one_of(st.integers(1, 80), st.just(1 << 20)), st.integers(1, 3)
+    )
+    @example((b"customer,item,score," + b"h" * 41 + b"\nu0,i0,1,n\n", b"item,provider\ni0,a\n", False), 64, 1)
+    @example((b"customer,item,score\n" + b"7" * 41 + b",i0,1\n", b"item,provider\ni0,a\n", False), 64, 1)
+    @example((b"customer,item,score\nu0,i0,1,w\n", b"item,provider\ni0,a\n", False), 1 << 20, 1)
+    @example((b"customer,item,score,note\nu0,i0,1\n", b"item,provider\ni0,a\n", False), 1 << 20, 1)
+    @example((b"customer,item,score\nu0,i0,1\nu0,i0,2\n", b"item,provider\ni0,a\n", True), 1 << 20, 1)
+    @example((b'customer,item,score\n"u0",i0,1\n', b"item,provider\ni0,a\n", False), 1 << 20, 1)
+    @example((b"customer,item,score\r\nu0,i0,1\r\nu1,i0,2", b"item,provider\ni0,a\n", True), 4, 1)
+    # three ranges of whole lines, the last without its CRLF; labels seen first in a later range
+    @example((
+        b"customer,item,score\r\nu0,i0,1\r\nu1,i1,2\r\nu0,x,3", b"item,provider\ni0,a\ni1,b\nx,a\n", True
+    ), 8, 3)
+    def test_agrees_with_the_row_reader(self, files, block, cores):
         data, providers_data, plain = files
         limit = csv.field_size_limit(FIELD_LIMIT)
         try:
-            with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_BLOCK", block):
+            with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_BLOCK", block), \
+                    mock.patch.object(fileio, "_cores", lambda: cores):
                 preferences, providers = Path(tmp) / "p.csv", Path(tmp) / "q.csv"
                 preferences.write_bytes(data)
                 providers.write_bytes(providers_data)
@@ -475,6 +487,174 @@ class TestPlainPreferences:
         text = "duplicate rating for customer {!r}, item {!r}; keeping the last value"
         want = [text.format(str(a), str(b)) for a, b in ((u, i), (v, j), (u, i))]
         assert caught == [(errors.DuplicateTripletWarning, message) for message in want]
+
+
+def ranged_file(tmp_path, bad_row=None):
+    """A plain preferences file of 300 rows, about 7 kB, whose labels recur
+    and also first appear late in the file; row ``bad_row`` is quoted, so
+    not plain."""
+    rows = [[f"c{r * 7 % 50}", f"i{r * r % 97}", repr(r / 7)] for r in range(300)]
+    if bad_row is not None:
+        rows[bad_row][0] = f'"{rows[bad_row][0]}"'
+    path = tmp_path / f"p{bad_row}.csv"
+    path.write_text("customer,item,score\n" + "".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+def same_columns(got, want):
+    return got[:2] == want[:2] and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got[2:], want[2:])
+    )
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of every child forked while the test runs; blocks of 1000
+    bytes on 3 cores, so ``ranged_file`` is read in three ranges."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(fileio, "_BLOCK", 1000)
+    monkeypatch.setattr(fileio, "_cores", lambda: 3)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def serial_read(path):
+    with mock.patch.object(fileio, "_cores", lambda: 1):
+        return fileio._plain_preferences(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestPlainReadersOnEveryCore:
+    """The ranges of a plain file after the first are read in forked
+    children, each reaped before ``_plain_preferences`` returns."""
+
+    def test_ranges_read_in_children_give_the_serial_read(self, tmp_path, forked):
+        path = ranged_file(tmp_path)
+        want = serial_read(path)
+        assert not forked
+        parent, read, read_here = os.getpid(), fileio._plain_range, []
+
+        def recorded(handle, start, stop, **kwargs):
+            if os.getpid() == parent:
+                read_here.append(start)
+            return read(handle, start, stop, **kwargs)
+
+        with mock.patch.object(fileio, "_plain_range", recorded):
+            got = fileio._plain_preferences(path)
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert read_here == [len("customer,item,score\n")]  # the first range only
+        assert same_columns(got, want)
+        assert same_columns(got, fileio._preferences(path))
+
+    def test_a_line_longer_than_a_range(self, tmp_path, forked, monkeypatch):
+        # 56 bytes of data rows, nominal cuts at 18 and 37 on 3 cores: both
+        # fall in the first line, which ends the first of two ranges
+        monkeypatch.setattr(fileio, "_BLOCK", 4)
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"customer,item,score\nu0,i0," + b"1" * 33 + b"\nu1,i1,2\nu2,i0,3\n")
+        got = fileio._plain_preferences(path)
+        assert len(forked) == 1
+        assert_reaped(forked)
+        assert same_columns(got, serial_read(path))
+
+    @pytest.mark.parametrize("bad_row", [0, 150, 299])
+    def test_a_range_that_is_not_plain(self, tmp_path, forked, bad_row):
+        path = ranged_file(tmp_path, bad_row)
+        assert fileio._plain_preferences(path) is None
+        assert len(forked) == 2
+        assert_reaped(forked)
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "killed after its head", "no fork"])
+    def test_a_child_that_fails_has_its_range_read_here(self, tmp_path, forked, failure):
+        path = ranged_file(tmp_path)
+        want = serial_read(path)
+        parent, read, send = os.getpid(), fileio._plain_range, fileio._send
+
+        def child_read(*args, **kwargs):
+            if os.getpid() != parent and failure == "raises":
+                raise OSError("child")
+            if os.getpid() != parent and failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read(*args, **kwargs)
+
+        def child_send(pipe, part):
+            if os.getpid() != parent:  # the head and a few label bytes
+                stream = io.BytesIO()
+                send(stream, part)
+                pipe.write(stream.getvalue()[: fileio._HEAD.size + 5])
+                pipe.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            send(pipe, part)
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        with mock.patch.object(fileio, "_plain_range", child_read), \
+                mock.patch.object(fileio, "_send", child_send if "head" in failure else send):
+            if failure == "no fork":
+                with mock.patch.object(os, "fork", no_fork):
+                    got = fileio._plain_preferences(path)
+            else:
+                got = fileio._plain_preferences(path)
+        assert len(forked) == (0 if failure == "no fork" else 2)
+        assert_reaped(forked)
+        assert same_columns(got, want)
+
+    def test_nothing_forks_while_a_second_thread_runs(self, tmp_path, forked):
+        path = ranged_file(tmp_path)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            got = fileio._plain_preferences(path)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not forked
+        assert same_columns(got, serial_read(path))
+
+    def test_no_resource_warning(self, tmp_path):
+        # every path closes its pipes and handles: a plain file, a range
+        # that is not plain, and a child that raises
+        paths = [ranged_file(tmp_path), ranged_file(tmp_path, 150)]
+        code = """
+import gc, os, sys
+from unittest import mock
+from tfrom import fileio
+plain, not_plain = sys.argv[1:]
+parent, read = os.getpid(), fileio._plain_range
+def failing(*args, **kwargs):
+    if os.getpid() != parent:
+        raise OSError("child")
+    return read(*args, **kwargs)
+with mock.patch.object(fileio, "_BLOCK", 1000), mock.patch.object(fileio, "_cores", lambda: 3):
+    assert fileio._plain_preferences(plain) is not None
+    assert fileio._plain_preferences(not_plain) is None
+    with mock.patch.object(fileio, "_plain_range", failing):
+        assert fileio._plain_preferences(plain) is not None
+gc.collect()
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).parents[1])}
+        command = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code]
+        done = subprocess.run(
+            [*command, *map(str, paths)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0 and not done.stderr, done.stderr
 
 
 @st.composite
