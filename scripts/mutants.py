@@ -1,6 +1,6 @@
 """Single-point mutation check of the package's modules against their tests.
 
-    python scripts/mutants.py                      # all eight modules
+    python scripts/mutants.py                      # all ten modules
     python scripts/mutants.py baselines.py --list  # the mutants, not run
 
 Each mutant changes one spot of one module under ``src/tfrom``:
@@ -42,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tfrom"
 MODULES = ("baselines.py", "offline.py", "online.py", "targets.py", "metrics.py", "model.py",
-           "experiments.py", "fileio.py")
+           "experiments.py", "fileio.py", "cli.py", "synth.py")
 TESTS = (
     "test_offline.py",
     "test_online.py",
@@ -57,19 +57,29 @@ TESTS = (
     "test_experiments.py",
     "test_fileio.py",
     "test_cli.py",
+    "test_synth.py",
 )
 # per module, the files of TESTS whose run calls none of its code (traced
 # with sys.setprofile): its mutants skip them. Trace again when a test file
 # starts to use a module it did not.
 SKIP = {
-    "baselines.py": {"test_targets.py", "test_model.py"},
+    "baselines.py": {"test_targets.py", "test_model.py", "test_synth.py"},
+    "cli.py": {"test_offline.py", "test_online.py", "test_baselines.py", "test_targets.py",
+               "test_metrics.py", "test_rerank_oracles.py", "test_scoring_columns.py",
+               "test_argument_rules.py", "test_model.py", "test_experiments.py",
+               "test_synth.py"},
     "experiments.py": {"test_offline.py", "test_targets.py", "test_metrics.py", "test_model.py",
-                       "test_fileio.py"},
+                       "test_fileio.py", "test_synth.py"},
     "fileio.py": {"test_offline.py", "test_online.py", "test_baselines.py", "test_targets.py",
                   "test_metrics.py", "test_rerank_oracles.py", "test_model.py",
-                  "test_experiments.py"},
-    "offline.py": {"test_online.py", "test_targets.py", "test_metrics.py"},
-    "online.py": {"test_targets.py", "test_metrics.py", "test_scoring_columns.py", "test_fileio.py"},
+                  "test_experiments.py", "test_synth.py"},
+    "metrics.py": {"test_synth.py"},
+    "offline.py": {"test_online.py", "test_targets.py", "test_metrics.py", "test_synth.py"},
+    "online.py": {"test_targets.py", "test_metrics.py", "test_scoring_columns.py", "test_fileio.py",
+                  "test_synth.py"},
+    "synth.py": {"test_baselines.py", "test_targets.py", "test_metrics.py",
+                 "test_rerank_oracles.py", "test_scoring_columns.py", "test_model.py"},
+    "targets.py": {"test_synth.py"},
 }
 BASELINE = ROOT / "scripts" / "mutants_baseline.json"
 MAX_WORKERS = 2

@@ -16,16 +16,20 @@ labels and three file-order columns (customer index, item index, score);
 item) pair keeps its last score and warns. Every output table is written by
 ``_write_table``, from columns, in blocks of 2^16 rows: one ``%`` template
 (such as ``"%d,%d,%.17g\\r\\n"`` repeated once per row) applied to the flat
-tuple of a block's cells. A label cell (customer, item, provider,
-algorithm) is the cell ``csv.writer`` would write, quoted where it quotes,
-and is computed once per distinct label. Numeric output uses 17
-significant digits, enough for an exact float64 round-trip: golden files
-are bit-stable, and the scores of a recommendations file read back equal
-to the instance's.
+tuple of a block's cells, on every core: one forked writer per extra core
+formats a range of the rows into a spool that is then appended in order.
+Reader and writer children share one fork-and-reap helper, ``_children``,
+and one rule for how many ranges there are, ``_workers``. A label cell
+(customer, item, provider, algorithm) is the cell ``csv.writer`` would
+write, quoted where it quotes, and is computed once per distinct label.
+Numeric output uses 17 significant digits, enough for an exact float64
+round-trip: golden files are bit-stable, and the scores of a
+recommendations file read back equal to the instance's.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -34,6 +38,7 @@ import operator
 import os
 import signal
 import struct
+import tempfile
 import threading
 import warnings
 from dataclasses import dataclass, fields
@@ -197,16 +202,15 @@ def _plain_preferences(path):
         positions = [names.index(name) for name in _TRIPLET]
         read = partial(_plain_range, eol=eol, row=row, limit=limit, positions=positions)
         ranges = _ranges(handle, limit)
-        pipes = {}  # pid: pipe, of every child not yet reaped
-        try:
-            # per later range, its child's pid, 0 if the fork failed
-            pids = [_fork_reader(path, handle, read, bounds, pipes) for bounds in ranges[1:]]
+        # on leaving: every pipe is closed, then every child not reaped is killed and reaped
+        with _children() as (fork, reap), contextlib.ExitStack() as pipes:
+            # per later range, its child's pid and pipe, (0, None) if the fork failed
+            children = [_fork_reader(fork, pipes, path, handle, read, b) for b in ranges[1:]]
             first = read(handle, *ranges[0])
             if first is None:
                 return None
             streams, heads = [], []  # per later range: what ``_send`` wrote for it
-            for pid, bounds in zip(pids, ranges[1:]):
-                stream = pipes.get(pid)
+            for (_, stream), bounds in zip(children, ranges[1:]):
                 head = stream.read(_HEAD.size) if stream else b""
                 if len(head) < _HEAD.size:  # no child, or one that ended first
                     stream = _sent(read(handle, *bounds))
@@ -221,7 +225,7 @@ def _plain_preferences(path):
             scores = np.empty(ends[-1])
             u[: ends[0]], i[: ends[0]] = u0, i0
             np.concatenate(scores0, out=scores[: ends[0]])
-            for r, (pid, stream, head) in enumerate(zip(pids, streams, heads), 1):
+            for r, ((pid, pipe), stream, head) in enumerate(zip(children, streams, heads), 1):
                 rows = slice(ends[r - 1], ends[r])
                 labels = _receive(stream, head, u[rows], i[rows], scores[rows])
                 if labels is None:  # the child ended part way: read its range here
@@ -229,44 +233,41 @@ def _plain_preferences(path):
                     if _HEAD.unpack(stream.read(_HEAD.size)) != head:
                         return None
                     labels = _receive(stream, head, u[rows], i[rows], scores[rows])
-                if pid in pipes:
-                    pipes.pop(pid).close()
-                    os.waitpid(pid, 0)
+                if pid:
+                    pipe.close()
+                    reap(pid)
                 # the range's own ids, in its order of first appearance, to the file's
                 for ids, column, new in zip((customer_ids, item_ids), (u, i), labels):
                     remap = np.array([ids.setdefault(label, len(ids)) for label in new], np.intp)
                     np.take(remap, column[rows], out=column[rows])
-        finally:
-            for pid, pipe in pipes.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
     customers, items = (tuple(label.decode() for label in ids) for ids in (customer_ids, item_ids))
     return customers, items, u, i, scores
 
 
-def _readers(size: int) -> int:
-    """How many ranges, one reader each, the ``size`` bytes of a plain
-    file's data rows are cut into: one per core of the process's affinity
-    (``_cores``), but none under one ``_BLOCK``. One, with no child, without
-    ``os.fork`` or ``os.sched_getaffinity``, or while a second Python thread
-    runs: a lock it holds would stay held in a forked child."""
+def _workers(size: int, unit: int) -> int:
+    """How many ranges, one process each, ``size`` units of work are cut
+    into: one per core of the process's affinity (``_cores``), but none
+    under one ``unit``. The reader counts a plain file's data rows in bytes
+    and ``_BLOCK``, the writer a table's rows and ``_ROWS``. One, with no
+    child, without ``os.fork`` or ``os.sched_getaffinity``, or while a
+    second Python thread runs: a lock it holds would stay held in a forked
+    child."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if threading.active_count() > 1:
         return 1
-    return max(1, min(_cores(), size // _BLOCK))
+    return max(1, min(_cores(), size // unit))
 
 
 def _ranges(handle, limit: int) -> list:
-    """``(start, stop)`` of each of ``_readers`` byte ranges of whole lines
+    """``(start, stop)`` of each of ``_workers`` byte ranges of whole lines
     that cover a plain file from ``handle``'s position to its end, the last
     stop None: range r > 0 starts after the first line end at or past r
     parts of the bytes left, unless that is the end of the file. A line
     over ``limit`` may merge ranges; the range reader finds it."""
     start = handle.tell()
     end = os.fstat(handle.fileno()).st_size
-    count = _readers(end - start)
+    count = _workers(end - start, _BLOCK)
     cuts = [start]
     for r in range(1, count):
         handle.seek(start + (end - start) * r // count)
@@ -343,32 +344,65 @@ def _receive(stream, head, u, i, scores):
     return [text.split(b"\n") for text in labels]
 
 
-def _fork_reader(path, handle, read, bounds, pipes: dict) -> int:
-    """The pid of a forked child that reads the range ``bounds`` of the
-    file open in ``handle`` with ``read``, from a handle of its own on
-    ``path`` that must be the same file, sends it (``_send``) through a
-    pipe, kept in ``pipes`` under its pid, and ends in ``os._exit``; 0, with
-    no child, if the fork fails."""
+def _fork_reader(fork, pipes, path, handle, read, bounds) -> tuple:
+    """``(pid, pipe)`` of a child, forked with ``fork`` (``_children``),
+    that reads the range ``bounds`` of the file open in ``handle`` with
+    ``read``, from a handle of its own on ``path`` that must be the same
+    file, and sends it (``_send``) through ``pipe``, which the exit stack
+    ``pipes`` closes; ``(0, None)`` if the fork fails."""
     into, out = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # such as no process to spare: the caller reads the range
+
+    def work():
         os.close(into)
-        os.close(out)
-        return 0
-    if pid == 0:  # the child
-        code = 1
-        try:
-            os.close(into)
-            with open(out, "wb") as pipe, open(os.fspath(path), "rb") as own:
-                if os.path.samestat(os.fstat(own.fileno()), os.fstat(handle.fileno())):
-                    _send(pipe, read(own, *bounds))
-                    code = 0
-        finally:
-            os._exit(code)
+        with open(out, "wb") as pipe, open(os.fspath(path), "rb") as own:
+            if os.path.samestat(os.fstat(own.fileno()), os.fstat(handle.fileno())):
+                _send(pipe, read(own, *bounds))
+
+    pid = fork(work)
     os.close(out)
-    pipes[pid] = open(into, "rb")
-    return pid
+    if not pid:
+        os.close(into)
+        return 0, None
+    return pid, pipes.enter_context(open(into, "rb"))
+
+
+@contextlib.contextmanager
+def _children():
+    """``(fork, reap)`` for forked children that all end with the block.
+    ``fork(work)`` forks a child that runs ``work()`` and ends in
+    ``os._exit``: status 0 if ``work`` returned, 1 if it raised. It returns
+    the child's pid, or 0, with no child, if the fork raised OSError (such
+    as no process to spare). ``reap(pid)`` waits for that child and tells
+    whether it exited with status 0. On leaving the block, every child not
+    reaped yet is SIGKILLed and reaped."""
+    running = set()
+
+    def fork(work) -> int:
+        try:
+            pid = os.fork()
+        except OSError:
+            return 0
+        if pid == 0:  # the child
+            code = 1
+            try:
+                work()
+                code = 0
+            finally:
+                os._exit(code)
+        running.add(pid)
+        return pid
+
+    def reap(pid: int) -> bool:
+        status = os.waitpid(pid, 0)[1]
+        running.remove(pid)
+        return status == 0
+
+    try:
+        yield fork, reap
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _plain_block(block: bytes, eol: bytes, row: bytes, limit: int, positions):
@@ -480,17 +514,73 @@ def _write_table(path, header: Sequence[str], columns: Sequence[tuple[str, np.nd
     """Write one CSV table: the header row, then one row per entry of
     ``columns``, equal-length arrays each paired with its ``%`` conversion:
     ``d`` for integers, ``_FLOAT`` for floats, ``s`` for ``_label_cells``.
+
+    The rows are cut into ``_workers(rows, _ROWS)`` ranges. This process
+    formats the first into the file; a forked child formats each later one
+    into a spool, an unnamed file in the table's directory, and this
+    process appends the spools in range order, in the kernel
+    (``_append``). The range of a child that exits with an error, or is
+    killed, or of a fork or spool that fails, is formatted here instead, so
+    the file is the bytes of a serial write. Every child is reaped, and
+    killed first if need be, before this returns or raises.
     """
     row = ",".join(f"%{conversion}" for conversion, _ in columns) + "\r\n"
-    width, rows = len(columns), len(columns[0][1])
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(csv.writer(_Lines()).writerow(header))
-        for start in range(0, rows, _ROWS):
-            stop = min(start + _ROWS, rows)
-            cells = [None] * (width * (stop - start))
-            for j, (_, values) in enumerate(columns):
-                cells[j::width] = values[start:stop].tolist()
-            handle.write((row * (stop - start)) % tuple(cells))
+    rows = len(columns[0][1])
+    count = _workers(rows, _ROWS)
+    cuts = [rows * r // count for r in range(count + 1)]
+    write = partial(_write_rows, row=row, columns=columns)
+    # on leaving: every spool is closed, then every child not reaped is killed and reaped
+    with open(path, "wb") as handle, _children() as (fork, reap), \
+            contextlib.ExitStack() as spools:
+        handle.write(csv.writer(_Lines()).writerow(header).encode())
+        later = list(zip(cuts[1:], cuts[2:]))
+        # per later range, its child's pid, 0 if it has none, and spool
+        children = [_fork_writer(fork, spools, path, write, *bounds) for bounds in later]
+        write(handle, cuts[0], cuts[1])
+        for (pid, spool), bounds in zip(children, later):
+            if pid and reap(pid):
+                handle.flush()
+                _append(handle.fileno(), spool.fileno())
+            else:
+                write(handle, *bounds)
+
+
+def _write_rows(handle, start: int, stop: int, row: str, columns) -> None:
+    """Write rows ``start`` to ``stop`` of ``columns`` to the binary
+    ``handle``, in blocks of ``_ROWS``: ``row`` repeated once per row of a
+    block, applied to the flat tuple of the block's cells."""
+    width = len(columns)
+    for lo in range(start, stop, _ROWS):
+        hi = min(lo + _ROWS, stop)
+        cells = [None] * (width * (hi - lo))
+        for j, (_, values) in enumerate(columns):
+            cells[j::width] = values[lo:hi].tolist()
+        handle.write(((row * (hi - lo)) % tuple(cells)).encode())
+
+
+def _fork_writer(fork, spools, path, write, start: int, stop: int) -> tuple:
+    """``(pid, spool)`` of a child, forked with ``fork`` (``_children``),
+    that writes rows ``start`` to ``stop`` with ``write`` into ``spool``, an
+    unnamed file in ``path``'s directory that the exit stack ``spools``
+    closes; pid 0, with no child, if the spool or the fork fails."""
+    try:
+        spool = spools.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
+    except OSError:  # such as a directory that takes no new file
+        return 0, None
+
+    def work():
+        write(spool, start, stop)
+        spool.flush()
+
+    return fork(work), spool
+
+
+def _append(out: int, spool: int) -> None:
+    """Append the whole file open as ``spool`` to the one open as ``out``,
+    at its position, with ``os.sendfile``: no byte passes through Python."""
+    offset = 0
+    while sent := os.sendfile(out, spool, offset, 1 << 30):
+        offset += sent
 
 
 def write_instance_files(scores: np.ndarray, assignments: Sequence, out_dir) -> tuple[Path, Path]:

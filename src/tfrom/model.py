@@ -89,6 +89,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _kept(value, dtype) -> np.ndarray:
+    """``value`` if it is a read-only array of ``dtype``, else a read-only
+    copy of it as one."""
+    if isinstance(value, np.ndarray) and value.dtype == dtype and not value.flags.writeable:
+        return value
+    return _readonly(np.array(value, dtype=dtype))
+
+
 def _stable_order(block: np.ndarray) -> np.ndarray:
     """Rows of scores by descending score, ascending id on ties and NaN
     last, as int64: the stable argsort of the negated scores."""
@@ -123,13 +131,7 @@ class PreferenceMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        scores = self.scores
-        if not (
-            isinstance(scores, np.ndarray)
-            and scores.dtype == np.float64
-            and not scores.flags.writeable
-        ):
-            object.__setattr__(self, "scores", _readonly(np.array(scores, dtype=np.float64)))
+        object.__setattr__(self, "scores", _kept(self.scores, np.float64))
 
     @property
     def m(self) -> int:
@@ -228,19 +230,14 @@ class PreferenceMatrix:
     def provider_queues(self, catalog: "Catalog") -> "ProviderQueues":
         """Every customer's preference order split into one queue per
         provider of ``catalog``, built on first use and kept in the memo
-        for ``catalog`` (``_derived``). ValidationError if a provider owns
-        no item or ``catalog.sizes`` miscounts ``catalog.provider_of``.
-        Its blocks of rows are sorted on all available cores
-        (``_run_blocks``); the bits do not depend on the core count, and
-        there is no setting for it.
+        for ``catalog`` (``_derived``). Its blocks of rows are sorted on all
+        available cores (``_run_blocks``); the bits do not depend on the
+        core count, and there is no setting for it.
         """
         memo = self._derived(catalog)
         if memo.queues is not None:
             return memo.queues
         m, n = self.scores.shape
-        counts = np.bincount(catalog.provider_of, minlength=catalog.l)
-        if not (np.array_equal(counts, catalog.sizes) and (counts > 0).all()):
-            raise ValidationError("catalog sizes must count each provider's items, one or more")
         # read before any thread starts: a cached property may hold its lock
         order, keys = self.order, catalog.provider_keys
         # the smallest position type holds n, the mark of an empty queue
@@ -270,11 +267,29 @@ class Catalog:
     ``provider_of`` is the only item map: the items of provider ``p`` are
     ``np.flatnonzero(provider_of == p)``, in ascending id order. Every
     provider owns at least one item.
+
+    The catalog keeps read-only int64 copies of ``provider_of`` and
+    ``sizes`` unless they are read-only int64 arrays, such as
+    ``build_instance``'s. ValidationError if ``provider_of`` is not a
+    vector of ids from 0 to ``sizes.size - 1``, or ``sizes`` miscounts it
+    or leaves a provider without an item.
     """
 
     provider_of: np.ndarray
     sizes: np.ndarray
     provider_labels: tuple
+
+    def __post_init__(self):
+        provider_of, sizes = _kept(self.provider_of, np.int64), _kept(self.sizes, np.int64)
+        object.__setattr__(self, "provider_of", provider_of)
+        object.__setattr__(self, "sizes", sizes)
+        if not (
+            provider_of.ndim == sizes.ndim == 1
+            and ((provider_of >= 0) & (provider_of < sizes.size)).all()
+            and np.array_equal(np.bincount(provider_of, minlength=sizes.size), sizes)
+            and (sizes > 0).all()
+        ):
+            raise ValidationError("catalog sizes must count each provider's items, one or more")
 
     @property
     def n(self) -> int:

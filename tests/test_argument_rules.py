@@ -13,9 +13,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from pytest import approx
 
 import tfrom
-from tfrom import errors, fileio, metrics
+from tfrom import errors, fileio, metrics, model
 from tfrom.baselines import all_random
 from tfrom.experiments import (
     ExperimentConfig,
@@ -202,6 +203,39 @@ CATALOG_USERS = {
 def test_catalog_of_another_item_count_refused(name, n):
     with pytest.raises(errors.InvalidShape, match=f"^{n} provider assignments for 3 items$"):
         CATALOG_USERS[name](OTHER_CATALOGS[n])
+
+
+@pytest.mark.parametrize(
+    "provider_of, sizes",
+    [([0, 0, 1], [1, 1]), ([0, 0, 2], [2, 1]), ([0, 1 << 40], [1, 1]), ([0, 2, 2], [1, 0, 2]),
+     ([0, -1, 1], [2, 1]), ([[0, 0, 1]], [2, 1])],
+    ids=["miscounted", "id-past-sizes", "id-far-past-sizes", "empty-provider", "negative-id",
+         "not-a-vector"],
+)
+def test_catalog_refused_where_it_is_built(provider_of, sizes):
+    # each used to be built: fair_targets(UNIFORM, 10.0, ...) on the first
+    # returned targets that sum to 6.67, and provider_queues refused it
+    # only when it was first called
+    message = "^catalog sizes must count each provider's items, one or more$"
+    with pytest.raises(errors.ValidationError, match=message):
+        model.Catalog(provider_of, sizes, tuple(range(len(sizes))))
+
+
+@pytest.mark.parametrize("provider_of", [[0, 0, 1], (0, 0, 1), np.array([0, 0, 1], np.uint8)])
+def test_catalog_keeps_read_only_int64_arrays(provider_of):
+    # a list used to be kept as it was: .n ended in a bare AttributeError
+    catalog = model.Catalog(provider_of, [2, 1], ("a", "b"))
+    assert (catalog.n, catalog.l) == (3, 2)
+    for array in (catalog.provider_of, catalog.sizes):
+        assert array.dtype == np.int64 and not array.flags.writeable
+    assert catalog.provider_of.tolist() == [0, 0, 1] and catalog.sizes.tolist() == [2, 1]
+    targets = tfrom.fair_targets(UNIFORM, 10.0, catalog, MATRIX).per_provider
+    assert targets.tolist() == approx([20 / 3, 10 / 3])
+
+
+def test_catalog_from_build_instance_kept_as_it_is():
+    catalog = model.Catalog(CATALOG.provider_of, CATALOG.sizes, CATALOG.provider_labels)
+    assert catalog.provider_of is CATALOG.provider_of and catalog.sizes is CATALOG.sizes
 
 
 REC = tfrom.RecommendationList

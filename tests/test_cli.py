@@ -382,6 +382,16 @@ class TestMetricsInputErrors:
             instance_files, tmp_path, capsys, text, ":7: list of 2 slots after one of 1"
         )
 
+    def test_one_batch_list_accepted(self, tmp_path):
+        # one customer, so a batch file of one list
+        assert main(["gen", "--m", "1", "--n", "5", "--l", "2", "--out", str(tmp_path)]) == 0
+        instance = tmp_path / "preferences.csv", tmp_path / "providers.csv"
+        recommendations = tmp_path / "recommendations.csv"
+        recommendations.write_text(self.OFFLINE_HEAD + "0,1,0\n0,2,1\n")
+        assert run_metrics(instance, recommendations, tmp_path / "out") == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["results"]["k"] == 2
+
     def test_increasing_requests_with_gaps_accepted(self, instance_files, tmp_path):
         text = self.ONLINE_HEAD + "2,0,1,0\n7,0,1,1\n9,3,1,2\n"
         recommendations = tmp_path / "recommendations.csv"
@@ -495,5 +505,6 @@ class TestErrorHandling:
         assert code == 2
         assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
 
-    def test_help_exits_zero(self):
+    def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+        assert "\n\nCommand-line interface.\n\n" in capsys.readouterr().out

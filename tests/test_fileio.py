@@ -852,12 +852,14 @@ class TestWriteTable:
         return blocks.read_bytes(), reference.read_bytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(tables(), st.sampled_from([1, 2, 5, 1 << 16]))
-    @example((["int", "label"], []), 1 << 16)
-    @example((["label", "float"], [("", -0.0), (" a,b ", 5e-324), ('"\r\n"', math.nan)]), 2)
-    def test_matches_csv_writer(self, table, rows_per_block):
+    @given(tables(), st.sampled_from([1, 2, 5, 1 << 16]), st.integers(1, 3))
+    @example((["int", "label"], []), 1 << 16, 1)
+    @example((["label", "float"], [("", -0.0), (" a,b ", 5e-324), ('"\r\n"', math.nan)]), 1, 3)
+    def test_matches_csv_writer(self, table, rows_per_block, cores):
+        # on 2 or 3 cores, 2 or more blocks of rows are written in ranges
         kinds, rows = table
-        with mock.patch.object(fileio, "_ROWS", rows_per_block):
+        with mock.patch.object(fileio, "_ROWS", rows_per_block), \
+                mock.patch.object(fileio, "_cores", lambda: cores):
             with tempfile.TemporaryDirectory() as tmp:
                 ours, reference = self.both(tmp, kinds, rows)
         assert ours == reference
@@ -872,6 +874,158 @@ class TestWriteTable:
         rows = list(zip(ints.tolist(), floats.tolist(), labels.tolist()))
         ours, reference = self.both(tmp_path, ["int", "float", "label"], rows)
         assert ours == reference
+
+
+def ranged_table():
+    """The header and columns of a table of 300 rows, ints, floats and
+    labels, some quoted and some not ASCII."""
+    r = np.arange(300)
+    labels = fileio._label_cells(["a,b", "plain", "\u00e9", 'say "hi"', ""])[r % 5]
+    return ["id", "score", "label"], [("d", r * 7 - 900), (fileio._FLOAT, r / 7), ("s", labels)]
+
+
+def serial_write(path, header, columns):
+    with mock.patch.object(fileio, "_cores", lambda: 1):
+        fileio._write_table(path, header, columns)
+    return path.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestWritersOnEveryCore:
+    """The row ranges of a table after the first are formatted in forked
+    children, each reaped before ``_write_table`` returns or raises, and
+    the table's directory holds the table alone afterwards."""
+
+    @pytest.fixture(autouse=True)
+    def ranges(self, forked, monkeypatch):
+        # blocks of 40 rows on 3 cores: ranged_table is written in three ranges
+        monkeypatch.setattr(fileio, "_ROWS", 40)
+
+    def test_ranges_written_in_children_give_the_serial_write(self, tmp_path, forked):
+        header, columns = ranged_table()
+        want = serial_write(tmp_path / "serial.csv", header, columns)
+        assert not forked
+        parent, write, written_here = os.getpid(), fileio._write_rows, []
+
+        def recorded(handle, start, stop, **kwargs):
+            if os.getpid() == parent:
+                written_here.append((start, stop))
+            return write(handle, start, stop, **kwargs)
+
+        path = tmp_path / "out" / "table.csv"
+        path.parent.mkdir()
+        with mock.patch.object(fileio, "_write_rows", recorded):
+            fileio._write_table(path, header, columns)
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert written_here == [(0, 100)]  # the first range only
+        assert path.read_bytes() == want
+        assert os.listdir(path.parent) == ["table.csv"]
+
+    @pytest.mark.parametrize("failure", ["raises", "killed", "no fork", "no spool"])
+    def test_a_child_that_fails_has_its_range_written_here(self, tmp_path, forked, failure):
+        header, columns = ranged_table()
+        want = serial_write(tmp_path / "serial.csv", header, columns)
+        parent, write = os.getpid(), fileio._write_rows
+
+        def child_write(handle, start, stop, **kwargs):
+            if os.getpid() != parent and failure == "raises":
+                raise OSError("child")
+            if os.getpid() != parent:  # a few rows in the spool, then killed
+                write(handle, start, start + 5, **kwargs)
+                handle.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return write(handle, start, stop, **kwargs)
+
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        def no_spool(**kwargs):
+            raise PermissionError("no spool")
+
+        path = tmp_path / "out" / "table.csv"
+        path.parent.mkdir()
+        with mock.patch.object(fileio, "_write_rows", child_write), \
+                mock.patch.object(os, "fork", no_fork if failure == "no fork" else os.fork), \
+                mock.patch.object(tempfile, "TemporaryFile",
+                                  no_spool if failure == "no spool" else tempfile.TemporaryFile):
+            fileio._write_table(path, header, columns)
+        assert len(forked) == (2 if failure in ("raises", "killed") else 0)
+        assert_reaped(forked)
+        assert path.read_bytes() == want
+        assert os.listdir(path.parent) == ["table.csv"]
+
+    def test_the_error_of_a_serial_write_with_every_child_reaped(self, tmp_path, forked):
+        # a label that UTF-8 cannot encode, in the first range and in the
+        # last: the caller raises what a serial write raises
+        header, columns = ranged_table()
+        labels = columns[2][1].copy()
+        labels[[3, 290]] = "\ud800"
+        columns[2] = ("s", labels)
+        with pytest.raises(UnicodeEncodeError) as serial:
+            serial_write(tmp_path / "serial.csv", header, columns)
+        path = tmp_path / "out" / "table.csv"
+        path.parent.mkdir()
+        with pytest.raises(UnicodeEncodeError) as ranged:
+            fileio._write_table(path, header, columns)
+        assert str(ranged.value) == str(serial.value)
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert os.listdir(path.parent) == ["table.csv"]
+
+    def test_nothing_forks_while_a_second_thread_runs(self, tmp_path, forked):
+        header, columns = ranged_table()
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            fileio._write_table(tmp_path / "table.csv", header, columns)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not forked
+        assert (tmp_path / "table.csv").read_bytes() == serial_write(
+            tmp_path / "serial.csv", header, columns
+        )
+
+    def test_no_resource_warning(self, tmp_path):
+        # every path closes its spools and handles: ranges in children, a
+        # child that raises, a spool that cannot be made, a fork that fails
+        code = """
+import gc, os, sys, tempfile
+from unittest import mock
+import numpy as np
+from tfrom import fileio
+parent, write = os.getpid(), fileio._write_rows
+def failing(*args, **kwargs):
+    if os.getpid() != parent:
+        raise OSError("child")
+    return write(*args, **kwargs)
+def refused(*args, **kwargs):
+    raise OSError("refused")
+r = np.arange(300)
+columns = [("d", r), (fileio._FLOAT, r / 7)]
+def wrote(name):
+    fileio._write_table(os.path.join(sys.argv[1], name), ["a", "b"], columns)
+with mock.patch.object(fileio, "_ROWS", 40), mock.patch.object(fileio, "_cores", lambda: 3):
+    wrote("children.csv")
+    with mock.patch.object(fileio, "_write_rows", failing):
+        wrote("failing.csv")
+    with mock.patch.object(tempfile, "TemporaryFile", refused):
+        wrote("no-spool.csv")
+    with mock.patch.object(os, "fork", refused):
+        wrote("no-fork.csv")
+gc.collect()
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).parents[1])}
+        command = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code]
+        done = subprocess.run(
+            [*command, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        tables = [path.read_bytes() for path in sorted(tmp_path.iterdir())]
+        assert len(tables) == 4 and len(set(tables)) == 1
 
 
 class TestBoundaries:

@@ -49,12 +49,22 @@ class TestGenerateSynthetic:
         scores, _ = tfrom.generate_synthetic(3, 8, 2, score_distribution=dist, seed=7)
         assert (scores > 0).all()
 
+    @pytest.mark.parametrize("dist, median", [("exponential", np.log(2)), ("lognormal", 1.0)])
+    def test_each_distribution_draws_its_own_scores(self, dist, median):
+        # 10,000 draws: the sample median lies within 0.05 of the law's
+        scores, _ = tfrom.generate_synthetic(200, 50, 2, score_distribution=dist, seed=7)
+        assert abs(np.median(scores) - median) < 0.05
+
     @pytest.mark.parametrize(
         "m,n,l", [(0, 5, 1), (5, 0, 1), (5, 5, 0), (2, 3, 4)]
     )
     def test_invalid_shapes(self, m, n, l):
         with pytest.raises(errors.InvalidShape):
             tfrom.generate_synthetic(m, n, l, seed=0)
+
+    def test_first_invalid_count_named(self):
+        with pytest.raises(errors.InvalidShape, match="^customer count must be >= 1, got 0$"):
+            tfrom.generate_synthetic(0, 0, 0, seed=0)
 
     def test_unknown_distribution(self):
         with pytest.raises(errors.InvalidShape):
