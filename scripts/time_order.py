@@ -12,7 +12,8 @@ process, with ``time.perf_counter``, their order reversed every repeat: the
 stable argsort, ``order`` as it runs (its blocks on every core of the
 process's affinity, ``model._cores``) and ``order`` with ``model._cores``
 patched to 1 (``serial_ms``); a fresh matrix each time, since ``order`` is
-computed once per matrix. The three results must be equal to the bit, or
+computed once per matrix, built before the clock starts, so the check of
+its grid is not timed. The three results must be equal to the bit, or
 the script exits with status 1.
 
 Scores: ``continuous`` as ``generate_synthetic`` draws them; ``ratings``,
@@ -69,23 +70,24 @@ def scores_of(kind: str, m: int, n: int, seed: int) -> np.ndarray:
     return scores
 
 
-def serial_order(scores: np.ndarray) -> np.ndarray:
+def serial_order(matrix: model.PreferenceMatrix) -> np.ndarray:
     with mock.patch.object(model, "_cores", lambda: 1):
-        return model.PreferenceMatrix(scores).order
+        return matrix.order
 
 
 def time_kind(scores: np.ndarray, repeats: int) -> dict:
     sides = {
-        "stable_ms": lambda: oracles.stable_order(scores),
-        "keyed_ms": lambda: model.PreferenceMatrix(scores).order,
-        "serial_ms": lambda: serial_order(scores),
+        "stable_ms": lambda matrix: oracles.stable_order(scores),
+        "keyed_ms": lambda matrix: matrix.order,
+        "serial_ms": serial_order,
     }
     times = {name: [] for name in sides}
     results = {}
     for rep in range(repeats):
         for name in sorted(sides, reverse=rep % 2 == 1):
+            matrix = model.PreferenceMatrix(scores)
             start = time.perf_counter()
-            results[name] = sides[name]()
+            results[name] = sides[name](matrix)
             times[name].append((time.perf_counter() - start) * 1e3)
     if len({order.tobytes() for order in results.values()}) != 1:
         raise SystemExit("order differs from the stable argsort or from one core's")

@@ -25,8 +25,6 @@ from .errors import (
     UnknownCustomer,
     UnknownItemInProviderFile,
     ValidationError,
-    ZeroIdealQuality,
-    ZeroTotalRelevance,
 )
 from .experiments import StreamTracker, TraceRow, request_stream
 from .fileio import write_instance_files

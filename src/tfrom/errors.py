@@ -38,14 +38,6 @@ class InvalidDimension(ValidationError):
     """A count parameter (customers, list length, ...) is out of range."""
 
 
-class ZeroIdealQuality(ValidationError):
-    """The ideal list has zero gain; normalized quality is undefined."""
-
-
-class ZeroTotalRelevance(ValidationError):
-    """Quality-weighted targets require strictly positive relevance mass."""
-
-
 class InsufficientItems(ValidationError):
     """Fewer items exist than the requested list length."""
 

@@ -31,6 +31,7 @@ from .model import (
     _check_catalog,
     _check_integer,
     _check_k,
+    _check_originals,
     _entry_columns,
     original_rankings,
 )
@@ -114,21 +115,21 @@ class StreamTracker:
     """Cumulative accounting of one served stream, fed from its lists only.
 
     Exposure adds up slot by slot in request order; each customer's
-    quality is the running mean of the NDCG of their requests. A request's
-    ideal gain is read from the matrix's memo when its customer's original
-    is the matrix's own ranking, and computed per request otherwise.
+    quality is the running mean of the NDCG of their requests, whose ideal
+    gain is the matrix's (``metrics._top_k_dcg``). So ``originals`` must
+    be the m preference orders (``model._check_originals``), checked here
+    once: the matrix's own rankings pass on identity.
     """
 
     def __init__(
         self, matrix: PreferenceMatrix, catalog: Catalog, originals: Sequence[RankedList]
     ):
-        self.matrix, self.catalog, self.originals = matrix, catalog, originals
-        # every original of the matrix's own sequence is its own ranking
-        self._own = originals is matrix._rankings
+        _check_catalog(matrix, catalog)
+        _check_originals(matrix, originals)
+        self.matrix, self.catalog = matrix, catalog
         self.per_provider = np.zeros(catalog.l)
         self.avg_quality = np.zeros(matrix.m)
         self.rec_time = np.zeros(matrix.m, dtype=np.int64)
-        _check_catalog(matrix, catalog)
         # Python ints index ``per_provider`` faster than numpy scalars do
         self._provider_of = catalog.provider_of.tolist()
 
@@ -140,9 +141,6 @@ class StreamTracker:
         for w, item in zip(metrics.slot_weights(k), rec.items):
             self.per_provider[self._provider_of[item]] += w
         ideal = metrics._top_k_dcg(self.matrix, k)[u]
-        own = self._own or self.originals[u].items is self.matrix._rankings[u].items
-        if not (ideal > 0.0 and own):
-            ideal = metrics._ideal_dcg(u, k, self.matrix, self.originals[u])
         request_ndcg = metrics.dcg(u, rec.items, self.matrix) / ideal
         t = int(self.rec_time[u])
         self.avg_quality[u] = (self.avg_quality[u] * t + request_ndcg) / (t + 1)

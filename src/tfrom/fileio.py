@@ -18,6 +18,8 @@ item) pair keeps its last score and warns. Every output table is written by
 (such as ``"%d,%d,%.17g\\r\\n"`` repeated once per row) applied to the flat
 tuple of a block's cells, on every core: one forked writer per extra core
 formats a range of the rows into a spool that is then appended in order.
+A table, like the summary, is written to a new file that replaces its path
+once it is complete, so an error leaves no part of a table behind.
 Reader and writer children share one fork-and-reap helper, ``_children``,
 and one rule for how many ranges there are, ``_workers``. A label cell
 (customer, item, provider, algorithm) is the cell ``csv.writer`` would
@@ -522,7 +524,8 @@ def _write_table(path, header: Sequence[str], columns: Sequence[tuple[str, np.nd
     (``_append``). The range of a child that exits with an error, or is
     killed, or of a fork or spool that fails, is formatted here instead, so
     the file is the bytes of a serial write. Every child is reaped, and
-    killed first if need be, before this returns or raises.
+    killed first if need be, before this returns or raises. The table is
+    written beside ``path`` and replaces it whole (``_replacing``).
     """
     row = ",".join(f"%{conversion}" for conversion, _ in columns) + "\r\n"
     rows = len(columns[0][1])
@@ -530,7 +533,7 @@ def _write_table(path, header: Sequence[str], columns: Sequence[tuple[str, np.nd
     cuts = [rows * r // count for r in range(count + 1)]
     write = partial(_write_rows, row=row, columns=columns)
     # on leaving: every spool is closed, then every child not reaped is killed and reaped
-    with open(path, "wb") as handle, _children() as (fork, reap), \
+    with _replacing(path) as handle, _children() as (fork, reap), \
             contextlib.ExitStack() as spools:
         handle.write(csv.writer(_Lines()).writerow(header).encode())
         later = list(zip(cuts[1:], cuts[2:]))
@@ -543,6 +546,24 @@ def _write_table(path, header: Sequence[str], columns: Sequence[tuple[str, np.nd
                 _append(handle.fileno(), spool.fileno())
             else:
                 write(handle, *bounds)
+
+
+@contextlib.contextmanager
+def _replacing(path, mode: str = "wb", **kwargs):
+    """A handle, ``open`` with ``mode`` and ``kwargs``, on a new file beside
+    ``path``, named for this process and thread, that replaces ``path``
+    once the block ends; if the block raises, the new file is removed and
+    ``path`` is left as it was, so no reader finds a file cut short."""
+    head, name = os.path.split(os.fspath(path))
+    new = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}")
+    handle = open(new, mode, **kwargs)
+    try:
+        with handle:
+            yield handle
+        os.replace(new, path)
+    except BaseException:
+        os.unlink(new)
+        raise
 
 
 def _write_rows(handle, start: int, stop: int, row: str, columns) -> None:
@@ -735,7 +756,8 @@ def write_trace(path, rows: Iterable[TraceRow]) -> None:
 
 
 def write_summary(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, no timestamps."""
-    with open(path, "w", encoding="utf-8") as handle:
+    """Deterministic JSON: sorted keys, no timestamps; written whole or
+    not at all (``_replacing``)."""
+    with _replacing(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -8,7 +8,10 @@ provider's exposure aggregates its items.
 
 List quality is discounted cumulative gain under the same weight curve,
 normalized by the gain of the customer's own top-k prefix, so 1.0 means
-"exactly what the customer would have been shown anyway".
+"exactly what the customer would have been shown anyway". Every such
+ideal gain is the matrix's memo, ``_top_k_dcg``, positive since every row
+holds a positive score; an original must be the customer's preference
+order (``model._check_original``).
 
 ``position_weight`` and ``dcg`` are the reference definitions, one slot
 at a time. ``exposure`` and ``quality`` score whole collections of lists
@@ -35,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidRank, ValidationError, ZeroIdealQuality
+from .errors import InvalidRank, ValidationError
 from .model import (
     Catalog,
     PreferenceMatrix,
@@ -44,6 +47,8 @@ from .model import (
     RecommendationList,
     _check_catalog,
     _check_integer,
+    _check_original,
+    _check_originals,
     _check_range,
     _entry_columns,
     _readonly,
@@ -160,17 +165,11 @@ def ndcg(
     matrix: PreferenceMatrix,
     original: RankedList,
 ) -> float:
-    """Quality of ``rec`` relative to the customer's own top-k prefix."""
-    ideal = _ideal_dcg(u, rec.k, matrix, original)
-    return dcg(u, rec.items, matrix) / ideal
-
-
-def _ideal_dcg(u: int, k: int, matrix: PreferenceMatrix, original: RankedList) -> float:
-    """The denominator of ``ndcg``: ZeroIdealQuality if it is not positive."""
-    ideal = dcg(u, original.items[:k], matrix)
-    if ideal <= 0.0:
-        raise ZeroIdealQuality(f"customer {u} has zero ideal gain at k={k}")
-    return ideal
+    """Quality of ``rec`` relative to the customer's own top-k prefix, whose
+    gain is the matrix's (``_top_k_dcg``): ``original`` must be customer
+    u's preference order (``model._check_original``)."""
+    _check_original(matrix, original, u)
+    return dcg(u, rec.items, matrix) / _top_k_dcg(matrix, rec.k)[u]
 
 
 def quality(
@@ -179,43 +178,28 @@ def quality(
     originals: Sequence[RankedList],
 ) -> QualityReport:
     """Quality report for one list per customer (any order, each exactly
-    once); ``lists`` may be a ``RecommendationBlock``.
-
-    A caller's ranking that is not the preference order can give an ideal
-    gain so small (a subnormal score first) that a customer's NDCG
-    overflows: it is then ``inf``, quietly, as ``dcg(...) / ideal`` in
-    Python floats gives it."""
+    once); ``lists`` may be a ``RecommendationBlock``. A list of length k
+    is divided by its owner's ideal gain at k (``_top_k_dcg``): the
+    ``originals`` must be the m preference orders (``model._check_originals``)."""
     owners, items, ranks = _slot_columns(lists, matrix.n, matrix.m)
-    # one owner per list, in list order: the first to repeat is the one
-    # named, as a loop over the lists would name it
     starts = np.flatnonzero(ranks == 0)
-    list_owners = owners[starts]
-    repeat = np.ones(list_owners.size, dtype=bool)
-    repeat[np.unique(list_owners, return_index=True)[1]] = False
-    if repeat.any():
+    list_owners = owners[starts]  # one per list, in list order
+    lists_of = np.bincount(list_owners, minlength=matrix.m)
+    if lists_of.max() > 1:
+        # the first to repeat is the one named, as a loop over the lists would name it
+        repeat = np.ones(list_owners.size, dtype=bool)
+        repeat[np.unique(list_owners, return_index=True)[1]] = False
         raise ValidationError(f"two lists for customer {int(list_owners[repeat.argmax()])}")
-    listed = np.zeros(matrix.m, dtype=bool)
-    listed[list_owners] = True
-    if not listed.all():
-        raise ValidationError(f"no list for customer {int(listed.argmin())}")
-    # the ideal list of each list: its owner's own prefix of the same length,
-    # whose gains the matrix keeps when every list has one length k and the
-    # originals are the matrix's own rankings
-    lengths = np.diff(starts, append=ranks.size)
-    k = lengths.max(initial=0)
-    if originals is matrix._rankings and k <= matrix.n and ranks.size == matrix.m * k:
-        idcgs = _top_k_dcg(matrix, int(k))
-    else:
-        ideal_items = np.concatenate(
-            [originals[u].items[:size] for u, size in zip(list_owners.tolist(), lengths.tolist())]
-        )
-        if ideal_items.size != items.size:
-            raise ValidationError("an original ranking holds fewer items than its customer's list")
-        idcgs = _dcg_sums(matrix, owners, ideal_items, ranks)
-    if (idcgs <= 0).any():
-        raise ZeroIdealQuality("a customer has zero ideal gain")
-    with np.errstate(over="ignore"):
-        ndcgs = _dcg_sums(matrix, owners, items, ranks) / idcgs
+    if not lists_of.all():
+        raise ValidationError(f"no list for customer {int(lists_of.argmin())}")
+    _check_originals(matrix, originals)
+    # each customer's ideal gain at the length of their list: a memo vector per length
+    lengths = np.empty(matrix.m, dtype=np.intp)
+    lengths[list_owners] = np.diff(starts, append=ranks.size)
+    idcgs = np.empty(matrix.m)
+    for k in np.flatnonzero(np.bincount(lengths)).tolist():
+        np.copyto(idcgs, _top_k_dcg(matrix, k), where=lengths == k)
+    ndcgs = _dcg_sums(matrix, owners, items, ranks) / idcgs
     return QualityReport(per_customer_ndcg=ndcgs)
 
 

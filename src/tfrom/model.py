@@ -98,8 +98,8 @@ def _kept(value, dtype) -> np.ndarray:
 
 
 def _stable_order(block: np.ndarray) -> np.ndarray:
-    """Rows of scores by descending score, ascending id on ties and NaN
-    last, as int64: the stable argsort of the negated scores."""
+    """Rows of scores by descending score, ascending id on ties, as int64:
+    the stable argsort of the negated scores."""
     return np.argsort(-block, axis=1, kind="stable")
 
 
@@ -113,12 +113,11 @@ def _unchecked(cls, **fields):
 
 @dataclass(frozen=True)
 class PreferenceMatrix:
-    """Dense m x n grid of finite, non-negative relevance scores.
-
-    Every row should contain at least one strictly positive score, since a
-    customer without any relevant item has an undefined ideal list quality.
-    ``build_instance`` rejects such rows, and the other violations of the
-    grid; a matrix built by hand is not checked.
+    """Dense m x n grid of finite, non-negative relevance scores with a
+    positive score in every row, so every ideal gain and relevance mass is
+    positive. The grid is checked here, however the matrix is built:
+    InvalidShape unless it is 2-d and non-empty, then NonFiniteScore,
+    NegativeScore or EmptyRow naming the first bad cell or row.
 
     The matrix keeps a read-only float64 copy of any ``scores`` that is not
     a read-only float64 array: a writable array, one of another dtype
@@ -131,7 +130,19 @@ class PreferenceMatrix:
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", _kept(self.scores, np.float64))
+        grid = _kept(self.scores, np.float64)
+        object.__setattr__(self, "scores", grid)
+        if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] < 1:
+            raise InvalidShape(f"expected a non-empty 2-d score grid, got shape {grid.shape}")
+        if not np.isfinite(grid).all():
+            bad = np.argwhere(~np.isfinite(grid))[0]
+            raise NonFiniteScore(f"score at (customer {bad[0]}, item {bad[1]}) is not finite")
+        if (grid < 0).any():
+            bad = np.argwhere(grid < 0)[0]
+            raise NegativeScore(f"score at (customer {bad[0]}, item {bad[1]}) is negative")
+        zero_rows = np.flatnonzero(~(grid > 0).any(axis=1))
+        if zero_rows.size:
+            raise EmptyRow(f"customer {zero_rows[0]} has no positive relevance score")
 
     @property
     def m(self) -> int:
@@ -155,12 +166,13 @@ class PreferenceMatrix:
         the item id, so ascending keys give descending scores and
         ascending ids within a tie. The keys are unique, so any sort
         orders them alike. A check then reads each row's scores in key
-        order: they must never rise. It fails only for a row with NaN, a
-        negative score or two scores equal above their low s bits, and
-        that row alone is sorted again by ``_stable_order``. A block whose
-        first row holds fewer than one nonzero score in eight, such as a
-        sparse ratings row, goes to ``_stable_order`` whole, since the
-        stable sort is adaptive and places runs of equal zeros faster.
+        order: they must never rise. The matrix holds no NaN and no
+        negative score, so it fails only for a row with two scores equal
+        above their low s bits (near ties), and that row alone is sorted
+        again by ``_stable_order``. A block whose first row holds fewer
+        than one nonzero score in eight, such as a sparse ratings row, goes
+        to ``_stable_order`` whole, since the stable sort is adaptive and
+        places runs of equal zeros faster.
 
         The keyed pass runs its blocks on all available cores
         (``_run_blocks``), so a matrix whose blocks all go to
@@ -578,11 +590,11 @@ def _check_range(owners, items, lengths, m=None, n=None, names=None) -> None:
 def _check_original(
     matrix: PreferenceMatrix, original: RankedList, u: int, where: str = ""
 ) -> None:
-    """The ranking check of both TFROM re-rankers: ``original`` must be
-    customer u's preference order, ``matrix.order[u]``, since their queue
-    positions index that row (ValidationError otherwise). A ranking that
-    ``original_ranking(s)`` returned passes on identity; any other costs
-    an O(n) compare. ``where`` places the ranking in the message."""
+    """The ranking check of the re-rankers and quality measures: ``original``
+    must be customer u's preference order, ``matrix.order[u]``, the row
+    they index and take the ideal top-k from (ValidationError otherwise).
+    A ranking that ``original_ranking(s)`` returned passes on identity; any
+    other costs an O(n) compare. ``where`` places it in the message."""
     if original.owner != u:
         raise ValidationError(f"original ranking{where} owned by {original.owner}, not {u}")
     items = original.items
@@ -593,6 +605,17 @@ def _check_original(
         raise ValidationError(f"original ranking{where} holds {len(items)} items, not {matrix.n}")
     if not np.array_equal(items, matrix.order[u]):
         raise ValidationError(f"original ranking{where} is not customer {u}'s preference order")
+
+
+def _check_originals(matrix: PreferenceMatrix, originals: Sequence[RankedList]) -> None:
+    """``_check_original`` of a sequence of m rankings, customer u's at
+    index u (ValidationError otherwise). The matrix's own sequence
+    (``original_rankings``) passes on identity."""
+    if len(originals) != matrix.m:
+        raise ValidationError(f"expected {matrix.m} original rankings, got {len(originals)}")
+    if originals is not matrix._rankings:
+        for u, ranked in enumerate(originals):
+            _check_original(matrix, ranked, u, where=f" at index {u}")
 
 
 def _check_catalog(matrix: PreferenceMatrix, catalog: Catalog) -> None:
@@ -653,33 +676,18 @@ def build_instance(
     provider label; labels are compacted to contiguous ids in order of
     first appearance (a label with no items simply never materializes).
 
-    Raises NonFiniteScore, NegativeScore or EmptyRow when the grid violates
-    the score contract, and InvalidShape on dimension mismatches.
+    The grid is checked by ``PreferenceMatrix``, built from a copy of
+    ``scores``: InvalidShape, NonFiniteScore, NegativeScore or EmptyRow.
+    Then InvalidShape if the assignments do not number its items.
     """
-    grid = np.array(scores, dtype=np.float64, copy=True)
-    if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] < 1:
-        raise InvalidShape(f"expected a non-empty 2-d score grid, got shape {grid.shape}")
-    m, n = grid.shape
+    matrix = PreferenceMatrix(_readonly(np.array(scores, dtype=np.float64, copy=True)))
     assignments = list(provider_assignments)
-    if len(assignments) != n:
-        raise InvalidShape(
-            f"{len(assignments)} provider assignments for {n} items"
-        )
-    if not np.isfinite(grid).all():
-        bad = np.argwhere(~np.isfinite(grid))[0]
-        raise NonFiniteScore(f"score at (customer {bad[0]}, item {bad[1]}) is not finite")
-    if (grid < 0).any():
-        bad = np.argwhere(grid < 0)[0]
-        raise NegativeScore(f"score at (customer {bad[0]}, item {bad[1]}) is negative")
-    zero_rows = np.flatnonzero(~(grid > 0).any(axis=1))
-    if zero_rows.size:
-        raise EmptyRow(f"customer {zero_rows[0]} has no positive relevance score")
-
+    if len(assignments) != matrix.n:
+        raise InvalidShape(f"{len(assignments)} provider assignments for {matrix.n} items")
     ids: dict = {}
     provider_of = np.array(
         [ids.setdefault(label, len(ids)) for label in assignments], dtype=np.int64
     )
-    matrix = PreferenceMatrix(scores=_readonly(grid))
     catalog = Catalog(
         provider_of=_readonly(provider_of),
         sizes=_readonly(np.bincount(provider_of, minlength=len(ids))),

@@ -35,7 +35,7 @@ Both phases look only at queue heads: a customer's remaining items of one
 provider, in preference order, form a queue (``ProviderQueues``), so a
 slot chooses among l heads, never among n items. The preference order is
 the only tie-break rule, which is why the caller's rankings must be the
-matrix's own (``_check_original``). A phase-1 rank costs one m x l pass
+matrix's own (``_check_originals``). A phase-1 rank costs one m x l pass
 for the first choices, an O(l·c) sum for capacities of at most c
 placements, and, per saturation event (at most l per rank), an O(m) pass
 to find the saturated provider's later choosers and an O(a·l) pass for
@@ -65,7 +65,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
 from .metrics import _top_k_dcg, slot_weights
 from .model import (
     Catalog,
@@ -75,7 +74,7 @@ from .model import (
     _block,
     _check_integer,
     _check_k,
-    _check_original,
+    _check_originals,
 )
 from .targets import FairnessMode, FairTargets, fair_targets, total_exposure
 
@@ -140,11 +139,7 @@ def tfrom_offline(
     _check_integer("seed", seed, 0)
     m, n = matrix.m, matrix.n
     k = _check_k(k, n)
-    if len(originals) != m:
-        raise ValidationError(f"expected {m} original rankings, got {len(originals)}")
-    if originals is not matrix._rankings:  # whose rankings are the rows of order
-        for u, ranked in enumerate(originals):
-            _check_original(matrix, ranked, u, where=f" at index {u}")
+    _check_originals(matrix, originals)
 
     budget = fair_targets(mode, total_exposure(m, k), catalog, matrix)
     limit = budget.per_provider + BUDGET_SLACK

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidDimension, ValidationError, ZeroTotalRelevance
+from .errors import InvalidDimension, ValidationError
 from .metrics import provider_relevance, slot_weights
 from .model import Catalog, PreferenceMatrix, _check_integer
 
@@ -70,7 +70,8 @@ def fair_targets(
     """Split an exposure budget across providers under the given mode:
     ``total * weight / weight_sum``, where a provider's weight is its item
     count (uniform: the counts sum to n, so ``weight_sum`` is n with no
-    reduction) or its relevance mass (quality-weighted: their sum)."""
+    reduction) or its relevance mass (quality-weighted: their sum, positive
+    since every row of the matrix holds a positive score)."""
     _check_mode(mode)
     if total < 0:
         raise InvalidDimension(f"exposure budget must be >= 0, got {total}")
@@ -79,6 +80,4 @@ def fair_targets(
     else:
         weight = provider_relevance(matrix, catalog)
         weight_sum = float(weight.sum())
-    if weight_sum <= 0.0:
-        raise ZeroTotalRelevance("all relevance scores are zero")
     return FairTargets(per_provider=total * weight / weight_sum)

@@ -1,6 +1,7 @@
 """Argument rules shared by every entry point: the integer rule for counts,
-indices and seeds, the fairness-mode check, the range of list entries, and
-a catalog's item count against the matrix.
+indices and seeds, the fairness-mode check, the range of list entries, a
+catalog's item count against the matrix, the grid rule of a matrix however
+it is built, and the originals of the quality measures.
 
 The instance has m = 2 customers, n = 3 items and l = 2 providers. The
 seed of ``tfrom_offline`` and the customer id of ``original_ranking`` and
@@ -9,6 +10,7 @@ seed of ``tfrom_offline`` and the customer id of ``original_ranking`` and
 (test_online.py).
 """
 
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -563,3 +565,63 @@ def test_request_index_refused(requests, message, tmp_path):
     with pytest.raises(errors.ValidationError, match=message):
         fileio.write_recommendations(path, list(zip(requests, GOOD)), MATRIX, CATALOG, labels)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "scores, error, message",
+    [(np.ones(3), SHAPE, "expected a non-empty 2-d score grid, got shape (3,)"),
+     (np.ones((1, 2, 3)), SHAPE, "expected a non-empty 2-d score grid, got shape (1, 2, 3)"),
+     (np.ones((0, 3)), SHAPE, "expected a non-empty 2-d score grid, got shape (0, 3)"),
+     (np.ones((2, 0)), SHAPE, "expected a non-empty 2-d score grid, got shape (2, 0)"),
+     ([[1.0, 1.0], [1.0, np.nan]], errors.NonFiniteScore,
+      "score at (customer 1, item 1) is not finite"),
+     ([[1.0, np.inf]], errors.NonFiniteScore, "score at (customer 0, item 1) is not finite"),
+     ([[-np.inf, 1.0]], errors.NonFiniteScore, "score at (customer 0, item 0) is not finite"),
+     ([[1.0, 0.0], [-1.0, 2.0]], errors.NegativeScore, "score at (customer 1, item 0) is negative"),
+     ([[1.0, -5e-324]], errors.NegativeScore, "score at (customer 0, item 1) is negative"),
+     ([[1.0, 2.0], [0.0, -0.0]], errors.EmptyRow, "customer 1 has no positive relevance score")],
+    ids=["1-d", "3-d", "no-rows", "no-columns", "nan", "inf", "-inf", "negative",
+         "least-negative", "zero-row"],
+)
+def test_hand_built_matrix_refused_as_the_builder_refuses(scores, error, message):
+    # each used to be built by hand: NaN and negative scores then gave
+    # quality-weighted tfrom_offline lists, a row of zeros two
+    # RuntimeWarnings, a 1-d grid a bare IndexError or ValueError later
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        model.PreferenceMatrix(scores)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        tfrom.build_instance(scores, [0] * np.shape(scores)[-1])
+
+
+# customer 1's original, not as matrix.order[1]: (the ranking, the end of
+# the message)
+NOT_THE_ORDER = {
+    "wrong-owner": (model.RankedList(0, ORIGINALS[1].items), "owned by 0, not 1"),
+    "too-short": (model.RankedList(1, ORIGINALS[1].items[:2]), "holds 2 items, not 3"),
+    "permuted": (
+        model.RankedList(1, ORIGINALS[1].items[[1, 0, 2]]), "is not customer 1's preference order"
+    ),
+}
+# (where the message places the ranking, the call given customer 0's and
+# customer 1's originals)
+ORIGINAL_USERS = {
+    "quality": (" at index 1", lambda originals: tfrom.quality(GOOD, MATRIX, originals)),
+    "ndcg": ("", lambda originals: tfrom.ndcg(1, GOOD[1], MATRIX, originals[1])),
+    "StreamTracker.record": (
+        " at index 1",
+        lambda originals: StreamTracker(MATRIX, CATALOG, originals).record(GOOD[1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("user", list(ORIGINAL_USERS))
+@pytest.mark.parametrize("bad", list(NOT_THE_ORDER))
+def test_original_that_is_not_the_preference_order_refused(user, bad):
+    # each used to be scored: a ranking of another owner, a prefix of the
+    # order or another permutation gave its own ideal gain; a tracker
+    # refuses it when it is built
+    ranked, end = NOT_THE_ORDER[bad]
+    where, call = ORIGINAL_USERS[user]
+    message = re.escape(f"original ranking{where} {end}")
+    with pytest.raises(errors.ValidationError, match=f"^{message}$"):
+        call([ORIGINALS[0], ranked])

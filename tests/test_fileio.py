@@ -4,6 +4,7 @@ import io
 import math
 import os
 import signal
+import stat
 import struct
 import subprocess
 import sys
@@ -971,7 +972,8 @@ class TestWritersOnEveryCore:
         assert str(ranged.value) == str(serial.value)
         assert len(forked) == 2
         assert_reaped(forked)
-        assert os.listdir(path.parent) == ["table.csv"]
+        # the table is written beside its path and removed: no part of it is left
+        assert os.listdir(path.parent) == []
 
     def test_nothing_forks_while_a_second_thread_runs(self, tmp_path, forked):
         header, columns = ranged_table()
@@ -1026,6 +1028,53 @@ gc.collect()
         assert done.returncode == 0 and not done.stderr, done.stderr
         tables = [path.read_bytes() for path in sorted(tmp_path.iterdir())]
         assert len(tables) == 4 and len(set(tables)) == 1
+
+
+class TestWholeOrNothing:
+    """A table or a summary replaces its path only once it is complete."""
+
+    def unencodable(self):
+        header, columns = ranged_table()
+        labels = columns[2][1].copy()
+        labels[290] = "\ud800"
+        return header, columns[:2] + [("s", labels)]
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_a_failed_rewrite_leaves_the_table_as_it_was(self, tmp_path, monkeypatch, cores):
+        monkeypatch.setattr(fileio, "_ROWS", 40)
+        monkeypatch.setattr(fileio, "_cores", lambda: cores)
+        path = tmp_path / "table.csv"
+        header, columns = ranged_table()
+        fileio._write_table(path, header, columns)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):
+            fileio._write_table(path, *self.unencodable())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["table.csv"]
+
+    def test_a_failed_summary_leaves_the_old_one(self, tmp_path):
+        path = tmp_path / "summary.json"
+        fileio.write_summary(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            fileio.write_summary(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["summary.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_the_mode_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain", "wb"):
+                pass
+            fileio._write_table(tmp_path / "table.csv", *ranged_table())
+            fileio.write_summary(tmp_path / "summary.json", {})
+        finally:
+            os.umask(old)
+        want = os.stat(tmp_path / "plain").st_mode
+        assert want == stat.S_IFREG | (0o666 & ~umask)
+        for name in ("table.csv", "summary.json"):
+            assert os.stat(tmp_path / name).st_mode == want
 
 
 class TestBoundaries:

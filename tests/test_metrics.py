@@ -131,11 +131,15 @@ class TestNdcg:
 
     def test_zero_ideal_rejected(self):
         matrix, _ = make_instance([[1.0, 0.0]], [0, 0])
-        # an original ranking that puts the zero-score item first
+        # an original ranking that puts the zero-score item first, which
+        # used to give a zero ideal gain: only the customer's preference
+        # order is an original, and its top score is positive
         bogus = RankedList(owner=0, items=np.array([1, 0]))
         rec = tfrom.RecommendationList(owner=0, items=(1,))
-        with pytest.raises(errors.ZeroIdealQuality):
+        message = "^original ranking is not customer 0's preference order$"
+        with pytest.raises(errors.ValidationError, match=message):
             tfrom.ndcg(0, rec, matrix, bogus)
+        assert tfrom.ndcg(0, rec, matrix, tfrom.original_ranking(matrix, 0)) == 0.0
 
     def test_never_exceeds_one(self):
         rng = np.random.default_rng(17)

@@ -262,6 +262,7 @@ SCORE_CELLS = st.one_of(
     st.floats(0, 4),  # subnormals included
     st.floats(0, 4, width=32).map(float),
 )
+# valid cells and those a matrix refuses (NaN, inf, negative); rows of zeros get drawn too
 HAND_BUILT_CELLS = st.one_of(
     SCORE_CELLS, st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.5, -5e-324, -2.0])
 )
@@ -306,11 +307,25 @@ class TestOrder:
     @settings(max_examples=150, deadline=None)
     @given(order_grids(HAND_BUILT_CELLS))
     @example((np.array([[np.nan, 1.0, 2.0], [-1.0, 0.0, -0.0], [np.inf, -np.inf, np.inf]]), 6))
+    @example((np.array([[1.0, 2.0], [-0.0, 0.0]]), 1 << 16))
     def test_hand_built_nan_inf_and_negative_scores(self, grid):
-        # a hand-built matrix is not validated; such rows fail the keyed
-        # sort's check and take the stable argsort
+        # a hand-built matrix is checked as the builder checks it: a grid
+        # with NaN, inf, a negative score or a row without a positive one
+        # is refused with the builder's error and message, and so never
+        # reaches order; any other orders as the stable argsort
         scores, block = grid
-        assert_stable_order(model.PreferenceMatrix(scores), scores, block)
+        invalid = not np.isfinite(scores).all() or (scores < 0).any() or not (
+            (scores > 0).any(axis=1).all()
+        )
+        try:
+            matrix = model.PreferenceMatrix(scores)
+        except errors.ValidationError as exc:
+            assert invalid
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                tfrom.build_instance(scores, [0] * scores.shape[1])
+        else:
+            assert not invalid
+            assert_stable_order(matrix, scores, block)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.int64, np.uint8, ">f8"])
     def test_scores_that_are_not_float64_take_the_stable_argsort(self, dtype):
@@ -331,8 +346,8 @@ class TestOrder:
         scores = np.array([
             [0.3, 0.2, 0.1, 0.4],
             [1.0, near, 0.5, 0.2],  # near tie, smaller score at the smaller id
-            [np.nan, 1.0, 0.5, 0.2],
-            [-1.0, 1.0, 0.5, 0.2],
+            [0.5, 5e-324, 1e-323, 0.2],  # subnormals 1 and 2 ulp: a near tie
+            [0.0, 5e-324, 0.5, 0.2],  # zero and the least subnormal: a near tie
             [1.0, 1.0, 1.0, 0.2],  # exact ties
             [near, 1.0, 0.5, -0.0],  # near tie in order, and -0.0
         ])
@@ -349,14 +364,14 @@ class TestOrder:
         scores[0] = scores[2] = 0.0
         scores[0, 5] = 1.0  # 1 in 16: stable
         scores[2, [5, 9]] = 1.0  # 2 in 16: keyed
-        scores[5, 3] = -1.0  # fails the check
+        scores[5, 4] = np.nextafter(3.0, 4.0)  # a near tie after 3.0: fails the check
         with mock.patch.object(model, "_stable_order", wraps=model._stable_order) as stable:
             assert_stable_order(model.PreferenceMatrix(scores), scores, 32)
         called = [rows.tobytes() for (rows,), _ in stable.call_args_list]
         assert called == [scores[0:2].tobytes(), scores[5:6].tobytes()]
 
     @pytest.mark.parametrize("row", [
-        [-1.0] + [1.0] * 39,  # fails the check
+        [1.0] * 39 + [1.0 + 2**-52],  # a near tie after the ties: fails the check
         [0.0] * 39 + [1.0],  # sparse
     ])
     def test_stable_rows_keep_long_ties_in_id_order(self, row):
@@ -635,9 +650,9 @@ class TestRunBlocks:
 @st.composite
 def blocked_grids(draw):
     """(scores, block size, provider of each item) of 3 to 7 blocks of one
-    or two rows: hand-built cells (NaN, negative), near-tie rows, that
-    fail the keyed sort's check, and sparse rows, whose blocks take the
-    stable argsort whole."""
+    or two rows, each with a positive score: cells with exact ties and
+    subnormals, near-tie rows, that fail the keyed sort's check, and
+    sparse rows, whose blocks take the stable argsort whole."""
     n = draw(st.sampled_from([1, 2, 3, 17, 40]))
     per_block = draw(st.integers(1, 2))
     rows = []
@@ -645,11 +660,13 @@ def blocked_grids(draw):
         kind = draw(st.sampled_from(["cells", "near-tie", "sparse"]))
         if kind == "sparse":
             row = np.zeros(n)
-            row[draw(st.integers(0, n - 1))] = draw(HAND_BUILT_CELLS)
+            row[draw(st.integers(0, n - 1))] = draw(SCORE_CELLS.filter(lambda cell: cell > 0))
         else:
-            row = np.resize(np.array(draw(st.lists(HAND_BUILT_CELLS, min_size=1, max_size=6))), n)
+            row = np.resize(np.array(draw(st.lists(SCORE_CELLS, min_size=1, max_size=6))), n)
             if kind == "near-tie":
                 row[0] = np.nextafter(row[-1], np.inf)
+            if not (row > 0).any():
+                row[draw(st.integers(0, n - 1))] = 1.0
         rows.append(row)
     providers = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     return np.array(rows), per_block * n, providers
@@ -658,7 +675,7 @@ def blocked_grids(draw):
 class TestOrderOnEveryCore:
     @settings(max_examples=60, deadline=None)
     @given(blocked_grids())
-    @example((np.array([[np.nan, 1.0], [0.0, 0.0], [1.0, 1.0 + 2**-52], [2.0, 1.0]]), 2, [0, 1]))
+    @example((np.array([[5e-324, 1.0], [0.0, 5e-324], [1.0, 1.0 + 2**-52], [2.0, 1.0]]), 2, [0, 1]))
     def test_bytes_and_fallback_do_not_depend_on_the_core_count(self, grid):
         scores, block, providers = grid
         _, catalog = tfrom.build_instance(np.ones((1, len(providers))), providers)

@@ -5,7 +5,6 @@ against slot-by-slot reference loops built from ``position_weight`` and
 ``RecommendationBlock`` against the same lists one by one, in the scores,
 the written file and every sweep cell."""
 
-import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -46,9 +45,14 @@ def reference_quality(lists, matrix, originals):
     if np.isnan(dcgs).any():
         missing = int(np.flatnonzero(np.isnan(dcgs))[0])
         raise errors.ValidationError(f"no list for customer {missing}")
-    if (idcgs <= 0).any():
-        raise errors.ZeroIdealQuality("a customer has zero ideal gain")
-    # Python floats, as ``ndcg`` divides: an overflow gives inf, no warning
+    # the ideal list is the customer's own top-k, the first wrong one named
+    for u, ranked in enumerate(originals):
+        if ranked.items.tolist() != oracles._original_order(matrix.scores[u].tolist()):
+            message = f"original ranking at index {u} is not customer {u}'s preference order"
+            raise errors.ValidationError(message)
+    # every row holds a positive score, so no ideal gain is zero
+    assert (idcgs > 0).all()
+    # Python floats, as ``ndcg`` divides
     return np.array([d / i for d, i in zip(dcgs.tolist(), idcgs.tolist())])
 
 
@@ -118,8 +122,8 @@ def a_list(draw, u, n):
 @given(instances(), st.data())
 def test_quality_and_exposure_match_the_slot_loops(instance, data):
     # mixed lengths, lists in any owner order, and, when drawn, a repeated
-    # or a missing customer, or rankings that are not the preference order
-    # (so some ideal gains are zero)
+    # or a missing customer, or rankings that need not be the preference
+    # order, which are refused after the lists' own faults
     matrix, catalog = instance
     lists = [a_list(data.draw, u, matrix.n) for u in range(matrix.m)]
     lists = data.draw(st.permutations(lists))
@@ -148,15 +152,17 @@ def test_quality_and_exposure_match_the_slot_loops(instance, data):
 @given(instances(cells=(TIES, RATINGS, SUBNORMALS, st.floats(0.0, 1.0))), st.data())
 def test_top_k_dcg_matches_dcg(instance, data):
     # the matrix keeps the vector, and it has the bits of every customer's
-    # own ideal gain, as ``_ideal_dcg`` computes it from a copy of the row
+    # own ideal gain, the dcg of their top k; ndcg divides by it, given a
+    # copy of the row as the original too
     matrix, _ = instance
     k = data.draw(st.integers(1, matrix.n))
     want = np.array([tfrom.dcg(u, matrix.order[u, :k], matrix) for u in range(matrix.m)])
     gains = metrics._top_k_dcg(matrix, k)
     assert same_bits(gains, want)
+    assert (gains > 0).all()
     copies = [RankedList(u, matrix.order[u].copy()) for u in range(matrix.m)]
-    ideal = [metrics._ideal_dcg(u, k, matrix, copies[u]) for u in range(matrix.m)]
-    assert same_bits(gains, np.array(ideal))
+    tops = [RecommendationList(u, tuple(matrix.order[u, :k].tolist())) for u in range(matrix.m)]
+    assert [tfrom.ndcg(u, tops[u], matrix, copies[u]) for u in range(matrix.m)] == [1.0] * matrix.m
     assert metrics._top_k_dcg(matrix, k) is gains and not gains.flags.writeable
 
 
@@ -165,7 +171,7 @@ def test_top_k_dcg_matches_dcg(instance, data):
 def test_stream_tracker_matches_the_uncached_reference(instance, data):
     # requests revisit customers, and k varies between requests, so the
     # memo must answer per (customer, k); equal originals that are not the
-    # matrix's rows are scored per request
+    # matrix's rows pass their O(n) check and read the same memo
     matrix, catalog = instance
     originals = tfrom.original_rankings(matrix)
     if data.draw(st.booleans()):
@@ -184,20 +190,23 @@ def test_stream_tracker_matches_the_uncached_reference(instance, data):
 
 
 def test_subnormal_ideal_gain_gives_a_quiet_inf():
-    # a ranking that is not the preference order puts a subnormal score
-    # first, so the ideal gain is 2.2e-309 and the NDCG overflows; numpy
-    # used to warn, which CI's -W error::RuntimeWarning made a failure of
-    # the Hypothesis test above
-    matrix, _ = tfrom.build_instance([[2.2e-309, 1.0], [1.0, 0.0], [1.0, 0.0]], [0, 0])
+    # a ranking that put a subnormal score first made the ideal gain
+    # 2.2e-309 and the NDCG overflow to inf; such a ranking is refused
+    # now, and a subnormal top score of the customer's own divides by
+    # itself, quietly
+    matrix, _ = tfrom.build_instance([[2.2e-309, 1.0], [1.0, 0.0], [2.2e-309, 0.0]], [0, 0])
     originals = list(tfrom.original_rankings(matrix))
-    originals[0] = RankedList(owner=0, items=np.array([0, 1]))
     lists = [RecommendationList(u, items) for u, items in enumerate([(1,), (0,), (0,)])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = tfrom.quality(lists, matrix, originals).per_customer_ndcg
         want = reference_quality(lists, matrix, originals)
     assert same_bits(got, want)
-    assert got.tolist() == [math.inf, 1.0, 1.0]
+    assert got.tolist() == [1.0, 1.0, 1.0]
+    originals[0] = RankedList(owner=0, items=np.array([0, 1]))
+    message = "^original ranking at index 0 is not customer 0's preference order$"
+    with pytest.raises(errors.ValidationError, match=message):
+        tfrom.quality(lists, matrix, originals)
 
 
 def test_generator_and_empty_iterable():
@@ -221,24 +230,27 @@ def test_error_messages():
         tfrom.quality([one[1], one[1]], matrix, originals)
     with pytest.raises(errors.ValidationError, match="^no list for customer 1$"):
         tfrom.quality([one[2], one[0]], matrix, originals)
+    # an original that is not the customer's preference order is refused,
+    # by the tracker when it is built: the bogus one put a zero score
+    # first, and the short one held fewer items than its customer's list
     bogus = list(originals)
     bogus[1] = RankedList(owner=1, items=np.array([0, 1]))
-    with pytest.raises(errors.ZeroIdealQuality, match="^a customer has zero ideal gain$"):
+    message = "^original ranking at index 1 is not customer 1's preference order$"
+    with pytest.raises(errors.ValidationError, match=message):
         tfrom.quality(list(one.values()), matrix, bogus)
+    with pytest.raises(errors.ValidationError, match=message):
+        StreamTracker(matrix, catalog, bogus)
     short = list(originals)
     short[2] = RankedList(owner=2, items=matrix.order[2, :1])
-    with pytest.raises(errors.ValidationError, match="^an original ranking holds fewer items"):
+    message = "^original ranking at index 2 holds 1 items, not 2$"
+    with pytest.raises(errors.ValidationError, match=message):
         tfrom.quality([one[0], one[1], RecommendationList(2, (1, 0))], matrix, short)
-    tracker = StreamTracker(matrix, catalog, bogus)
-    with pytest.raises(errors.ZeroIdealQuality, match="^customer 1 has zero ideal gain at k=1$"):
-        tracker.record(one[1])
-    # a hand-built matrix may hold a row of zeros: its own row gives a zero
-    # ideal gain at the first request of that customer, not before
-    zeros = PreferenceMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
-    tracker = StreamTracker(zeros, catalog, tfrom.original_rankings(zeros))
-    tracker.record(one[0])
-    with pytest.raises(errors.ZeroIdealQuality, match="^customer 1 has zero ideal gain at k=1$"):
-        tracker.record(one[1])
+    with pytest.raises(errors.ValidationError, match=message):
+        StreamTracker(matrix, catalog, short)
+    # a row of zeros, which used to give a zero ideal gain at the first
+    # request of its customer, cannot be built
+    with pytest.raises(errors.EmptyRow, match="^customer 1 has no positive relevance score$"):
+        PreferenceMatrix(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
 
 
 def spy(monkeypatch, name, calls, label):
@@ -248,54 +260,56 @@ def spy(monkeypatch, name, calls, label):
 
 
 def test_ideal_gain_is_computed_once_per_matrix_and_k(monkeypatch):
-    # every tracker on the matrix, quality and tfrom_offline read the one
-    # vector per k; a tracker computes a customer's gain itself only for
-    # an original that is not the matrix's own row
+    # every tracker on the matrix, quality, ndcg and tfrom_offline read the
+    # one vector per k, whether the originals are the matrix's own or
+    # equal copies of them
     matrix, catalog = tfrom.build_instance([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 0, 1])
     originals = tfrom.original_rankings(matrix)
-    sums, ideals = [], []
+    sums = []
     spy(monkeypatch, "_dcg_sums", sums, lambda matrix, owners, items, ranks: int(ranks.max()) + 1)
-    spy(monkeypatch, "_ideal_dcg", ideals, lambda u, k, *rest: (u, k))
     requests = [(0, (0, 1)), (1, (2, 1)), (0, (1,)), (1, (0, 2)), (0, (2,))]
-    for _ in range(2):
-        tracker = StreamTracker(matrix, catalog, originals)
-        for u, items in requests:
-            tracker.record(RecommendationList(u, items))
-    assert sums == [2, 1] and ideals == []
-    sums.clear()
-    tfrom.quality(RecommendationBlock([0, 1], [[1, 0], [2, 1]]), matrix, originals)
-    tfrom.tfrom_offline(matrix, catalog, originals, 1, tfrom.FairnessMode.UNIFORM, seed=0)
-    assert sums == [2]  # the lists' own gains
     copies = list(originals)
     copies[1] = RankedList(1, originals[1].items.copy())
-    tracker = StreamTracker(matrix, catalog, copies)
-    for u, items in requests:
-        tracker.record(RecommendationList(u, items))
-    assert ideals == [(1, 2), (1, 2)] and sums == [2]
+    for given in (originals, copies, originals):
+        tracker = StreamTracker(matrix, catalog, given)
+        for u, items in requests:
+            tracker.record(RecommendationList(u, items))
+    assert sums == [2, 1]
+    sums.clear()
+    tfrom.quality(RecommendationBlock([0, 1], [[1, 0], [2, 1]]), matrix, copies)
+    tfrom.tfrom_offline(matrix, catalog, originals, 1, tfrom.FairnessMode.UNIFORM, seed=0)
+    tfrom.ndcg(1, RecommendationList(1, (0, 2)), matrix, copies[1])
+    assert sums == [2]  # the lists' own gains
 
 
 def test_quality_reads_the_ideal_gains_only_for_the_matrix_rows(monkeypatch):
-    # one length k <= n for all lists and every original the matrix's own
-    # row; anything else rescores the ideal lists, one more _dcg_sums call
-    # than the lists' own (the memo holds k = 1 and k = n already)
+    # the ideal gains come from the matrix's memo, one vector per list
+    # length, whatever the originals (the matrix's own or equal copies):
+    # quality's one _dcg_sums call is the lists' own, once the memo holds
+    # k = 1 and k = n
     matrix, _ = tfrom.build_instance([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]], [0, 0, 1])
     originals = tfrom.original_rankings(matrix)
     copies = [RankedList(u, ranked.items.copy()) for u, ranked in enumerate(originals)]
-    metrics._top_k_dcg(matrix, 1), metrics._top_k_dcg(matrix, 3)
-    sums = []
+    gains = {k: metrics._top_k_dcg(matrix, k) for k in (1, 3)}
+    sums, tops = [], []
     spy(monkeypatch, "_dcg_sums", sums, lambda *args: None)
+    spy(monkeypatch, "_top_k_dcg", tops, lambda matrix, k: k)
     cases = [
-        (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), originals, 1),
-        (RecommendationBlock([1, 0], [[2], [0]]), originals, 1),
-        (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), copies, 2),
-        (RecommendationBlock([1, 0], [[2], [0]]), list(originals) + originals[:1], 2),
-        ([RecommendationList(0, (2,)), RecommendationList(1, (0, 2))], originals, 2),
+        (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), originals, [3]),
+        (RecommendationBlock([1, 0], [[2], [0]]), originals, [1]),
+        (RecommendationBlock([1, 0], [[2, 0, 1], [0, 1, 2]]), copies, [3]),
+        ([RecommendationList(0, (2,)), RecommendationList(1, (0, 2, 1))], copies, [1, 3]),
+        ([RecommendationList(1, (2,)), RecommendationList(0, (0, 2, 1))], originals, [1, 3]),
     ]
-    for lists, given, calls in cases:
-        sums.clear()
+    for lists, given, lengths in cases:
+        sums.clear(), tops.clear()
         got = tfrom.quality(lists, matrix, given).per_customer_ndcg
-        assert len(sums) == calls
+        assert len(sums) == 1 and tops == lengths
         assert same_bits(got, reference_quality(lists, matrix, originals))
+    assert all(metrics._top_k_dcg(matrix, k) is gains[k] for k in gains)
+    # a sequence of another length is refused, not read past m
+    with pytest.raises(errors.ValidationError, match="^expected 2 original rankings, got 3$"):
+        tfrom.quality(cases[1][0], matrix, list(originals) + originals[:1])
 
 
 def a_block(draw, matrix):

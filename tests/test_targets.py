@@ -72,11 +72,14 @@ class TestFairTargets:
         assert targets.per_provider == approx([4.0, 6.0], rel=REL)
 
     def test_zero_relevance_rejected(self):
-        # constructed directly: the builder would refuse an all-zero row
-        matrix = PreferenceMatrix(scores=np.zeros((1, 2)))
-        _, catalog = tfrom.build_instance([[1.0, 1.0]], [0, 1])
-        with pytest.raises(errors.ZeroTotalRelevance):
-            tfrom.fair_targets(FairnessMode.QUALITY_WEIGHTED, 5.0, catalog, matrix)
+        # a matrix of zero relevance mass cannot be built, by hand either:
+        # every row holds a positive score, so quality-weighted targets
+        # always have a positive sum to split by
+        with pytest.raises(errors.EmptyRow, match="^customer 0 has no positive relevance score$"):
+            PreferenceMatrix(scores=np.zeros((1, 2)))
+        matrix, catalog = tfrom.build_instance([[0.0, 5e-324]], [0, 1])
+        targets = tfrom.fair_targets(FairnessMode.QUALITY_WEIGHTED, 5.0, catalog, matrix)
+        assert targets.per_provider.tolist() == [0.0, 5.0]
 
     def test_negative_budget_rejected(self):
         matrix, catalog = tfrom.build_instance([[1.0]], [0])
