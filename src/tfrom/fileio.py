@@ -10,23 +10,25 @@ input files share (header, blank and short rows, encoding) and reads every
 input table but one kind: a plain preferences file (bare ASCII cells, the
 same number on every line, see ``_plain_preferences``) is read block by
 block, in columns, to the same result, on every core: one forked reader per
-extra core reads a range of its lines. Both preference readers return the
-labels and three file-order columns (customer index, item index, score);
-``_grid`` alone turns them into the dense grid, where a repeated (customer,
-item) pair keeps its last score and warns. Every output table is written by
+extra core reads a range of its lines into a spool that is then read back
+in order. Both preference readers return the labels and three file-order
+columns (customer index, item index, score); ``_grid`` alone turns them
+into the dense grid, where a repeated (customer, item) pair keeps its last
+score and warns. Every output table is written by
 ``_write_table``, from columns, in blocks of 2^16 rows: one ``%`` template
 (such as ``"%d,%d,%.17g\\r\\n"`` repeated once per row) applied to the flat
 tuple of a block's cells, on every core: one forked writer per extra core
 formats a range of the rows into a spool that is then appended in order.
 A table, like the summary, is written to a new file that replaces its path
 once it is complete, so an error leaves no part of a table behind.
-Reader and writer children share one fork-and-reap helper, ``_children``,
-and one rule for how many ranges there are, ``_workers``. A label cell
-(customer, item, provider, algorithm) is the cell ``csv.writer`` would
-write, quoted where it quotes, and is computed once per distinct label.
-Numeric output uses 17 significant digits, enough for an exact float64
-round-trip: golden files are bit-stable, and the scores of a
-recommendations file read back equal to the instance's.
+Reader and writer children share one transport, ``_spooled``, which forks
+each into an unnamed spool and reaps it, and one rule for how many ranges
+there are, ``_workers``. A label cell (customer, item, provider, algorithm)
+is the cell ``csv.writer`` would write, quoted where it quotes, and is
+computed once per distinct label. Numeric output uses 17 significant
+digits, enough for an exact float64 round-trip: golden files are
+bit-stable, and the scores of a recommendations file read back equal to the
+instance's.
 """
 
 from __future__ import annotations
@@ -179,15 +181,17 @@ def _plain_preferences(path):
     agree. A file that cannot be read twice, such as a pipe, is not plain.
 
     The data rows are cut into ``_ranges`` of whole lines. This process
-    reads the first range; a forked child reads each other one from its own
-    handle on the file and sends what it read through a pipe (``_send``)
-    into the columns this process allocates for the whole file. A range
-    that is not plain makes the file not plain; the range of a child that
-    fails any other way is read here. The ranges merge in order, each
-    range's labels taking the next ids in order of first appearance, so the
-    result is the bytes of one read of the whole file. Every child is
-    reaped, and killed first unless it sent its range, before this returns
-    or raises.
+    reads the first range; a forked child reads each other one from a
+    handle of its own on ``path``, which must name the file this process
+    reads, and writes what it read (``_send``) into a spool in the default
+    temporary directory (``_spooled``), which this process then reads into
+    the columns it allocates for the whole file. A range that is not plain
+    makes the file not plain; the range of a child that fails any other
+    way, or that could not be forked or given a spool, is read here. The
+    ranges merge in order, each range's labels taking the next ids in order
+    of first appearance, so the result is the bytes of one read of the
+    whole file. Every child is reaped, and killed first unless it is done,
+    before this returns or raises.
     """
     limit = csv.field_size_limit()
     with open(path, "rb") as handle:
@@ -203,22 +207,22 @@ def _plain_preferences(path):
             return None
         positions = [names.index(name) for name in _TRIPLET]
         read = partial(_plain_range, eol=eol, row=row, limit=limit, positions=positions)
+
+        def send(spool, *bounds):
+            with open(os.fspath(path), "rb") as own:
+                if not os.path.samestat(os.fstat(own.fileno()), os.fstat(handle.fileno())):
+                    raise OSError(f"{path} no longer names the file being read")
+                _send(spool, read(own, *bounds))
+
         ranges = _ranges(handle, limit)
-        # on leaving: every pipe is closed, then every child not reaped is killed and reaped
-        with _children() as (fork, reap), contextlib.ExitStack() as pipes:
-            # per later range, its child's pid and pipe, (0, None) if the fork failed
-            children = [_fork_reader(fork, pipes, path, handle, read, b) for b in ranges[1:]]
+        with _spooled(send, ranges[1:], None) as spools:
             first = read(handle, *ranges[0])
             if first is None:
                 return None
             streams, heads = [], []  # per later range: what ``_send`` wrote for it
-            for (_, stream), bounds in zip(children, ranges[1:]):
-                head = stream.read(_HEAD.size) if stream else b""
-                if len(head) < _HEAD.size:  # no child, or one that ended first
-                    stream = _sent(read(handle, *bounds))
-                    head = stream.read(_HEAD.size)
-                streams.append(stream)
-                heads.append(_HEAD.unpack(head))
+            for spool, bounds in zip(spools, ranges[1:]):
+                streams.append(spool or _sent(read(handle, *bounds)))
+                heads.append(_HEAD.unpack(streams[-1].read(_HEAD.size)))
                 if heads[-1][0] == -1:
                     return None
             customer_ids, item_ids, u0, i0, scores0 = first
@@ -227,17 +231,9 @@ def _plain_preferences(path):
             scores = np.empty(ends[-1])
             u[: ends[0]], i[: ends[0]] = u0, i0
             np.concatenate(scores0, out=scores[: ends[0]])
-            for r, ((pid, pipe), stream, head) in enumerate(zip(children, streams, heads), 1):
+            for r, (stream, head) in enumerate(zip(streams, heads), 1):
                 rows = slice(ends[r - 1], ends[r])
                 labels = _receive(stream, head, u[rows], i[rows], scores[rows])
-                if labels is None:  # the child ended part way: read its range here
-                    stream = _sent(read(handle, *ranges[r]))
-                    if _HEAD.unpack(stream.read(_HEAD.size)) != head:
-                        return None
-                    labels = _receive(stream, head, u[rows], i[rows], scores[rows])
-                if pid:
-                    pipe.close()
-                    reap(pid)
                 # the range's own ids, in its order of first appearance, to the file's
                 for ids, column, new in zip((customer_ids, item_ids), (u, i), labels):
                     remap = np.array([ids.setdefault(label, len(ids)) for label in new], np.intp)
@@ -311,18 +307,18 @@ def _plain_range(handle, start: int, stop, eol: bytes, row: bytes, limit: int, p
 _HEAD = struct.Struct("=3q")
 
 
-def _send(pipe, part) -> None:
-    """Write ``part``, what ``_plain_range`` read, to ``pipe``: ``_HEAD``,
+def _send(spool, part) -> None:
+    """Write ``part``, what ``_plain_range`` read, to ``spool``: ``_HEAD``,
     the customer and the item labels each joined by LF (no plain cell holds
     one), then the two id columns as intp and the scores as float64."""
     if part is None:
-        pipe.write(_HEAD.pack(-1, 0, 0))
+        spool.write(_HEAD.pack(-1, 0, 0))
         return
     customer_ids, item_ids, u, i, scores = part
     labels = b"\n".join(customer_ids), b"\n".join(item_ids)
-    pipe.write(_HEAD.pack(len(u), *map(len, labels)))
+    spool.write(_HEAD.pack(len(u), *map(len, labels)))
     for data in (*labels, np.array(u, np.intp), np.array(i, np.intp), *scores):
-        pipe.write(data)
+        spool.write(data)
 
 
 def _sent(part) -> io.BytesIO:
@@ -336,75 +332,58 @@ def _sent(part) -> io.BytesIO:
 def _receive(stream, head, u, i, scores):
     """Read what ``_send`` wrote after ``head`` from ``stream``: the columns
     into ``u``, ``i`` and ``scores``, which hold ``head``'s row count; the
-    customer and the item labels, in order of their ids, or None if the
-    stream ends short."""
-    labels = [stream.read(size) for size in head[1:]]
-    if [len(text) for text in labels] != list(head[1:]):
-        return None
-    if any(stream.readinto(column) < column.nbytes for column in (u, i, scores)):
-        return None
-    return [text.split(b"\n") for text in labels]
-
-
-def _fork_reader(fork, pipes, path, handle, read, bounds) -> tuple:
-    """``(pid, pipe)`` of a child, forked with ``fork`` (``_children``),
-    that reads the range ``bounds`` of the file open in ``handle`` with
-    ``read``, from a handle of its own on ``path`` that must be the same
-    file, and sends it (``_send``) through ``pipe``, which the exit stack
-    ``pipes`` closes; ``(0, None)`` if the fork fails."""
-    into, out = os.pipe()
-
-    def work():
-        os.close(into)
-        with open(out, "wb") as pipe, open(os.fspath(path), "rb") as own:
-            if os.path.samestat(os.fstat(own.fileno()), os.fstat(handle.fileno())):
-                _send(pipe, read(own, *bounds))
-
-    pid = fork(work)
-    os.close(out)
-    if not pid:
-        os.close(into)
-        return 0, None
-    return pid, pipes.enter_context(open(into, "rb"))
+    customer and the item labels, in order of their ids."""
+    labels = [stream.read(size).split(b"\n") for size in head[1:]]
+    for column in (u, i, scores):
+        stream.readinto(column)
+    return labels
 
 
 @contextlib.contextmanager
-def _children():
-    """``(fork, reap)`` for forked children that all end with the block.
-    ``fork(work)`` forks a child that runs ``work()`` and ends in
-    ``os._exit``: status 0 if ``work`` returned, 1 if it raised. It returns
-    the child's pid, or 0, with no child, if the fork raised OSError (such
-    as no process to spare). ``reap(pid)`` waits for that child and tells
-    whether it exited with status 0. On leaving the block, every child not
-    reaped yet is SIGKILLed and reaped."""
+def _spooled(work, ranges, directory):
+    """Per range of ``ranges``, a forked child that runs ``work(spool,
+    *range)`` into ``spool``, an unnamed file in ``directory`` (None: the
+    default temporary directory), and ends in ``os._exit``: status 0 if
+    ``work`` returned, 1 if it raised. Yields an iterator that, in range
+    order, reaps each child and gives its spool at byte 0, or None if the
+    child did not exit with status 0, or the spool or the fork failed (an
+    OSError, such as no process to spare). On leaving, every child not
+    reaped yet is SIGKILLed and reaped, and every spool is closed."""
     running = set()
-
-    def fork(work) -> int:
-        try:
-            pid = os.fork()
-        except OSError:
-            return 0
-        if pid == 0:  # the child
-            code = 1
+    with contextlib.ExitStack() as spools:
+        children = []  # per range: its child's pid, 0 if it has none, and spool
+        for bounds in ranges:
             try:
-                work()
-                code = 0
-            finally:
-                os._exit(code)
-        running.add(pid)
-        return pid
+                spool = spools.enter_context(tempfile.TemporaryFile(dir=directory))
+                pid = os.fork()
+            except OSError:
+                children.append((0, None))
+                continue
+            if pid == 0:  # the child
+                code = 1
+                try:
+                    work(spool, *bounds)
+                    spool.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            running.add(pid)
+            children.append((pid, spool))
 
-    def reap(pid: int) -> bool:
-        status = os.waitpid(pid, 0)[1]
-        running.remove(pid)
-        return status == 0
+        def reaped():
+            for pid, spool in children:
+                done = pid and os.waitpid(pid, 0)[1] == 0
+                running.discard(pid)
+                if done:
+                    spool.seek(0)  # the child's writes moved the offset it shares
+                yield spool if done else None
 
-    try:
-        yield fork, reap
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        try:
+            yield reaped()
+        finally:
+            for pid in running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _plain_block(block: bytes, eol: bytes, row: bytes, limit: int, positions):
@@ -519,8 +498,8 @@ def _write_table(path, header: Sequence[str], columns: Sequence[tuple[str, np.nd
 
     The rows are cut into ``_workers(rows, _ROWS)`` ranges. This process
     formats the first into the file; a forked child formats each later one
-    into a spool, an unnamed file in the table's directory, and this
-    process appends the spools in range order, in the kernel
+    into a spool, an unnamed file in the table's directory (``_spooled``),
+    and this process appends the spools in range order, in the kernel
     (``_append``). The range of a child that exits with an error, or is
     killed, or of a fork or spool that fails, is formatted here instead, so
     the file is the bytes of a serial write. Every child is reaped, and
@@ -532,16 +511,12 @@ def _write_table(path, header: Sequence[str], columns: Sequence[tuple[str, np.nd
     count = _workers(rows, _ROWS)
     cuts = [rows * r // count for r in range(count + 1)]
     write = partial(_write_rows, row=row, columns=columns)
-    # on leaving: every spool is closed, then every child not reaped is killed and reaped
-    with _replacing(path) as handle, _children() as (fork, reap), \
-            contextlib.ExitStack() as spools:
+    later = list(zip(cuts[1:], cuts[2:]))
+    with _replacing(path) as handle, _spooled(write, later, Path(path).parent) as spools:
         handle.write(csv.writer(_Lines()).writerow(header).encode())
-        later = list(zip(cuts[1:], cuts[2:]))
-        # per later range, its child's pid, 0 if it has none, and spool
-        children = [_fork_writer(fork, spools, path, write, *bounds) for bounds in later]
         write(handle, cuts[0], cuts[1])
-        for (pid, spool), bounds in zip(children, later):
-            if pid and reap(pid):
+        for spool, bounds in zip(spools, later):
+            if spool:
                 handle.flush()
                 _append(handle.fileno(), spool.fileno())
             else:
@@ -577,23 +552,6 @@ def _write_rows(handle, start: int, stop: int, row: str, columns) -> None:
         for j, (_, values) in enumerate(columns):
             cells[j::width] = values[lo:hi].tolist()
         handle.write(((row * (hi - lo)) % tuple(cells)).encode())
-
-
-def _fork_writer(fork, spools, path, write, start: int, stop: int) -> tuple:
-    """``(pid, spool)`` of a child, forked with ``fork`` (``_children``),
-    that writes rows ``start`` to ``stop`` with ``write`` into ``spool``, an
-    unnamed file in ``path``'s directory that the exit stack ``spools``
-    closes; pid 0, with no child, if the spool or the fork fails."""
-    try:
-        spool = spools.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
-    except OSError:  # such as a directory that takes no new file
-        return 0, None
-
-    def work():
-        write(spool, start, stop)
-        spool.flush()
-
-    return fork(work), spool
 
 
 def _append(out: int, spool: int) -> None:

@@ -18,7 +18,7 @@ at a time. ``exposure`` and ``quality`` score whole collections of lists
 as per-slot columns instead: each slot's owner, item and 0-based rank,
 list by list and in rank order within a list (``_slot_columns``). The
 entries pass one rule on the way, ``model._entry_columns``, which the
-block constructor and ``StreamTracker.record`` share; a
+block constructor, ``ndcg`` and ``StreamTracker.record`` share; a
 ``RecommendationBlock`` hands over its arrays as those columns after the
 rule's range half. Each sum is one ``np.bincount`` over those columns, which adds in input order
 from 0.0, so every customer's gain and every item's exposure has the bits
@@ -46,6 +46,7 @@ from .model import (
     RecommendationBlock,
     RecommendationList,
     _check_catalog,
+    _check_customer,
     _check_integer,
     _check_original,
     _check_originals,
@@ -166,8 +167,15 @@ def ndcg(
     original: RankedList,
 ) -> float:
     """Quality of ``rec`` relative to the customer's own top-k prefix, whose
-    gain is the matrix's (``_top_k_dcg``): ``original`` must be customer
-    u's preference order (``model._check_original``)."""
+    gain is the matrix's (``_top_k_dcg``). ``u`` is held to the
+    customer-id check (``model._check_customer``), then ``rec`` to the rule
+    of ``model._entry_columns``, and ``rec`` must be customer u's
+    (ValidationError); ``original`` must be customer u's preference order
+    (``model._check_original``)."""
+    _check_customer(u, matrix.m)
+    _entry_columns((rec.owner,), (rec.items,), matrix.m, matrix.n)
+    if rec.owner != u:
+        raise ValidationError(f"list owned by {rec.owner}, not {u}")
     _check_original(matrix, original, u)
     return dcg(u, rec.items, matrix) / _top_k_dcg(matrix, rec.k)[u]
 

@@ -1,7 +1,8 @@
 """Argument rules shared by every entry point: the integer rule for counts,
 indices and seeds, the fairness-mode check, the range of list entries, a
 catalog's item count against the matrix, the grid rule of a matrix however
-it is built, and the originals of the quality measures.
+it is built, the originals of the quality measures, and the customer and
+the list ``ndcg`` scores.
 
 The instance has m = 2 customers, n = 3 items and l = 2 providers. The
 seed of ``tfrom_offline`` and the customer id of ``original_ranking`` and
@@ -625,3 +626,25 @@ def test_original_that_is_not_the_preference_order_refused(user, bad):
     message = re.escape(f"original ranking{where} {end}")
     with pytest.raises(errors.ValidationError, match=f"^{message}$"):
         call([ORIGINALS[0], ranked])
+
+
+@pytest.mark.parametrize(
+    "u, rec, error, message",
+    [(True, GOOD[1], errors.UnknownCustomer, "customer id must be an integer, got True"),
+     (2, REC(2, (0, 2)), errors.UnknownCustomer, "customer 2 outside universe of size 2"),
+     (1, REC(0, (2, 1)), errors.ValidationError, "list owned by 0, not 1"),
+     (1, REC(1, (0, -1)), errors.ValidationError, "list for customer 1 holds unknown item -1"),
+     (1, REC(1, (3, 0)), errors.ValidationError, "list for customer 1 holds unknown item 3"),
+     (1, REC(1, (1.5, 0)), errors.ValidationError,
+      "list for customer 1: an item must be an integer, got 1.5"),
+     (1, REC(2, (0, 2)), errors.UnknownCustomer, "list for customer 2 outside universe of size 2"),
+     (1, REC(0.5, (0, 2)), errors.UnknownCustomer, "list owner must be an integer, got 0.5")],
+    ids=["customer-id-bool", "customer-id-outside", "foreign-owner", "item-negative", "item-n",
+         "item-not-integer", "owner-outside", "owner-not-integer"],
+)
+def test_ndcg_holds_its_customer_and_list_to_the_rules(u, rec, error, message):
+    # customer 1's ndcg used to score a list of customer 0's, or of no
+    # customer's, and read item -1 as item 2; item 3 or 1.5, and a customer
+    # id of True, ended in a bare IndexError or TypeError
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        tfrom.ndcg(u, rec, MATRIX, ORIGINALS[1])

@@ -540,7 +540,8 @@ def serial_read(path):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestPlainReadersOnEveryCore:
     """The ranges of a plain file after the first are read in forked
-    children, each reaped before ``_plain_preferences`` returns."""
+    children, each reaped before ``_plain_preferences`` returns, into
+    spools that leave nothing behind."""
 
     def test_ranges_read_in_children_give_the_serial_read(self, tmp_path, forked):
         path = ranged_file(tmp_path)
@@ -579,7 +580,9 @@ class TestPlainReadersOnEveryCore:
         assert len(forked) == 2
         assert_reaped(forked)
 
-    @pytest.mark.parametrize("failure", ["raises", "killed", "killed after its head", "no fork"])
+    @pytest.mark.parametrize(
+        "failure", ["raises", "killed", "killed after a partial spool", "no fork", "no spool"]
+    )
     def test_a_child_that_fails_has_its_range_read_here(self, tmp_path, forked, failure):
         path = ranged_file(tmp_path)
         want = serial_read(path)
@@ -592,28 +595,78 @@ class TestPlainReadersOnEveryCore:
                 os.kill(os.getpid(), signal.SIGKILL)
             return read(*args, **kwargs)
 
-        def child_send(pipe, part):
+        def child_send(spool, part):
             if os.getpid() != parent:  # the head and a few label bytes
                 stream = io.BytesIO()
                 send(stream, part)
-                pipe.write(stream.getvalue()[: fileio._HEAD.size + 5])
-                pipe.flush()
+                spool.write(stream.getvalue()[: fileio._HEAD.size + 5])
+                spool.flush()
                 os.kill(os.getpid(), signal.SIGKILL)
-            send(pipe, part)
+            send(spool, part)
 
         def no_fork():
             raise BlockingIOError("no process to spare")
 
+        def no_spool(**kwargs):
+            raise PermissionError("no spool")
+
         with mock.patch.object(fileio, "_plain_range", child_read), \
-                mock.patch.object(fileio, "_send", child_send if "head" in failure else send):
-            if failure == "no fork":
-                with mock.patch.object(os, "fork", no_fork):
-                    got = fileio._plain_preferences(path)
-            else:
-                got = fileio._plain_preferences(path)
-        assert len(forked) == (0 if failure == "no fork" else 2)
+                mock.patch.object(fileio, "_send", child_send if "partial" in failure else send), \
+                mock.patch.object(os, "fork", no_fork if failure == "no fork" else os.fork), \
+                mock.patch.object(tempfile, "TemporaryFile",
+                                  no_spool if failure == "no spool" else tempfile.TemporaryFile):
+            got = fileio._plain_preferences(path)
+        assert len(forked) == (0 if failure.startswith("no ") else 2)
         assert_reaped(forked)
         assert same_columns(got, want)
+
+    @pytest.mark.parametrize("how", ["replaced", "samestat false in the child"])
+    def test_a_path_that_stops_naming_the_file_has_its_range_read_here(
+        self, tmp_path, forked, how
+    ):
+        # the children open the path anew: one that names another file by
+        # then reads nothing of it, and its range is read from this
+        # process's handle
+        path = ranged_file(tmp_path)
+        want = serial_read(path)
+        parent, ranges, samestat = os.getpid(), fileio._ranges, os.path.samestat
+        read, read_here = fileio._plain_range, []
+
+        def then_replaced(handle, limit):
+            cuts = ranges(handle, limit)
+            if how == "replaced":  # as many bytes, other scores
+                other = tmp_path / "other.csv"
+                other.write_bytes(path.read_bytes().replace(b".", b"0"))
+                os.replace(other, path)
+            return cuts
+
+        def recorded(handle, start, stop, **kwargs):
+            if os.getpid() == parent:
+                read_here.append(start)
+            return read(handle, start, stop, **kwargs)
+
+        def child_samestat(a, b):
+            return samestat(a, b) and (how == "replaced" or os.getpid() == parent)
+
+        with mock.patch.object(fileio, "_ranges", then_replaced), \
+                mock.patch.object(fileio, "_plain_range", recorded), \
+                mock.patch.object(os.path, "samestat", child_samestat):
+            got = fileio._plain_preferences(path)
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert len(read_here) == 3  # every range, the children's too
+        assert same_columns(got, want)
+
+    def test_no_spool_is_left_behind(self, tmp_path, forked, monkeypatch):
+        path = ranged_file(tmp_path)
+        spools = tmp_path / "spools"
+        spools.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spools))
+        got = fileio._plain_preferences(path)
+        assert len(forked) == 2
+        assert_reaped(forked)
+        assert same_columns(got, serial_read(path))
+        assert os.listdir(spools) == []
 
     def test_nothing_forks_while_a_second_thread_runs(self, tmp_path, forked):
         path = ranged_file(tmp_path)
@@ -630,11 +683,12 @@ class TestPlainReadersOnEveryCore:
         assert same_columns(got, serial_read(path))
 
     def test_no_resource_warning(self, tmp_path):
-        # every path closes its pipes and handles: a plain file, a range
-        # that is not plain, and a child that raises
+        # every path closes its spools and handles: a plain file, a range
+        # that is not plain, a child that raises and a spool that cannot
+        # be made
         paths = [ranged_file(tmp_path), ranged_file(tmp_path, 150)]
         code = """
-import gc, os, sys
+import gc, os, sys, tempfile
 from unittest import mock
 from tfrom import fileio
 plain, not_plain = sys.argv[1:]
@@ -643,10 +697,14 @@ def failing(*args, **kwargs):
     if os.getpid() != parent:
         raise OSError("child")
     return read(*args, **kwargs)
+def refused(*args, **kwargs):
+    raise OSError("refused")
 with mock.patch.object(fileio, "_BLOCK", 1000), mock.patch.object(fileio, "_cores", lambda: 3):
     assert fileio._plain_preferences(plain) is not None
     assert fileio._plain_preferences(not_plain) is None
     with mock.patch.object(fileio, "_plain_range", failing):
+        assert fileio._plain_preferences(plain) is not None
+    with mock.patch.object(tempfile, "TemporaryFile", refused):
         assert fileio._plain_preferences(plain) is not None
 gc.collect()
 """
